@@ -117,39 +117,48 @@ def cmd_verify(args, out) -> int:
     limits = ExploreLimits(max_states=args.max_states, mode=mode)
     props = [p.strip() for p in args.props.split(",")] if args.props else \
         ["safety", "comm-rf", "deadlock", "terminating", "live"]
+    graphs = V.Graphs(g0, sigma, limits)
     results: dict = {}
     minimal_k = None
-    for name in props:
+    # Boundedness reads its answer off the graph the other properties have
+    # built, so it runs after them.
+    for name in sorted(props, key=lambda name: name == "bounded"):
         if name == "safety":
-            results[name] = V.check_safety(g0, sigma, r, limits)
+            results[name] = V.check_safety(g0, sigma, r, limits, graphs=graphs)
         elif name == "comm-rf":
-            results[name] = V.check_comm_safe_RF(g0, sigma, limits)
+            results[name] = V.check_comm_safe_RF(g0, sigma, limits, graphs=graphs)
         elif name == "deadlock":
-            results[name] = V.check_deadlock_free(g0, sigma, r, limits)
+            results[name] = V.check_deadlock_free(g0, sigma, r, limits, graphs=graphs)
         elif name == "terminating":
-            results[name] = V.check_terminating(g0, sigma, r, limits)
+            results[name] = V.check_terminating(g0, sigma, r, limits, graphs=graphs)
         elif name == "live":
-            results[name] = V.check_live(g0, sigma, r, limits)
+            results[name] = V.check_live(g0, sigma, r, limits, graphs=graphs)
         elif name == "never":
-            results[name] = V.check_never_terminating(g0, sigma, r, limits)
+            results[name] = V.check_never_terminating(g0, sigma, r, limits,
+                                                      graphs=graphs)
         elif name == "tcp":
-            results[name] = V.check_tcp_safety(g0, sigma, limits)
+            results[name] = V.check_tcp_safety(g0, sigma, limits, graphs=graphs)
         elif name == "bounded":
             results[name], minimal_k = V.check_bounded(
-                g0, sigma, r, args.bound or DEFAULT_BOUND_PROBE, mode)
+                g0, sigma, r, args.bound or DEFAULT_BOUND_PROBE, mode,
+                graphs=graphs)
         else:
             print(f"error: unknown property {name!r} "
                   f"(expected one of {', '.join(PROP_NAMES)})", file=out)
             return EXIT_USAGE
     if args.bound and "bounded" not in props:
         results[f"bound_{args.bound}"] = V.check_bound_k(
-            g0, sigma, r, args.bound, mode)
-    # State/edge counts are reported best-effort under a small cap so that
-    # unbounded systems (whose checks may settle statically) stay fast.
-    stats_limits = ExploreLimits(min(limits.max_states, STATS_STATE_CAP),
-                                 limits.max_buffer_len, limits.mode,
-                                 limits.relation)
-    graph = explore(g0, sigma, r, stats_limits)
+            g0, sigma, r, args.bound, mode, graphs=graphs)
+    # Stats describe the graph under the reliability map that the verdicts
+    # used.  When no property built it (a safety check that settled
+    # statically, say), it is counted under a small cap so that unbounded
+    # systems stay fast.
+    graph = graphs.built(r)
+    if graph is None:
+        stats_limits = ExploreLimits(min(limits.max_states, STATS_STATE_CAP),
+                                     limits.max_buffer_len, limits.mode,
+                                     limits.relation)
+        graph = explore(g0, sigma, r, stats_limits)
     stats = ({"states": len(graph.states), "edges": len(graph.edges)}
              if not isinstance(graph, Exceeded)
              else {"exceeded": graph.kind, "limit": graph.limit})

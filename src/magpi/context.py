@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 from .types import (Basic, BufEntry, CongruenceMode, End, Rec, RecRef,
                     SessionBufferType, SessionType, Type, canonical_buffer_type,
-                    format_type, is_basic, resolve, session_equal, type_digest)
+                    format_session, format_type, is_basic, resolve,
+                    session_equal, type_digest)
 
 
 @dataclass(frozen=True)
@@ -167,7 +168,6 @@ def render_sbt(sbt: SessionBufferType) -> str:
     buf = buf or "ε" if sbt.session is None else buf
     if sbt.session is None:
         return buf
-    from .types import format_session
     s = format_session(sbt.session)
     return f"<{buf or 'ε'}; {s}>" if sbt.buffer else s
 
@@ -182,7 +182,6 @@ def context_key(g: TypeContext, mode: CongruenceMode) -> tuple:
     """Deterministic state identity: endpoints sorted, buffers canonical per
     mode, session components at their resolved structural head rendered to
     text (structurally identical positions coincide)."""
-    from .types import format_session
     parts = []
     for k, sbt in canonical_context(g, mode).endpoints:
         buf = tuple((e.to, e.label, type_digest(e.payload)) for e in sbt.buffer)

@@ -10,6 +10,7 @@ out.  Recursion nodes are unfolded transparently before matching.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
 
 from .context import (TypeContext, canonical_context, context_key,
@@ -152,34 +153,53 @@ def context_transitions(g: TypeContext, sigma, r: Reliability,
 
 @dataclass
 class LtsGraph:
+    """An explored LTS.  The successor and predecessor adjacency and the
+    stuck states are derived from `edges` once, when the graph is made."""
+
     states: list            # state id -> TypeContext (canonical)
     edges: list             # (from id, Action, to id)
     initial: int = 0
     parents: dict = field(default_factory=dict)  # id -> (parent id, Action)
+    succ: list = field(init=False, repr=False)   # id -> [(Action, to id)]
+    pred: list = field(init=False, repr=False)   # id -> [from id]
+    stuck_ids: list = field(init=False, repr=False)  # ids without successors, ascending
+
+    def __post_init__(self):
+        self.succ = [[] for _ in self.states]
+        self.pred = [[] for _ in self.states]
+        for f, a, t in self.edges:
+            self.succ[f].append((a, t))
+            self.pred[t].append(f)
+        self.stuck_ids = [sid for sid, out in enumerate(self.succ) if not out]
 
     def successors(self, sid: int) -> list:
-        return [(a, t) for f, a, t in self.edges if f == sid]
+        return self.succ[sid]
 
     def stuck(self, sid: int) -> bool:
-        return not any(f == sid for f, _, _ in self.edges)
+        return not self.succ[sid]
 
     def path_to(self, sid: int) -> tuple:
-        acts = []
-        while sid in self.parents:
-            sid, a = self.parents[sid]
-            acts.append(a)
-        return tuple(reversed(acts))
+        return _path(self.parents, sid)
 
 
-def _buffer_overflow(g: TypeContext, k: int) -> bool:
-    """Whether any per-recipient channel of any sender buffer reaches k."""
+def _path(parents: dict, sid: int) -> tuple:
+    acts = []
+    while sid in parents:
+        sid, a = parents[sid]
+        acts.append(a)
+    return tuple(reversed(acts))
+
+
+def occupancy(g: TypeContext) -> int:
+    """Largest number of messages any sender buffer holds for one recipient."""
+    best = 0
     for _, sbt in g.endpoints:
         counts: dict = {}
         for e in sbt.buffer:
-            counts[e.to] = counts.get(e.to, 0) + 1
-            if counts[e.to] >= k:
-                return True
-    return False
+            n = counts[e.to] = counts.get(e.to, 0) + 1
+            if n > best:
+                best = n
+    return best
 
 
 def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits,
@@ -189,33 +209,33 @@ def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits,
     ids and Exceeded witnesses are minimal-length; a DFS order is available
     for order-independence checks."""
     g0 = canonical_context(g0, limits.mode)
-    graph = LtsGraph(states=[g0], edges=[])
+    states, edges, parents = [g0], [], {}
     ids = {context_key(g0, limits.mode): 0}
-    if limits.max_buffer_len is not None and _buffer_overflow(g0, limits.max_buffer_len):
-        return Exceeded("bufferLen", limits.max_buffer_len, (), g0)
-    frontier = [0]
+    cap = limits.max_buffer_len
+    if cap is not None and occupancy(g0) >= cap:
+        return Exceeded("bufferLen", cap, (), g0)
+    frontier = deque([0])
+    take = frontier.popleft if order == "bfs" else frontier.pop
     while frontier:
-        sid = frontier.pop(0 if order == "bfs" else -1)
-        for action, nxt in context_transitions(graph.states[sid], sigma, r, limits):
+        sid = take()
+        for action, nxt in context_transitions(states[sid], sigma, r, limits):
             nxt = canonical_context(nxt, limits.mode)
             key = context_key(nxt, limits.mode)
             if key in ids:
-                graph.edges.append((sid, action, ids[key]))
+                edges.append((sid, action, ids[key]))
                 continue
-            if len(graph.states) >= limits.max_states:
+            if len(states) >= limits.max_states:
                 return Exceeded("maxStates", limits.max_states,
-                                graph.path_to(sid) + (action,), nxt)
-            nid = len(graph.states)
+                                _path(parents, sid) + (action,), nxt)
+            nid = len(states)
             ids[key] = nid
-            graph.states.append(nxt)
-            graph.parents[nid] = (sid, action)
-            graph.edges.append((sid, action, nid))
-            if (limits.max_buffer_len is not None
-                    and _buffer_overflow(nxt, limits.max_buffer_len)):
-                return Exceeded("bufferLen", limits.max_buffer_len,
-                                graph.path_to(nid), nxt)
+            states.append(nxt)
+            parents[nid] = (sid, action)
+            edges.append((sid, action, nid))
+            if cap is not None and occupancy(nxt) >= cap:
+                return Exceeded("bufferLen", cap, _path(parents, nid), nxt)
             frontier.append(nid)
-    return graph
+    return LtsGraph(states, edges, parents=parents)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 
 from .context import TypeContext, split_end_gc
 from .lts import (Action, ComAct, Exceeded, ExploreLimits, FULL, LtsGraph,
-                  SEND_COM_ONLY, action_to_json, explore)
-from .types import (Branch, CongruenceMode, Reliability, Select,
+                  SEND_COM_ONLY, action_to_json, explore, occupancy)
+from .types import (Branch, CongruenceMode, Reliability, Select, resolve,
                     session_nodes, type_equal)
 
 HOLDS = "holds"
@@ -44,6 +44,65 @@ def _inconclusive(exc: Exceeded) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
+# the graphs of one run
+
+
+def _may_time_out(g0: TypeContext, r: Reliability) -> bool:
+    """Whether some branching with a timeout in g0's type graphs waits on a
+    peer outside its reliability set, i.e. could ever time out under r."""
+    return any(isinstance(n, Branch) and n.timeout is not None
+               and any(a.frm not in r.get(role) for a in n.arms)
+               for (_, role), sbt in g0.endpoints if sbt.session is not None
+               for n in session_nodes(sbt.session))
+
+
+class Graphs:
+    """The explored graphs of one verify run, each built at most once and
+    shared by every property that reads it.
+
+    A graph is fixed by its reliability map, congruence mode and relation.
+    The map and the relation only decide whether timeouts are enabled, so
+    when no timeout can fire under the map, the graph is the send/com-only
+    graph of that mode whatever the map: under the fully reliable map,
+    comm-rf and tcp read one graph."""
+
+    def __init__(self, g0: TypeContext, sigma, limits: ExploreLimits):
+        self.g0, self.sigma, self.limits = g0, sigma, limits
+        self._built: dict = {}
+
+    def _key(self, r: Reliability, mode, relation) -> tuple:
+        mode = self.limits.mode if mode is None else mode
+        relation = self.limits.relation if relation is None else relation
+        if relation == FULL and _may_time_out(self.g0, r):
+            return (mode, FULL, r)
+        return (mode, SEND_COM_ONLY, None)
+
+    def get(self, r: Reliability, mode: CongruenceMode | None = None,
+            relation: str | None = None):
+        """The LtsGraph (or Exceeded) under r; mode and relation default to
+        the run's limits."""
+        key = self._key(r, mode, relation)
+        if key not in self._built:
+            self._built[key] = explore(self.g0, self.sigma, r, ExploreLimits(
+                self.limits.max_states, self.limits.max_buffer_len, key[0],
+                key[1]))
+        return self._built[key]
+
+    def built(self, r: Reliability, mode: CongruenceMode | None = None,
+              relation: str | None = None):
+        """The graph under r if a property has already built it, else None."""
+        return self._built.get(self._key(r, mode, relation))
+
+
+def _graphs(graphs: Graphs | None, g0, sigma, limits) -> Graphs:
+    return Graphs(g0, sigma, limits) if graphs is None else graphs
+
+
+def _fully_reliable(g0: TypeContext) -> Reliability:
+    return Reliability.fully_reliable({k[1] for k, _ in g0.endpoints})
+
+
+# ---------------------------------------------------------------------------
 # safety
 
 
@@ -51,7 +110,6 @@ def _branch_endpoints(g: TypeContext):
     for key, sbt in g.endpoints:
         if sbt.session is None:
             continue
-        from .types import resolve
         head = resolve(sbt.session)
         if isinstance(head, Branch):
             yield key, sbt, head
@@ -135,14 +193,16 @@ def _static_safety_holds(g0: TypeContext, r: Reliability) -> bool:
 
 
 def check_safety(g0: TypeContext, sigma, r: Reliability,
-                 limits: ExploreLimits) -> Verdict:
+                 limits: ExploreLimits, graphs: Graphs | None = None) -> Verdict:
+    """`graphs`, when given, holds the run's shared graphs, built from the
+    same g0, sigma and limits; the same holds for every check below."""
     # Cheap sound over-approximation first: if every branch node in every
     # endpoint's type graph satisfies the reliability side conditions and
     # all label-compatible send/receive pairs agree on payload types, the
     # property holds in every reachable state without exploring any.
     if _static_safety_holds(g0, r):
         return Verdict(HOLDS, reason="static")
-    graph = explore(g0, sigma, r, limits)
+    graph = _graphs(graphs, g0, sigma, limits).get(r)
     if isinstance(graph, Exceeded):
         return _inconclusive(graph)
     for sid, state in enumerate(graph.states):
@@ -152,20 +212,20 @@ def check_safety(g0: TypeContext, sigma, r: Reliability,
     return Verdict(HOLDS)
 
 
-def check_tcp_safety(g0: TypeContext, sigma, limits: ExploreLimits) -> Verdict:
+def check_tcp_safety(g0: TypeContext, sigma, limits: ExploreLimits,
+                     graphs: Graphs | None = None) -> Verdict:
     """Per-pair FIFO safety over the send/com-only relation: whenever a
     receiver branches on messages from p, the (p, receiver)-channel head (if
     any) must match some arm from p on both label and payload type.  The
     base safety conditions are included, evaluated under the FIFO congruence,
     so this property is strictly stronger than the reordering one."""
-    limits = ExploreLimits(limits.max_states, limits.max_buffer_len,
-                           CongruenceMode.TCP_FIFO, SEND_COM_ONLY)
-    r = Reliability.fully_reliable({k[1] for k, _ in g0.endpoints})
-    graph = explore(g0, sigma, r, limits)
+    r = _fully_reliable(g0)
+    graph = _graphs(graphs, g0, sigma, limits).get(
+        r, CongruenceMode.TCP_FIFO, SEND_COM_ONLY)
     if isinstance(graph, Exceeded):
         return _inconclusive(graph)
     for sid, state in enumerate(graph.states):
-        fail = _state_safety_failure(state, r, limits.mode)
+        fail = _state_safety_failure(state, r, CongruenceMode.TCP_FIFO)
         if fail is not None:
             return Verdict(VIOLATED, reason=fail, witness=graph.path_to(sid))
         for (session, role), sbt, head in _branch_endpoints(state):
@@ -188,105 +248,99 @@ def check_tcp_safety(g0: TypeContext, sigma, limits: ExploreLimits) -> Verdict:
 # progress properties
 
 
-def _explored(g0, sigma, r, limits):
-    return explore(g0, sigma, r, limits)
-
-
 def check_deadlock_free(g0: TypeContext, sigma, r: Reliability,
                         limits: ExploreLimits,
-                        graph: LtsGraph | None = None) -> Verdict:
-    graph = graph or _explored(g0, sigma, r, limits)
+                        graphs: Graphs | None = None) -> Verdict:
+    graph = _graphs(graphs, g0, sigma, limits).get(r)
     if isinstance(graph, Exceeded):
         return _inconclusive(graph)
-    outgoing = {f for f, _, _ in graph.edges}
-    for sid, state in enumerate(graph.states):
-        if sid in outgoing:
-            continue
-        ok, reason = split_end_gc(state)
+    for sid in graph.stuck_ids:
+        ok, reason = split_end_gc(graph.states[sid])
         if not ok:
             return Verdict(VIOLATED, reason=f"Deadlock: {reason}",
                            witness=graph.path_to(sid))
     return Verdict(HOLDS)
 
 
+def _lasso(graph: LtsGraph) -> tuple | None:
+    """The first back edge met by a depth-first search from the initial
+    state, as the path to its source plus the edge; None when acyclic.
+    Iterative, so the depth of the search is not bounded by the stack."""
+    color = [0] * len(graph.states)  # 0 unseen, 1 on the path, 2 done
+    color[graph.initial] = 1
+    path = [(graph.initial, iter(graph.succ[graph.initial]))]
+    while path:
+        u, todo = path[-1]
+        for a, v in todo:
+            if color[v] == 1:
+                return graph.path_to(u) + (a,)
+            if color[v] == 0:
+                color[v] = 1
+                path.append((v, iter(graph.succ[v])))
+                break
+        else:
+            color[u] = 2
+            path.pop()
+    return None
+
+
 def check_terminating(g0: TypeContext, sigma, r: Reliability,
-                      limits: ExploreLimits) -> Verdict:
-    graph = _explored(g0, sigma, r, limits)
+                      limits: ExploreLimits,
+                      graphs: Graphs | None = None) -> Verdict:
+    graphs = _graphs(graphs, g0, sigma, limits)
+    graph = graphs.get(r)
     if isinstance(graph, Exceeded):
         return _inconclusive(graph)
-    df = check_deadlock_free(g0, sigma, r, limits, graph=graph)
+    df = check_deadlock_free(g0, sigma, r, limits, graphs)
     if not df.holds:
         return df
-    # cycle detection; a reachable cycle is a non-terminating lasso
-    succ: dict = {}
-    for f, a, t in graph.edges:
-        succ.setdefault(f, []).append((a, t))
-    color = {}
-
-    def dfs(u):
-        color[u] = 1
-        for a, v in succ.get(u, []):
-            if color.get(v, 0) == 1:
-                return graph.path_to(u) + (a,)
-            if color.get(v, 0) == 0:
-                w = dfs(v)
-                if w is not None:
-                    return w
-        color[u] = 2
-        return None
-
-    import sys
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, len(graph.states) * 2 + 100))
-    try:
-        lasso = dfs(graph.initial)
-    finally:
-        sys.setrecursionlimit(old)
+    # a reachable cycle is a non-terminating lasso
+    lasso = _lasso(graph)
     if lasso is not None:
         return Verdict(VIOLATED, reason="Cycle", witness=lasso)
     return Verdict(HOLDS)
 
 
 def check_never_terminating(g0: TypeContext, sigma, r: Reliability,
-                            limits: ExploreLimits) -> Verdict:
-    graph = _explored(g0, sigma, r, limits)
+                            limits: ExploreLimits,
+                            graphs: Graphs | None = None) -> Verdict:
+    graph = _graphs(graphs, g0, sigma, limits).get(r)
     if isinstance(graph, Exceeded):
         return _inconclusive(graph)
-    outgoing = {f for f, _, _ in graph.edges}
-    for sid in range(len(graph.states)):
-        if sid not in outgoing:
-            return Verdict(VIOLATED, reason="Terminal", witness=graph.path_to(sid))
+    if graph.stuck_ids:
+        return Verdict(VIOLATED, reason="Terminal",
+                       witness=graph.path_to(graph.stuck_ids[0]))
     return Verdict(HOLDS)
 
 
 def check_live(g0: TypeContext, sigma, r: Reliability,
-               limits: ExploreLimits) -> Verdict:
+               limits: ExploreLimits, graphs: Graphs | None = None) -> Verdict:
     """A timeout-less branching endpoint must always be able to eventually
     take one of its arms: from every state where it waits, some state with
     an enabled communication for that endpoint is reachable.  Branches with
     timeouts are exempt (their timeout arm is always available)."""
-    graph = _explored(g0, sigma, r, limits)
+    graph = _graphs(graphs, g0, sigma, limits).get(r)
     if isinstance(graph, Exceeded):
         return _inconclusive(graph)
-    preds: dict = {}
-    for f, _, t in graph.edges:
-        preds.setdefault(t, set()).add(f)
     # endpoints with at least one timeout-less waiting state
     obligations: dict = {}
     for sid, state in enumerate(graph.states):
         for key, _, head in _branch_endpoints(state):
             if head.timeout is None:
                 obligations.setdefault(key, []).append(sid)
+    # states with an enabled communication, per receiving endpoint
+    receives: dict = {}
+    for f, a, _ in graph.edges:
+        if isinstance(a, ComAct):
+            receives.setdefault((a.session, a.to), set()).add(f)
     for key in sorted(obligations):
         session, role = key
-        good = {f for f, a, _ in graph.edges
-                if isinstance(a, ComAct) and a.session == session and a.to == role}
         # backward closure: states that can reach a communication for key
-        closed = set(good)
-        work = list(good)
+        closed = set(receives.get(key, ()))
+        work = list(closed)
         while work:
             u = work.pop()
-            for v in preds.get(u, ()):
+            for v in graph.pred[u]:
                 if v not in closed:
                     closed.add(v)
                     work.append(v)
@@ -298,18 +352,15 @@ def check_live(g0: TypeContext, sigma, r: Reliability,
     return Verdict(HOLDS)
 
 
-def check_comm_safe_RF(g0: TypeContext, sigma, limits: ExploreLimits) -> Verdict:
+def check_comm_safe_RF(g0: TypeContext, sigma, limits: ExploreLimits,
+                       graphs: Graphs | None = None) -> Verdict:
     """Under the fully reliable map (no timeout is ever enabled), every
     stuck state must have all buffers drained."""
-    r = Reliability.fully_reliable({k[1] for k, _ in g0.endpoints})
-    graph = _explored(g0, sigma, r, limits)
+    graph = _graphs(graphs, g0, sigma, limits).get(_fully_reliable(g0))
     if isinstance(graph, Exceeded):
         return _inconclusive(graph)
-    outgoing = {f for f, _, _ in graph.edges}
-    for sid, state in enumerate(graph.states):
-        if sid in outgoing:
-            continue
-        for (session, role), sbt in state.endpoints:
+    for sid in graph.stuck_ids:
+        for (session, role), sbt in graph.states[sid].endpoints:
             if sbt.buffer:
                 return Verdict(VIOLATED,
                                reason=f"CommRF: orphan message in {session}[{role}]",
@@ -319,27 +370,55 @@ def check_comm_safe_RF(g0: TypeContext, sigma, limits: ExploreLimits) -> Verdict
 
 # ---------------------------------------------------------------------------
 # boundedness
+#
+# Both checks read their answer off the run's graph under r when a property
+# has built it completely: a complete graph holds every reachable context.
+# Otherwise they explore once with the buffer bound, which always completes
+# because bounded buffers over finitely many type positions leave finitely
+# many contexts.
+
+
+def _shared_complete(graphs: Graphs | None, r: Reliability,
+                     mode: CongruenceMode) -> LtsGraph | None:
+    graph = None if graphs is None else graphs.built(r, mode, FULL)
+    return graph if isinstance(graph, LtsGraph) else None
+
+
+def _buffer_bounded(g0, sigma, r, k, mode):
+    return explore(g0, sigma, r, ExploreLimits(max_states=10**9,
+                                               max_buffer_len=k, mode=mode))
 
 
 def check_bound_k(g0: TypeContext, sigma, r: Reliability, k: int,
-                  mode: CongruenceMode = CongruenceMode.TOTAL_REORDER) -> Verdict:
+                  mode: CongruenceMode = CongruenceMode.TOTAL_REORDER,
+                  graphs: Graphs | None = None) -> Verdict:
     """All reachable per-recipient channel buffers stay strictly below k.
-    Total: bounded buffers over finitely many type positions make the
-    reachable set finite, so exploration always completes."""
+    The witness leads to the first context, in BFS order, that reaches k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    limits = ExploreLimits(max_states=10**9, max_buffer_len=k, mode=mode)
-    graph = explore(g0, sigma, r, limits)
+    graph = _shared_complete(graphs, r, mode)
+    if graph is not None:
+        # state ids are BFS discovery order, so the lowest id reaching k is
+        # the context a buffer-bounded BFS stops at
+        sid = next((i for i, g in enumerate(graph.states) if occupancy(g) >= k), None)
+        if sid is not None:
+            return Verdict(VIOLATED, reason=f"bound_{k}", witness=graph.path_to(sid))
+        return Verdict(HOLDS)
+    graph = _buffer_bounded(g0, sigma, r, k, mode)
     if isinstance(graph, Exceeded):
         return Verdict(VIOLATED, reason=f"bound_{k}", witness=graph.witness)
     return Verdict(HOLDS)
 
 
 def check_bounded(g0: TypeContext, sigma, r: Reliability, k_max: int,
-                  mode: CongruenceMode = CongruenceMode.TOTAL_REORDER):
-    """Sweep k = 1..k_max; Holds with the minimal k, else Inconclusive."""
-    for k in range(1, k_max + 1):
-        v = check_bound_k(g0, sigma, r, k, mode)
-        if v.holds:
+                  mode: CongruenceMode = CongruenceMode.TOTAL_REORDER,
+                  graphs: Graphs | None = None):
+    """Holds with the minimal k (largest channel occupancy + 1) when that k
+    is at most k_max, else Inconclusive."""
+    graph = _shared_complete(graphs, r, mode) or _buffer_bounded(
+        g0, sigma, r, k_max, mode)
+    if isinstance(graph, LtsGraph):
+        k = max(map(occupancy, graph.states)) + 1
+        if k <= k_max:
             return Verdict(HOLDS), k
     return Verdict(INCONCLUSIVE, reason="unbounded up to probe", limit=k_max), None

@@ -1,13 +1,14 @@
 """Property verdicts: positive fixtures, engineered violations, witness
 replay, and the containment between the FIFO and reordering safety notions."""
 import random
+import sys
 
 import pytest
 
 from magpi import parse, parse_session_text
 from magpi.cli import initial_context
 from magpi.context import TypeContext
-from magpi.lts import (ComAct, ExploreLimits, SendAct, TimeoutAct,
+from magpi.lts import (ComAct, ExploreLimits, LtsGraph, SendAct, TimeoutAct,
                        context_transitions, explore)
 from magpi.types import (Basic, BranchArm, BufEntry, CongruenceMode, END,
                          Reliability, Select, SelectArm, SessionBufferType,
@@ -244,3 +245,128 @@ def test_tcp_safety_contained_in_base_safety():
         checked += 1
         assert V.check_safety(g, {"s"}, rf, fifo).holds, g
     assert checked == 500
+
+
+def _bound_sweep(g0, sigma, r, k_max, mode):
+    """Reference: the smallest k <= k_max whose bound holds, by one
+    buffer-bounded exploration per k."""
+    for k in range(1, k_max + 1):
+        if V.check_bound_k(g0, sigma, r, k, mode).holds:
+            return k
+    return None
+
+
+@pytest.mark.parametrize("name", ["ping", "dns"])
+@pytest.mark.parametrize("mode", list(CongruenceMode))
+def test_bounded_single_exploration_matches_sweep(name, mode):
+    pf = parse(fixture_text(name))
+    g0, sess = initial_context(pf)
+    r = pf.reliability
+    graphs = V.Graphs(g0, {sess}, ExploreLimits(mode=mode))
+    graphs.get(r)  # the graph a property of the run would have built
+    for k_max in range(1, 6):
+        want = _bound_sweep(g0, {sess}, r, k_max, mode)
+        status = V.HOLDS if want is not None else V.INCONCLUSIVE
+        for shared in (None, graphs):
+            v, k = V.check_bounded(g0, {sess}, r, k_max, mode, graphs=shared)
+            assert (v.status, k) == (status, want), (k_max, shared)
+        # bound_k read off the shared graph gives the BFS witness
+        assert (V.check_bound_k(g0, {sess}, r, k_max, mode, graphs=graphs)
+                == V.check_bound_k(g0, {sess}, r, k_max, mode))
+
+
+def test_bounded_inconclusive_on_unbounded_producer():
+    g = ctx({("s", "p"): sbt(S("rec t. q!m().t"))})
+    v, k = V.check_bounded(g, {"s"}, rel(), 4)
+    assert (v.status, v.limit, k) == (V.INCONCLUSIVE, 4, None)
+
+
+# -- one graph per run ------------------------------------------------------------
+
+
+def test_run_explores_each_distinct_graph_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return explore(*args, **kwargs)
+
+    monkeypatch.setattr(V, "explore", counted)
+    pf = parse(fixture_text("ping"))
+    g0, sess = initial_context(pf)
+    r = pf.reliability
+    tcp = ExploreLimits(mode=CongruenceMode.TCP_FIFO)
+    graphs = V.Graphs(g0, {sess}, tcp)
+    for check in (V.check_deadlock_free, V.check_terminating, V.check_live,
+                  V.check_never_terminating, V.check_safety):
+        check(g0, {sess}, r, tcp, graphs)
+    V.check_bounded(g0, {sess}, r, 8, tcp.mode, graphs=graphs)
+    V.check_bound_k(g0, {sess}, r, 2, tcp.mode, graphs=graphs)
+    # no timeout fires under the fully reliable map, so comm-rf and tcp
+    # read the same send/com graph
+    V.check_comm_safe_RF(g0, {sess}, tcp, graphs)
+    V.check_tcp_safety(g0, {sess}, tcp, graphs)
+    assert len(calls) == 2
+    assert graphs.built(r) is not None
+
+
+# -- termination at depth -----------------------------------------------------------
+
+
+def _lasso_recursive(graph):
+    """Reference: the recursive depth-first search the iterative one
+    replaces (fine on small graphs)."""
+    color = {}
+
+    def dfs(u):
+        color[u] = 1
+        for a, v in graph.successors(u):
+            if color.get(v, 0) == 1:
+                return graph.path_to(u) + (a,)
+            if color.get(v, 0) == 0:
+                w = dfs(v)
+                if w is not None:
+                    return w
+        color[u] = 2
+        return None
+
+    return dfs(graph.initial)
+
+
+def _bfs_graph(n, edges):
+    """An LtsGraph over n placeholder states with BFS parents from 0."""
+    parents, seen, order = {}, {0}, [0]
+    for u in order:
+        for f, a, t in edges:
+            if f == u and t not in seen:
+                seen.add(t)
+                parents[t] = (u, a)
+                order.append(t)
+    return LtsGraph([None] * n, edges, parents=parents)
+
+
+def test_lasso_visits_in_recursive_order():
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        edges = [(rng.randrange(n), f"a{i}", rng.randrange(n))
+                 for i in range(rng.randint(0, 2 * n))]
+        graph = _bfs_graph(n, edges)
+        assert V._lasso(graph) == _lasso_recursive(graph), edges
+
+
+def test_terminating_on_deep_chain_at_default_recursion_limit(monkeypatch):
+    def forbidden(limit):
+        raise AssertionError("the recursion limit must not be raised")
+
+    n = 25000
+    assert sys.getrecursionlimit() < n
+    monkeypatch.setattr(sys, "setrecursionlimit", forbidden)
+    # 0 -> 1 -> ... -> n-1, which closes a cycle back to n-10
+    edges = [(i, f"a{i}", i + 1) for i in range(n - 1)] + [(n - 1, "back", n - 10)]
+    graph = LtsGraph([None] * n, edges,
+                     parents={i + 1: (i, f"a{i}") for i in range(n - 1)})
+    monkeypatch.setattr(V, "explore", lambda *args, **kwargs: graph)
+    v = V.check_terminating(ctx({}), {"s"}, rel(), LIM)
+    assert v.status == V.VIOLATED and v.reason == "Cycle"
+    assert v.witness == tuple(f"a{i}" for i in range(n - 1)) + ("back",)
