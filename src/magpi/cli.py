@@ -12,15 +12,14 @@ import json
 import sys
 
 from . import proc as P
-from .context import TypeContext, render_context
+from .context import TypeContext
 from .diagnostics import MagpiError
 from .lts import Exceeded, ExploreLimits, explore, export_lts
 from .parser import ProtocolFile, parse
 from .sim import (Config, FailureScenario, RELIABLE, UNRESTRICTED,
                   monitor_corollaries, run)
-from .typecheck import typecheck_file
-from .types import (Basic, CongruenceMode, Reliability, SessionBufferType,
-                    BufEntry)
+from .typecheck import restriction_context, typecheck_file
+from .types import CongruenceMode
 from . import verify as V
 
 EXIT_OK, EXIT_VIOLATION, EXIT_INCONCLUSIVE, EXIT_USAGE = 0, 1, 2, 3
@@ -46,27 +45,7 @@ def initial_context(pf: ProtocolFile):
         p = p.cont
     if not isinstance(p, P.Restriction):
         return None, None
-    eps = {(p.session, role): SessionBufferType((), ty) for role, ty in p.annotations}
-
-    def find_buffer(q):
-        if isinstance(q, P.Buffer) and q.session == p.session:
-            return q
-        for c in (q.left, q.right) if isinstance(q, P.Par) else ():
-            b = find_buffer(c)
-            if b is not None:
-                return b
-        return None
-
-    buf = find_buffer(p.body)
-    if buf is not None:
-        for e in buf.entries:
-            if isinstance(e.value, P.Lit):
-                key = (p.session, e.frm)
-                cur = eps.get(key, SessionBufferType((), None))
-                eps[key] = SessionBufferType(
-                    cur.buffer + (BufEntry(e.to, e.label, Basic(e.value.kind)),),
-                    cur.session)
-    return TypeContext.of({}, eps), p.session
+    return restriction_context(p, TypeContext()), p.session
 
 
 def _gate_typecheck(pf: ProtocolFile, args, out) -> int | None:

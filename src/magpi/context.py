@@ -4,10 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .types import (Basic, BufEntry, CongruenceMode, End, Rec, RecRef,
-                    SessionBufferType, SessionType, Type, canonical_buffer_type,
-                    format_session, format_type, is_basic, resolve,
-                    session_equal, type_digest)
+from .types import (BufEntry, CongruenceMode, End, SessionBufferType, Type,
+                    TypeClasses, canonical_buffer_type, format_session,
+                    format_type, is_basic, resolve, session_equal, type_classes)
 
 
 @dataclass(frozen=True)
@@ -157,8 +156,21 @@ def split_end_gc(g: TypeContext):
 # canonicalization and rendering
 
 
-def canonical_context(g: TypeContext, mode: CongruenceMode) -> TypeContext:
-    es = {k: SessionBufferType(canonical_buffer_type(sbt.buffer, mode), sbt.session)
+def context_classes(g: TypeContext) -> TypeClasses:
+    """The classes of every type position in g: variable types, endpoint
+    sessions and buffered payloads."""
+    return type_classes([t for _, t in g.vars]
+                        + [sbt.session for _, sbt in g.endpoints if sbt.session is not None]
+                        + [e.payload for _, sbt in g.endpoints for e in sbt.buffer])
+
+
+def canonical_context(g: TypeContext, mode: CongruenceMode,
+                      classes: TypeClasses | None = None) -> TypeContext:
+    """g with every buffer canonical per mode; `classes` must cover g and
+    defaults to g's own."""
+    if classes is None:
+        classes = context_classes(g)
+    es = {k: SessionBufferType(canonical_buffer_type(sbt.buffer, mode, classes), sbt.session)
           for k, sbt in g.endpoints}
     return TypeContext(g.vars, tuple(sorted(es.items(), key=lambda kv: kv[0])))
 
@@ -178,13 +190,20 @@ def render_context(g: TypeContext) -> str:
     return "{" + ", ".join(parts) + "}"
 
 
-def context_key(g: TypeContext, mode: CongruenceMode) -> tuple:
-    """Deterministic state identity: endpoints sorted, buffers canonical per
-    mode, session components at their resolved structural head rendered to
-    text (structurally identical positions coincide)."""
-    parts = []
-    for k, sbt in canonical_context(g, mode).endpoints:
-        buf = tuple((e.to, e.label, type_digest(e.payload)) for e in sbt.buffer)
-        s = format_session(resolve(sbt.session)) if sbt.session is not None else None
-        parts.append((k, buf, s))
-    return (tuple(parts), tuple((n, type_digest(t)) for n, t in g.vars))
+def context_key(g: TypeContext, mode: CongruenceMode,
+                classes: TypeClasses | None = None) -> tuple:
+    """Deterministic state identity: per endpoint, the buffer entries in
+    canonical order and the session position, every type by its bisimilarity
+    class.  Keys built with one table of classes compare by class alone.
+    Without a table, g's own is built and its quotient joins the key, so that
+    such keys compare with each other whatever contexts they come from."""
+    own = classes is None
+    if own:
+        classes = context_classes(g)
+    key = classes.key
+    parts = tuple((k, tuple((e.to, e.label, key(e.payload))
+                            for e in canonical_buffer_type(sbt.buffer, mode, classes)),
+                   None if sbt.session is None else key(sbt.session))
+                  for k, sbt in g.endpoints)
+    out = (parts, tuple((n, key(t)) for n, t in g.vars))
+    return out + (classes.quotient,) if own else out

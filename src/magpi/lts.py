@@ -13,11 +13,11 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 
-from .context import (TypeContext, canonical_context, context_key,
-                      render_context)
-from .types import (Branch, BufEntry, CongruenceMode, End, Reliability,
-                    Select, SessionBufferType, Type, format_type, resolve,
-                    type_equal)
+from .context import (TypeContext, canonical_context, context_classes,
+                      context_key, render_context)
+from .types import (Branch, BufEntry, CongruenceMode, Reliability, Select,
+                    SessionBufferType, Type, TypeClasses, format_type,
+                    resolve, type_classes, type_equal)
 
 
 # ---------------------------------------------------------------------------
@@ -88,17 +88,21 @@ class Exceeded:
 # single-state transitions
 
 
-def _head_reachable(entries: tuple, recipient: str, mode: CongruenceMode):
+def _head_reachable(entries: tuple, recipient: str, mode: CongruenceMode,
+                    classes: TypeClasses | None):
     """Indices of entries a receiver may consume next, up to the buffer
     congruence: any entry addressed to it under total reordering, only the
-    per-channel head under per-pair FIFO.  One index per (label, payload)
-    class to avoid duplicate successors."""
+    per-channel head under per-pair FIFO.  One index per (label, payload
+    class) to avoid duplicate successors; without `classes`, the entries'
+    own are used."""
+    if classes is None:
+        classes = type_classes(e.payload for e in entries)
     out = []
     seen = set()
     for i, e in enumerate(entries):
         if e.to != recipient:
             continue
-        key = (e.label, format_type(e.payload))
+        key = (e.label, classes.key(e.payload))
         if key not in seen:
             seen.add(key)
             out.append(i)
@@ -108,9 +112,11 @@ def _head_reachable(entries: tuple, recipient: str, mode: CongruenceMode):
 
 
 def context_transitions(g: TypeContext, sigma, r: Reliability,
-                        limits: ExploreLimits) -> list:
+                        limits: ExploreLimits,
+                        classes: TypeClasses | None = None) -> list:
     """The complete enabled set of (Action, successor) pairs, sorted by
-    action rendering for deterministic exploration."""
+    action rendering for deterministic exploration.  `classes`, when given,
+    covers g's type positions."""
     out = []
     sigma = set(sigma)
     for key, sbt in g.endpoints:
@@ -130,7 +136,7 @@ def context_transitions(g: TypeContext, sigma, r: Reliability,
                 ssbt = g.endpoint(skey)
                 if ssbt is None or not ssbt.buffer:
                     continue
-                for i in _head_reachable(ssbt.buffer, role, limits.mode):
+                for i in _head_reachable(ssbt.buffer, role, limits.mode, classes):
                     e = ssbt.buffer[i]
                     if e.label != arm.label or not type_equal(e.payload, arm.payload):
                         continue
@@ -160,6 +166,7 @@ class LtsGraph:
     edges: list             # (from id, Action, to id)
     initial: int = 0
     parents: dict = field(default_factory=dict)  # id -> (parent id, Action)
+    classes: TypeClasses | None = None  # the type classes every state is keyed by
     succ: list = field(init=False, repr=False)   # id -> [(Action, to id)]
     pred: list = field(init=False, repr=False)   # id -> [from id]
     stuck_ids: list = field(init=False, repr=False)  # ids without successors, ascending
@@ -208,9 +215,12 @@ def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits,
     deduplication; returns LtsGraph or Exceeded.  BFS by default, so state
     ids and Exceeded witnesses are minimal-length; a DFS order is available
     for order-independence checks."""
-    g0 = canonical_context(g0, limits.mode)
+    # Every successor reuses nodes of g0's type graphs, so g0's table of
+    # classes covers every reachable state.
+    classes = context_classes(g0)
+    g0 = canonical_context(g0, limits.mode, classes)
     states, edges, parents = [g0], [], {}
-    ids = {context_key(g0, limits.mode): 0}
+    ids = {context_key(g0, limits.mode, classes): 0}
     cap = limits.max_buffer_len
     if cap is not None and occupancy(g0) >= cap:
         return Exceeded("bufferLen", cap, (), g0)
@@ -218,9 +228,9 @@ def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits,
     take = frontier.popleft if order == "bfs" else frontier.pop
     while frontier:
         sid = take()
-        for action, nxt in context_transitions(states[sid], sigma, r, limits):
-            nxt = canonical_context(nxt, limits.mode)
-            key = context_key(nxt, limits.mode)
+        for action, nxt in context_transitions(states[sid], sigma, r, limits, classes):
+            nxt = canonical_context(nxt, limits.mode, classes)
+            key = context_key(nxt, limits.mode, classes)
             if key in ids:
                 edges.append((sid, action, ids[key]))
                 continue
@@ -235,7 +245,7 @@ def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits,
             if cap is not None and occupancy(nxt) >= cap:
                 return Exceeded("bufferLen", cap, _path(parents, nid), nxt)
             frontier.append(nid)
-    return LtsGraph(states, edges, parents=parents)
+    return LtsGraph(states, edges, parents=parents, classes=classes)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 
 from .diagnostics import Diagnostic, Span
 from .types import (BASIC_KINDS, CongruenceMode, SessionType, Type,
-                    format_type, type_digest)
+                    format_type)
 
 # ---------------------------------------------------------------------------
 # values

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 from . import proc as P
@@ -125,23 +126,6 @@ class Trace:
 # tree addressing
 
 
-def _kids(p: P.Process) -> list:
-    if isinstance(p, P.Send):
-        return [p.cont]
-    if isinstance(p, P.Branch):
-        out = [a.cont for a in p.arms]
-        if p.timeout is not None:
-            out.append(p.timeout)
-        return out
-    if isinstance(p, (P.Choice, P.Par)):
-        return [p.left, p.right]
-    if isinstance(p, P.Restriction):
-        return [p.body]
-    if isinstance(p, P.Def):
-        return [p.body, p.cont]
-    return []
-
-
 def _rebuild(p: P.Process, path: tuple, new: P.Process) -> P.Process:
     if not path:
         return new
@@ -169,7 +153,7 @@ def _rebuild(p: P.Process, path: tuple, new: P.Process) -> P.Process:
 
 def _get(p: P.Process, path: tuple) -> P.Process:
     for i in path:
-        p = _kids(p)[i]
+        p = P.children(p)[i]
     return p
 
 
@@ -194,7 +178,7 @@ def _collect(root: P.Process):
             return
         sites.append((path, p, env))
         if isinstance(p, (P.Par, P.Restriction)):
-            for i, c in enumerate(_kids(p)):
+            for i, c in enumerate(P.children(p)):
                 walk(c, path + (i,), env)
 
     walk(root, (), {})
@@ -323,7 +307,7 @@ def _buffer_digest(p: P.Process) -> str:
     def walk(q):
         if isinstance(q, P.Buffer):
             parts.append(P.render_process(q))
-        for c in _kids(q):
+        for c in P.children(q):
             walk(c)
 
     walk(p)
@@ -370,7 +354,6 @@ def exhaustive_small_step_oracle(c0: Config, r: Reliability, policy: str,
                                  scenario: FailureScenario, depth: int) -> set:
     """Full nondeterministic expansion of positive-weight steps to a bounded
     depth; returns the rendered canonical terminal processes."""
-    from collections import deque
     seen = set()
     terminals = set()
     frontier = deque([(c0.process, 0)])
@@ -420,7 +403,7 @@ def _branch_violations(p: P.Process, r: Reliability, step: int) -> list:
                 out.append(MonitorViolation("Cor1", q.ch.session, role, step))
             if q.timeout is not None and not unreliable:
                 out.append(MonitorViolation("Cor2", q.ch.session, role, step))
-        for c in _kids(q):
+        for c in P.children(q):
             walk(c)
 
     walk(p)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import proc as P
-from .context import TypeContext, end_predicate, gc_predicate
+from .context import TypeContext, end_predicate, gc_predicate, render_context
 from .diagnostics import Diagnostic, Span
 from .lts import ExploreLimits
 from .types import (Basic, Branch as TBranch, End, Select, SessionBufferType,
@@ -96,29 +96,29 @@ def _demands(p: P.Process):
                 val(e.value)
 
     walk(p, set())
-    chans = {c for c in chans}
     return chans, bufs, set(P.free_vars(p))
 
 
-def _initial_entries(rest: P.Restriction, g: TypeContext, checker) -> list:
-    """Typed (sender, entry) pairs for the restricted session's initial
-    buffer contents.  Only literal payloads can seed a buffer type; other
-    values are left for the buffer rule to reject."""
-    out = []
+def restriction_context(rest: P.Restriction, g: TypeContext) -> TypeContext:
+    """g with the restricted session's annotated endpoints, seeded with the
+    types of its initial in-transit messages.  Only literal payloads can seed
+    a buffer type; other values are left for the buffer rule to reject."""
+    for role, ty in rest.annotations:
+        g = g.with_endpoint((rest.session, role), SessionBufferType((), ty))
 
-    def walk(q: P.Process):
+    def walk(q: P.Process, g: TypeContext) -> TypeContext:
         if isinstance(q, P.Buffer) and q.session == rest.session:
             for e in q.entries:
                 if isinstance(e.value, P.Lit):
-                    out.append((e.frm, BufEntry(e.to, e.label, Basic(e.value.kind))))
-        elif isinstance(q, P.Restriction):
-            walk(q.body)
-        else:
-            for c in P.children(q):
-                walk(c)
+                    cur = g.endpoint((rest.session, e.frm)) or SessionBufferType((), None)
+                    entry = BufEntry(e.to, e.label, Basic(e.value.kind))
+                    g = g.with_endpoint((rest.session, e.frm), SessionBufferType(
+                        cur.buffer + (entry,), cur.session))
+        for c in P.children(q):
+            g = walk(c, g)
+        return g
 
-    walk(rest.body)
-    return out
+    return walk(rest.body, g)
 
 
 def _buffer_only(p: P.Process) -> bool:
@@ -195,7 +195,7 @@ class Checker:
             if not end_predicate(g):
                 return self.fail("EndPredicateFails",
                                  "terminated process leaves non-end bindings: "
-                                 + _describe_leftovers(g), p.span)
+                                 + render_context(g), p.span)
             return True
 
         if isinstance(p, P.Send):
@@ -273,17 +273,10 @@ class Checker:
 
         if isinstance(p, P.Restriction):
             self.trace.append(("restriction", p.span))
-            g2 = g
-            for role, ty in p.annotations:
-                g2 = g2.with_endpoint((p.session, role), SessionBufferType((), ty))
             # Seed the context with the session's initial in-transit
             # messages so both the safety premise and the buffer rule see
             # the matching buffer components.
-            for frm, entry in _initial_entries(p, g2, self):
-                key = (p.session, frm)
-                cur = g2.endpoint(key) or SessionBufferType((), None)
-                g2 = g2.with_endpoint(
-                    key, SessionBufferType(cur.buffer + (entry,), cur.session))
+            g2 = restriction_context(p, g)
             binding = {k[1]: sbt for k, sbt in g2.endpoints if k[0] == p.session}
             verdict = check_restriction_safety(p.session, binding, self.r, self.limits)
             if verdict.status == VIOLATED:
@@ -324,7 +317,7 @@ class Checker:
             if not end_predicate(g2):
                 return self.fail("LeftoverLinearBinding",
                                  "call discards non-end bindings: "
-                                 + _describe_leftovers(g2), p.span)
+                                 + render_context(g2), p.span)
             return True
 
         if isinstance(p, P.Buffer):
@@ -442,11 +435,6 @@ class Checker:
             return self.fail("BufferTypeMismatch",
                              "leftover buffer bindings are not collectable", p.span)
         return True
-
-
-def _describe_leftovers(g: TypeContext) -> str:
-    from .context import render_context
-    return render_context(g)
 
 
 def typecheck(theta: dict, g: TypeContext, sigma, p: P.Process,

@@ -9,7 +9,6 @@ visits finitely many nodes.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, Span
@@ -98,13 +97,6 @@ def is_basic(t: Type) -> bool:
     return isinstance(t, Basic)
 
 
-def norm(s: SessionType) -> SessionType:
-    """Collapse back-edges: a RecRef stands for its binding Rec node."""
-    while isinstance(s, RecRef):
-        s = s.target
-    return s
-
-
 def resolve(s: SessionType) -> SessionType:
     """Structural head of a type: unfold Rec nodes and back-edges until a
     Branch, Select or End node is reached (terminates by guardedness)."""
@@ -115,13 +107,6 @@ def resolve(s: SessionType) -> SessionType:
             s = s.body
         else:
             return s
-
-
-def unfold_once(s: SessionType) -> SessionType:
-    """One unfolding step of a recursive type; a constant-size pointer move."""
-    if not isinstance(s, Rec):
-        raise ValueError("unfold_once requires a recursive type node")
-    return s.body
 
 
 def session_nodes(root: SessionType) -> list[SessionType]:
@@ -219,7 +204,7 @@ def session_equal(a: SessionType, b: SessionType) -> bool:
             ya = sorted(y.arms, key=lambda a: (a.to, a.label))
             return len(xa) == len(ya) and all(
                 p.to == q.to and p.label == q.label
-                and type_equal(p.payload, q.payload) and go(p.cont, q.cont)
+                and pay(p.payload, q.payload) and go(p.cont, q.cont)
                 for p, q in zip(xa, ya))
         if isinstance(x, Branch) and isinstance(y, Branch):
             if (x.timeout is None) != (y.timeout is None):
@@ -230,9 +215,15 @@ def session_equal(a: SessionType, b: SessionType) -> bool:
             ya = sorted(y.arms, key=lambda a: (a.frm, a.label))
             return len(xa) == len(ya) and all(
                 p.frm == q.frm and p.label == q.label
-                and type_equal(p.payload, q.payload) and go(p.cont, q.cont)
+                and pay(p.payload, q.payload) and go(p.cont, q.cont)
                 for p, q in zip(xa, ya))
         return False
+
+    def pay(x, y) -> bool:
+        # Payloads share the memo: a payload may refer back to its own type.
+        if isinstance(x, Basic) or isinstance(y, Basic):
+            return x == y
+        return go(x, y)
 
     return go(a, b)
 
@@ -285,6 +276,60 @@ def type_equal(a: Type, b: Type) -> bool:
     return session_equal(a, b)
 
 
+@dataclass(frozen=True)
+class TypeClasses:
+    """Bisimilarity classes of the type positions reachable from some roots:
+    `of` maps every reachable node to the class of its structural head, and
+    `quotient` lists each class's signature, describing the minimised graphs."""
+
+    of: dict
+    quotient: tuple
+
+    def key(self, t: Type) -> tuple:
+        """Identity and sort key of a payload or variable type: basic kinds
+        first, by kind, then session types by class."""
+        return (0, t.kind) if isinstance(t, Basic) else (1, self.of[t])
+
+
+def type_classes(roots) -> TypeClasses:
+    """The one notion of "same type position": partition refinement of the
+    nodes reachable from roots, payload types included, down to bisimilarity
+    (Paige & Tarjan, SIAM J. Comput. 1987).  A node's signature is its
+    structural head's kind, sorted (role, label, payload key, continuation
+    class) arms and timeout class.  Each round ranks the sorted distinct
+    signatures, so class ints depend only on the behaviours reachable from
+    the roots, never on object identity or on how a type is spelled."""
+    seen: dict = {}
+    todo = [t for t in roots if not isinstance(t, Basic)]
+    while todo:
+        new = [n for n in session_nodes(todo.pop()) if n not in seen]
+        seen.update(dict.fromkeys(new, 0))
+        todo += [a.payload for n in new if isinstance(n, (Select, Branch))
+                 for a in n.arms if not isinstance(a.payload, Basic)]
+    cls, count = seen, 0
+
+    def c(t) -> tuple:
+        return (0, t.kind) if isinstance(t, Basic) else (1, cls[t])
+
+    def signature(n) -> tuple:
+        n = resolve(n)
+        if isinstance(n, End):
+            return (0,)
+        arms = tuple(sorted((a.to if isinstance(n, Select) else a.frm, a.label,
+                             c(a.payload), c(a.cont)) for a in n.arms))
+        return (1, arms) if isinstance(n, Select) else (
+            2, arms, () if n.timeout is None else c(n.timeout))
+
+    while True:
+        sigs = {n: signature(n) for n in cls}
+        rank = {s: k for k, s in enumerate(sorted(set(sigs.values())))}
+        if len(rank) == count:  # each round refines the last, so it is stable
+            break
+        cls, count = {n: rank[s] for n, s in sigs.items()}, len(rank)
+    quotient = dict(zip(cls.values(), sigs.values()))
+    return TypeClasses(cls, tuple(quotient[k] for k in range(count)))
+
+
 def format_session(s: SessionType) -> str:
     """Deterministic rendering; recursion variables are renamed by binding
     depth so the text is independent of source naming."""
@@ -328,13 +373,6 @@ def format_type(t: Type) -> str:
     return format_session(t)
 
 
-def type_digest(t: Type) -> str:
-    """Fixed total order key for payload types: (kind tag, rendered form)."""
-    if isinstance(t, Basic):
-        return "B:" + t.kind
-    return "S:" + format_session(t)
-
-
 # ---------------------------------------------------------------------------
 # buffer types
 
@@ -351,29 +389,27 @@ class BufEntry:
 BufferType = tuple  # tuple[BufEntry, ...]
 
 
-def _entry_key(e: BufEntry) -> tuple:
-    return (e.to, e.label, type_digest(e.payload))
-
-
-def canonical_buffer_type(entries: tuple, mode: CongruenceMode) -> tuple:
+def canonical_buffer_type(entries: tuple, mode: CongruenceMode,
+                          classes: TypeClasses | None = None) -> tuple:
     """Canonical representative of a buffer type under the mode's congruence.
 
-    TotalReorder sorts by a fixed total order; TcpFifo stably partitions by
-    recipient (the per-recipient order is observable) with recipients sorted.
+    TotalReorder sorts by recipient, label and payload key (`classes`, by
+    default the entries' own); TcpFifo stably sorts by recipient, since the
+    per-recipient order is observable.
     """
-    if mode is CongruenceMode.TOTAL_REORDER:
-        return tuple(sorted(entries, key=_entry_key))
-    groups: dict[str, list[BufEntry]] = {}
-    for e in entries:
-        groups.setdefault(e.to, []).append(e)
-    return tuple(itertools.chain.from_iterable(groups[k] for k in sorted(groups)))
+    if mode is CongruenceMode.TCP_FIFO:
+        return tuple(sorted(entries, key=lambda e: e.to))
+    if classes is None:
+        classes = type_classes(e.payload for e in entries)
+    return tuple(sorted(entries, key=lambda e: (e.to, e.label, classes.key(e.payload))))
 
 
 def buffer_type_congruent(a: tuple, b: tuple, mode: CongruenceMode) -> bool:
     if len(a) != len(b):
         return False
-    ca = canonical_buffer_type(a, mode)
-    cb = canonical_buffer_type(b, mode)
+    classes = type_classes(e.payload for e in a + b)
+    ca = canonical_buffer_type(a, mode, classes)
+    cb = canonical_buffer_type(b, mode, classes)
     return all(x.to == y.to and x.label == y.label and type_equal(x.payload, y.payload)
                for x, y in zip(ca, cb))
 
@@ -393,10 +429,6 @@ class SessionBufferType:
     def __post_init__(self):
         if self.session is None and self.buffer is None:
             raise ValueError("session-buffer type needs a component")
-
-    @property
-    def has_session(self) -> bool:
-        return self.session is not None
 
 
 def sbt_congruent(a: SessionBufferType, b: SessionBufferType,
@@ -432,10 +464,6 @@ class Reliability:
     def fully_reliable(roles) -> "Reliability":
         roles = sorted(roles)
         return Reliability.of({r: frozenset(x for x in roles if x != r) for r in roles})
-
-    @staticmethod
-    def fully_unreliable(roles) -> "Reliability":
-        return Reliability.of({r: frozenset() for r in roles})
 
     def reliable(self, viewpoint: str, other: str) -> bool:
         return other in self.get(viewpoint)

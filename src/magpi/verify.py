@@ -4,13 +4,14 @@ never-termination, liveness, communication-safety under full reliability,
 and buffer boundedness."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .context import TypeContext, split_end_gc
-from .lts import (Action, ComAct, Exceeded, ExploreLimits, FULL, LtsGraph,
-                  SEND_COM_ONLY, action_to_json, explore, occupancy)
-from .types import (Branch, CongruenceMode, Reliability, Select, resolve,
-                    session_nodes, type_equal)
+from .lts import (ComAct, Exceeded, ExploreLimits, FULL, LtsGraph,
+                  SEND_COM_ONLY, _head_reachable, action_to_json, explore,
+                  occupancy)
+from .types import (Branch, CongruenceMode, Reliability, Select, TypeClasses,
+                    resolve, session_nodes, type_equal)
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -115,17 +116,8 @@ def _branch_endpoints(g: TypeContext):
             yield key, sbt, head
 
 
-def _receivable(buffer, recipient, mode: CongruenceMode):
-    """Entries a receiver could take next: under reordering every message
-    addressed to it, under per-pair FIFO only the channel head."""
-    mine = [e for e in buffer if e.to == recipient]
-    if mode == CongruenceMode.TCP_FIFO:
-        return mine[:1]
-    return mine
-
-
-def _state_safety_failure(g: TypeContext, r: Reliability,
-                          mode: CongruenceMode) -> str | None:
+def _state_safety_failure(g: TypeContext, r: Reliability, mode: CongruenceMode,
+                          classes: TypeClasses | None) -> str | None:
     """SP1/SP2/SP-Com on a single context; None when satisfied.  SP-Com is
     relative to the congruence mode because it constrains exactly the
     messages a reception could observe next."""
@@ -141,7 +133,8 @@ def _state_safety_failure(g: TypeContext, r: Reliability,
             sender = g.endpoint((session, arm.frm))
             if sender is None:
                 continue
-            for e in _receivable(sender.buffer, role, mode):
+            for i in _head_reachable(sender.buffer, role, mode, classes):
+                e = sender.buffer[i]
                 if (e.label == arm.label
                         and not type_equal(e.payload, arm.payload)):
                     return "SP-Com"
@@ -168,10 +161,9 @@ def _static_safety_holds(g0: TypeContext, r: Reliability) -> bool:
     # selection arms anywhere in the sender's type graph plus any initial
     # in-transit entries (the sender binding may be buffer-only).
     for (session, sender), sbt in g0.endpoints:
-        emissions = ([a for n in session_nodes(sbt.session)
-                      if isinstance(n, Select) for a in n.arms]
-                     if sbt.session is not None else [])
-        entries = list(sbt.buffer)
+        sources = ([a for n in session_nodes(sbt.session)
+                    if isinstance(n, Select) for a in n.arms]
+                   if sbt.session is not None else []) + list(sbt.buffer)
         for (s2, recv), t in graphs.items():
             if s2 != session or recv == sender:
                 continue
@@ -181,11 +173,7 @@ def _static_safety_holds(g0: TypeContext, r: Reliability) -> bool:
                 for arm in node.arms:
                     if arm.frm != sender:
                         continue
-                    for em in emissions:
-                        if (em.to == recv and em.label == arm.label
-                                and not type_equal(em.payload, arm.payload)):
-                            return False
-                    for e in entries:
+                    for e in sources:
                         if (e.to == recv and e.label == arm.label
                                 and not type_equal(e.payload, arm.payload)):
                             return False
@@ -206,7 +194,7 @@ def check_safety(g0: TypeContext, sigma, r: Reliability,
     if isinstance(graph, Exceeded):
         return _inconclusive(graph)
     for sid, state in enumerate(graph.states):
-        fail = _state_safety_failure(state, r, limits.mode)
+        fail = _state_safety_failure(state, r, limits.mode, graph.classes)
         if fail is not None:
             return Verdict(VIOLATED, reason=fail, witness=graph.path_to(sid))
     return Verdict(HOLDS)
@@ -225,7 +213,7 @@ def check_tcp_safety(g0: TypeContext, sigma, limits: ExploreLimits,
     if isinstance(graph, Exceeded):
         return _inconclusive(graph)
     for sid, state in enumerate(graph.states):
-        fail = _state_safety_failure(state, r, CongruenceMode.TCP_FIFO)
+        fail = _state_safety_failure(state, r, CongruenceMode.TCP_FIFO, graph.classes)
         if fail is not None:
             return Verdict(VIOLATED, reason=fail, witness=graph.path_to(sid))
         for (session, role), sbt, head in _branch_endpoints(state):
@@ -373,9 +361,9 @@ def check_comm_safe_RF(g0: TypeContext, sigma, limits: ExploreLimits,
 #
 # Both checks read their answer off the run's graph under r when a property
 # has built it completely: a complete graph holds every reachable context.
-# Otherwise they explore once with the buffer bound, which always completes
-# because bounded buffers over finitely many type positions leave finitely
-# many contexts.
+# Otherwise they explore once with the buffer bound.  Bounded buffers over
+# finitely many type positions leave finitely many contexts, but maybe more
+# than the run's state limit: a trip of that limit is inconclusive.
 
 
 def _shared_complete(graphs: Graphs | None, r: Reliability,
@@ -384,9 +372,9 @@ def _shared_complete(graphs: Graphs | None, r: Reliability,
     return graph if isinstance(graph, LtsGraph) else None
 
 
-def _buffer_bounded(g0, sigma, r, k, mode):
-    return explore(g0, sigma, r, ExploreLimits(max_states=10**9,
-                                               max_buffer_len=k, mode=mode))
+def _buffer_bounded(g0, sigma, r, k, mode, graphs: Graphs | None):
+    limits = ExploreLimits() if graphs is None else graphs.limits
+    return explore(g0, sigma, r, ExploreLimits(limits.max_states, k, mode))
 
 
 def check_bound_k(g0: TypeContext, sigma, r: Reliability, k: int,
@@ -404,8 +392,10 @@ def check_bound_k(g0: TypeContext, sigma, r: Reliability, k: int,
         if sid is not None:
             return Verdict(VIOLATED, reason=f"bound_{k}", witness=graph.path_to(sid))
         return Verdict(HOLDS)
-    graph = _buffer_bounded(g0, sigma, r, k, mode)
+    graph = _buffer_bounded(g0, sigma, r, k, mode, graphs)
     if isinstance(graph, Exceeded):
+        if graph.kind == "maxStates":
+            return _inconclusive(graph)
         return Verdict(VIOLATED, reason=f"bound_{k}", witness=graph.witness)
     return Verdict(HOLDS)
 
@@ -416,9 +406,11 @@ def check_bounded(g0: TypeContext, sigma, r: Reliability, k_max: int,
     """Holds with the minimal k (largest channel occupancy + 1) when that k
     is at most k_max, else Inconclusive."""
     graph = _shared_complete(graphs, r, mode) or _buffer_bounded(
-        g0, sigma, r, k_max, mode)
+        g0, sigma, r, k_max, mode, graphs)
     if isinstance(graph, LtsGraph):
         k = max(map(occupancy, graph.states)) + 1
         if k <= k_max:
             return Verdict(HOLDS), k
+    elif graph.kind == "maxStates":
+        return _inconclusive(graph), None
     return Verdict(INCONCLUSIVE, reason="unbounded up to probe", limit=k_max), None

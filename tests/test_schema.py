@@ -1,7 +1,7 @@
 """Every JSON document the command line writes validates against its schema
 in `docs/schema/`: typing reports (`check --json`), property results
-(`verify --json`), simulation trace events (`simulate --trace`), and the
-`lts-export` JSON of explored graphs."""
+(`verify --json`), simulation results (`simulate --json`) and trace events
+(`simulate --trace`), and the `lts-export` JSON of explored graphs."""
 import io
 import json
 import os
@@ -53,6 +53,16 @@ VERIFY = [
 def test_verify_result_validates(argv):
     doc = cli_json(argv[0], str(ROOT / argv[1]), *argv[2:])
     assert errors("properties-result.json", doc) == []
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("ping", ("--seed", "7")),
+    ("dns", ("--seed", "3", "--steps", "400")),
+])
+def test_simulate_result_validates(name, argv):
+    # the `simulate --json` commands of acceptance criterion 10
+    doc = cli_json("simulate", str(ROOT / "fixtures" / f"{name}.magpi"), *argv)
+    assert errors("simulate-result.json", doc) == []
 
 
 @pytest.mark.parametrize("name,argv", [

@@ -1,12 +1,15 @@
 """Property verdicts: positive fixtures, engineered violations, witness
 replay, and the containment between the FIFO and reordering safety notions."""
+import io
+import json
 import random
 import sys
+import time
 
 import pytest
 
 from magpi import parse, parse_session_text
-from magpi.cli import initial_context
+from magpi.cli import initial_context, main
 from magpi.context import TypeContext
 from magpi.lts import (ComAct, ExploreLimits, LtsGraph, SendAct, TimeoutAct,
                        context_transitions, explore)
@@ -14,7 +17,7 @@ from magpi.types import (Basic, BranchArm, BufEntry, CongruenceMode, END,
                          Reliability, Select, SelectArm, SessionBufferType,
                          Branch, UNIT)
 from magpi import verify as V
-from tests.conftest import fixture_text
+from tests.conftest import fixture_file, fixture_text
 
 ROLES = {"p", "q", "r"}
 LIM = ExploreLimits()
@@ -370,3 +373,35 @@ def test_terminating_on_deep_chain_at_default_recursion_limit(monkeypatch):
     v = V.check_terminating(ctx({}), {"s"}, rel(), LIM)
     assert v.status == V.VIOLATED and v.reason == "Cycle"
     assert v.witness == tuple(f"a{i}" for i in range(n - 1)) + ("back",)
+
+
+# -- the buffer-bounded fallback stays within the run's state limit -----------
+
+
+def test_bound_fallback_trips_the_state_limit_as_inconclusive():
+    # An unbounded producer with a buffer bound beyond the state limit: the
+    # one buffer-bounded exploration stops at the limit, which decides
+    # nothing either way.
+    g = ctx({("s", "p"): sbt(S("rec t. q!m().t"))})
+    graphs = V.Graphs(g, {"s"}, ExploreLimits(max_states=3))
+    v = V.check_bound_k(g, {"s"}, rel(), 5, graphs=graphs)
+    assert (v.status, v.reason, v.limit) == (V.INCONCLUSIVE, "maxStates", 3)
+    v, k = V.check_bounded(g, {"s"}, rel(), 5, graphs=graphs)
+    assert (v.status, v.reason, v.limit, k) == (V.INCONCLUSIVE, "maxStates", 3, None)
+    # within the limit the bound is still found violated
+    v = V.check_bound_k(g, {"s"}, rel(), 2, graphs=graphs)
+    assert v.status == V.VIOLATED and len(v.witness) == 2
+
+
+def test_leader_bounded_only_honours_max_states():
+    for extra in (("--props", "bounded"), ("--props", "safety", "--bound", "3")):
+        out = io.StringIO()
+        start = time.perf_counter()
+        rc = main(["verify", fixture_file("leader"), *extra,
+                   "--max-states", "400", "--json"], out=out)
+        assert time.perf_counter() - start < 30
+        assert rc == 2
+        props = json.loads(out.getvalue())["properties"]
+        name = "bounded" if "bounded" in extra else "bound_3"
+        assert props[name] == {"verdict": "inconclusive", "reason": "maxStates",
+                               "limit": 400}
