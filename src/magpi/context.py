@@ -36,9 +36,13 @@ class TypeContext:
         return None
 
     def with_endpoint(self, key: tuple, sbt: SessionBufferType) -> "TypeContext":
-        es = {k: v for k, v in self.endpoints}
-        es[key] = sbt
-        return TypeContext(self.vars, tuple(sorted(es.items(), key=lambda kv: kv[0])))
+        """Γ with key bound to sbt; every other binding is kept as it is."""
+        es = self.endpoints
+        for i, (k, _) in enumerate(es):
+            if k == key:
+                return TypeContext(self.vars, es[:i] + ((key, sbt),) + es[i + 1:])
+        return TypeContext(self.vars, tuple(sorted(es + ((key, sbt),),
+                                                   key=lambda kv: kv[0])))
 
     def without_endpoint(self, key: tuple) -> "TypeContext":
         return TypeContext(self.vars,
@@ -170,9 +174,22 @@ def canonical_context(g: TypeContext, mode: CongruenceMode,
     defaults to g's own."""
     if classes is None:
         classes = context_classes(g)
-    es = {k: SessionBufferType(canonical_buffer_type(sbt.buffer, mode, classes), sbt.session)
-          for k, sbt in g.endpoints}
-    return TypeContext(g.vars, tuple(sorted(es.items(), key=lambda kv: kv[0])))
+    return TypeContext(g.vars, tuple(
+        (k, SessionBufferType(canonical_buffer_type(sbt.buffer, mode, classes), sbt.session))
+        for k, sbt in g.endpoints))
+
+
+def canonical_binding(sbt: SessionBufferType, mode: CongruenceMode,
+                      classes: TypeClasses) -> tuple:
+    """(canonical sbt, key part) of one endpoint binding: sbt with its
+    buffer in the mode's canonical order, and that binding's part of the
+    state key, the buffer entries in that order and the session position,
+    every type by its class in `classes`."""
+    buf = canonical_buffer_type(sbt.buffer, mode, classes)
+    key = classes.key
+    return (SessionBufferType(buf, sbt.session),
+            (tuple((e.to, e.label, key(e.payload)) for e in buf),
+             None if sbt.session is None else key(sbt.session)))
 
 
 def render_sbt(sbt: SessionBufferType) -> str:
@@ -200,10 +217,6 @@ def context_key(g: TypeContext, mode: CongruenceMode,
     own = classes is None
     if own:
         classes = context_classes(g)
-    key = classes.key
-    parts = tuple((k, tuple((e.to, e.label, key(e.payload))
-                            for e in canonical_buffer_type(sbt.buffer, mode, classes)),
-                   None if sbt.session is None else key(sbt.session))
-                  for k, sbt in g.endpoints)
-    out = (parts, tuple((n, key(t)) for n, t in g.vars))
+    parts = tuple((k,) + canonical_binding(sbt, mode, classes)[1] for k, sbt in g.endpoints)
+    out = (parts, tuple((n, classes.key(t)) for n, t in g.vars))
     return out + (classes.quotient,) if own else out

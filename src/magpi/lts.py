@@ -13,8 +13,11 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 
-from .context import (TypeContext, canonical_context, context_classes,
-                      context_key, render_context)
+from .context import (TypeContext, canonical_binding, canonical_context,
+                      context_classes, render_context)
+# Unused here, but kept importable from this module: the public state
+# identity that explore's keys agree with, for tools that wrap it here.
+from .context import context_key  # noqa: F401
 from .types import (Branch, BufEntry, CongruenceMode, Reliability, Select,
                     SessionBufferType, Type, TypeClasses, format_type,
                     resolve, type_classes, type_equal)
@@ -217,10 +220,19 @@ def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits,
     for order-independence checks."""
     # Every successor reuses nodes of g0's type graphs, so g0's table of
     # classes covers every reachable state.
-    classes = context_classes(g0)
-    g0 = canonical_context(g0, limits.mode, classes)
+    classes, mode = context_classes(g0), limits.mode
+    g0 = canonical_context(g0, mode, classes)
+    # A state is keyed by its bindings' key parts, each part interned as an
+    # int.  context_transitions builds a successor with with_endpoint, which
+    # neither adds nor drops an endpoint and keeps every binding it does not
+    # change as the parent's own, already canonical object.  So only the
+    # bindings that are not the parent's are canonicalised and keyed; the
+    # parent's parts stand for the rest.
+    part_ids: dict = {}
+    parts = [tuple(part_ids.setdefault(canonical_binding(sbt, mode, classes)[1], len(part_ids))
+                   for _, sbt in g0.endpoints)]
     states, edges, parents = [g0], [], {}
-    ids = {context_key(g0, limits.mode, classes): 0}
+    ids = {parts[0]: 0}
     cap = limits.max_buffer_len
     if cap is not None and occupancy(g0) >= cap:
         return Exceeded("bufferLen", cap, (), g0)
@@ -228,18 +240,25 @@ def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits,
     take = frontier.popleft if order == "bfs" else frontier.pop
     while frontier:
         sid = take()
-        for action, nxt in context_transitions(states[sid], sigma, r, limits, classes):
-            nxt = canonical_context(nxt, limits.mode, classes)
-            key = context_key(nxt, limits.mode, classes)
+        g = states[sid]
+        for action, nxt in context_transitions(g, sigma, r, limits, classes):
+            es, key = list(nxt.endpoints), list(parts[sid])
+            for i, ((k, sbt), (_, old)) in enumerate(zip(nxt.endpoints, g.endpoints)):
+                if sbt is not old:
+                    sbt, part = canonical_binding(sbt, mode, classes)
+                    es[i], key[i] = (k, sbt), part_ids.setdefault(part, len(part_ids))
+            key = tuple(key)
             if key in ids:
                 edges.append((sid, action, ids[key]))
                 continue
+            nxt = TypeContext(nxt.vars, tuple(es))
             if len(states) >= limits.max_states:
                 return Exceeded("maxStates", limits.max_states,
                                 _path(parents, sid) + (action,), nxt)
             nid = len(states)
             ids[key] = nid
             states.append(nxt)
+            parts.append(key)
             parents[nid] = (sid, action)
             edges.append((sid, action, nid))
             if cap is not None and occupancy(nxt) >= cap:

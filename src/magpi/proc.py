@@ -478,17 +478,21 @@ def structural_congruent(a: Process, b: Process,
 def is_inactive(p: Process) -> bool:
     """Whether a process is structurally congruent to inaction.  Terminated
     sessions may leave a restriction over a buffer behind; that residue still
-    counts as inactive."""
-    q = canonical_process(p)
-    if isinstance(q, Inaction):
-        return True
-    if isinstance(q, Restriction):
-        return is_inactive(q.body)
-    if isinstance(q, Buffer):
-        return True
-    if isinstance(q, Par):
-        return is_inactive(q.left) and is_inactive(q.right)
-    return False
+    counts as inactive, and so does a finished process under definitions.
+    Canonical ordering and the dropping of inaction units decide nothing
+    here, so the process is walked as it is."""
+    todo = [p]
+    while todo:
+        q = todo.pop()
+        if isinstance(q, Restriction):
+            todo.append(q.body)
+        elif isinstance(q, Def):
+            todo.append(q.cont)
+        elif isinstance(q, Par):
+            todo += (q.left, q.right)
+        elif not isinstance(q, (Inaction, Buffer)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,22 @@
 """Context transition system: single-rule examples, exploration invariants,
 export round-trips."""
 import json
+from collections import deque
+
+import pytest
 
 from magpi import parse, parse_session_text
 from magpi.cli import initial_context
-from magpi.context import TypeContext, context_key
+from magpi.context import (TypeContext, canonical_context, context_classes,
+                           context_key, render_context)
 from magpi.lts import (ComAct, ExploreLimits, Exceeded, FULL, SEND_COM_ONLY,
                        SendAct, TimeoutAct, context_transitions, explore,
                        export_lts)
 from magpi.types import (BufEntry, CongruenceMode, Reliability,
                          SessionBufferType, UNIT)
 from tests.conftest import fixture_text
+from tests.test_golden import FILES, ROOT
+from tests.test_type_classes import ROLES as PROBE_ROLES, _probe
 
 ROLES = {"p", "q", "r"}
 
@@ -164,6 +170,59 @@ def test_fully_reliable_send_com_equals_full():
                  ExploreLimits(relation=SEND_COM_ONLY))
     key = lambda s: context_key(s, CongruenceMode.TOTAL_REORDER)
     assert {key(s) for s in full.states} == {key(s) for s in sc.states}
+
+
+def _reference_explore(g0, sigma, r, limits, order):
+    """Exploration that canonicalises and keys every successor from scratch:
+    (states, edges, parents)."""
+    classes = context_classes(g0)
+    g0 = canonical_context(g0, limits.mode, classes)
+    states, edges, parents = [g0], [], {}
+    ids = {context_key(g0, limits.mode, classes): 0}
+    frontier = deque([0])
+    take = frontier.popleft if order == "bfs" else frontier.pop
+    while frontier:
+        sid = take()
+        for action, nxt in context_transitions(states[sid], sigma, r, limits, classes):
+            nxt = canonical_context(nxt, limits.mode, classes)
+            key = context_key(nxt, limits.mode, classes)
+            if key not in ids:
+                ids[key] = len(states)
+                states.append(nxt)
+                parents[ids[key]] = (sid, action)
+                frontier.append(ids[key])
+            edges.append((sid, action, ids[key]))
+    return states, edges, parents
+
+
+def _reference_cases():
+    for f in FILES:
+        pf = parse((ROOT / f).read_text(encoding="utf-8"))
+        g0, sess = initial_context(pf)
+        yield f, g0, {sess}, pf.reliability
+    for second in ("Y", "W"):
+        yield f"open item 1 ({second})", _probe(second), {"s"}, \
+            Reliability.fully_reliable(PROBE_ROLES)
+
+
+@pytest.mark.parametrize("mode", list(CongruenceMode))
+@pytest.mark.parametrize("order", ("bfs", "dfs"))
+def test_explore_matches_from_scratch_reference(mode, order):
+    # Keying only the bindings a transition changed must give the graph that
+    # canonicalising and keying every successor in full gives: the same
+    # states in the same order, the same edges and the same parents.
+    limits = ExploreLimits(mode=mode)
+    for name, g0, sigma, r in _reference_cases():
+        graph = explore(g0, sigma, r, limits, order=order)
+        states, edges, parents = _reference_explore(g0, sigma, r, limits, order)
+        assert [render_context(s) for s in graph.states] == \
+            [render_context(s) for s in states], name
+        assert [(f, a.render(), t) for f, a, t in graph.edges] == \
+            [(f, a.render(), t) for f, a, t in edges], name
+        assert {n: (p, a.render()) for n, (p, a) in graph.parents.items()} == \
+            {n: (p, a.render()) for n, (p, a) in parents.items()}, name
+        key = lambda s: context_key(s, mode, graph.classes)
+        assert [key(s) for s in graph.states] == [key(s) for s in states], name
 
 
 # -- export -------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Simulator: determinism, failure policies, buffer discipline, the
 exhaustive oracle, and the runtime monitors."""
+import io
 import json
 import random
 
 from magpi import parse
+from magpi.cli import main
 from magpi.proc import (Branch, Buffer, Endpoint, Inaction, Par, Process,
                         RecvArm, Restriction, canonical_process, is_inactive,
                         render_process)
@@ -213,3 +215,37 @@ def test_trace_json_lines_stable():
     for line in lines.splitlines():
         doc = json.loads(line)
         assert {"step", "rule", "detail", "buffers"} <= set(doc)
+
+
+# -- finished runs ------------------------------------------------------------------
+
+_FINISHED_HEAD = """
+protocol handoff
+roles p, q
+reliability { p: {q}, q: {p} }
+type Sp @ p = q!a().end
+type Sq @ q = p?a().end
+"""
+
+
+def _simulate_json(tmp_path, text):
+    path = tmp_path / "handoff.magpi"
+    path.write_text(text, encoding="utf-8")
+    out = io.StringIO()
+    assert main(["simulate", str(path), "--seed", "0", "--json"], out=out) == 0
+    return json.loads(out.getvalue())
+
+
+def test_finished_run_is_inactive_with_or_without_definitions(tmp_path):
+    # A top-level `def` wraps the system in a definition; once the run is
+    # over, the residue under it is inactive like that of its def-free twin.
+    with_def = _FINISHED_HEAD + """
+def P(c: Sp) = c!q:a().0
+system = new s:{ p: Sp, q: Sq } in ( P(s[p]) | s[q]&{ p?a(). 0 } | s:[] )
+"""
+    inline = _FINISHED_HEAD + """
+system = new s:{ p: Sp, q: Sq } in ( s[p]!q:a().0 | s[q]&{ p?a(). 0 } | s:[] )
+"""
+    for text in (with_def, inline):
+        doc = _simulate_json(tmp_path, text)
+        assert (doc["stuck"], doc["inactive"]) == (False, True), doc
