@@ -7,9 +7,8 @@ from .types import (BASIC_KINDS, Basic, Branch, BranchArm, BufEntry,
                     CongruenceMode, END, Rec, RecRef, Reliability, Select,
                     SelectArm, SessionBufferType, SessionType, Type, UNIT,
                     buffer_type_congruent, canonical_buffer_type,
-                    format_session, format_type, sbt_congruent, session_equal,
-                    session_iso, type_classes, type_equal, type_iso,
-                    validate_session)
+                    format_session, format_type, session_equal, session_iso,
+                    type_classes, type_equal, type_iso, validate_session)
 from .parser import (ProcDecl, ProtocolFile, parse, parse_process_text,
                      parse_session_text)
 from .pretty import ast_equal, pretty, protocol_equal

@@ -5,8 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .types import (BufEntry, CongruenceMode, End, SessionBufferType, Type,
-                    TypeClasses, canonical_buffer_type, format_session,
-                    format_type, is_basic, resolve, session_equal, type_classes)
+                    TypeClasses, buffer_keys, buffer_order,
+                    canonical_buffer_type, format_session, format_type,
+                    is_basic, resolve, session_equal, type_classes)
 
 
 @dataclass(frozen=True)
@@ -57,10 +58,6 @@ class TypeContext:
     def without_var(self, name: str) -> "TypeContext":
         return TypeContext(tuple((k, v) for k, v in self.vars if k != name),
                            self.endpoints)
-
-    @property
-    def sessions(self) -> tuple:
-        return tuple(sorted({k[0] for k, _ in self.endpoints}))
 
 
 def compose(a: TypeContext, b: TypeContext):
@@ -185,11 +182,13 @@ def canonical_binding(sbt: SessionBufferType, mode: CongruenceMode,
     buffer in the mode's canonical order, and that binding's part of the
     state key, the buffer entries in that order and the session position,
     every type by its class in `classes`."""
-    buf = canonical_buffer_type(sbt.buffer, mode, classes)
-    key = classes.key
+    buf = sbt.buffer
+    keys = buffer_keys(buf, classes)
+    if len(buf) > 1:  # a shorter buffer is its own canonical order
+        order = buffer_order(keys, mode)
+        buf, keys = tuple([buf[i] for i in order]), [keys[i] for i in order]
     return (SessionBufferType(buf, sbt.session),
-            (tuple((e.to, e.label, key(e.payload)) for e in buf),
-             None if sbt.session is None else key(sbt.session)))
+            (tuple(keys), None if sbt.session is None else classes.key(sbt.session)))
 
 
 def render_sbt(sbt: SessionBufferType) -> str:

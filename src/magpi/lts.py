@@ -19,8 +19,8 @@ from .context import (TypeContext, canonical_binding, canonical_context,
 # identity that explore's keys agree with, for tools that wrap it here.
 from .context import context_key  # noqa: F401
 from .types import (Branch, BufEntry, CongruenceMode, Reliability, Select,
-                    SessionBufferType, Type, TypeClasses, format_type,
-                    resolve, type_classes, type_equal)
+                    SessionBufferType, Type, TypeClasses, buffer_heads,
+                    buffer_keys, format_type, resolve, type_equal)
 
 
 # ---------------------------------------------------------------------------
@@ -91,29 +91,6 @@ class Exceeded:
 # single-state transitions
 
 
-def _head_reachable(entries: tuple, recipient: str, mode: CongruenceMode,
-                    classes: TypeClasses | None):
-    """Indices of entries a receiver may consume next, up to the buffer
-    congruence: any entry addressed to it under total reordering, only the
-    per-channel head under per-pair FIFO.  One index per (label, payload
-    class) to avoid duplicate successors; without `classes`, the entries'
-    own are used."""
-    if classes is None:
-        classes = type_classes(e.payload for e in entries)
-    out = []
-    seen = set()
-    for i, e in enumerate(entries):
-        if e.to != recipient:
-            continue
-        key = (e.label, classes.key(e.payload))
-        if key not in seen:
-            seen.add(key)
-            out.append(i)
-        if mode is CongruenceMode.TCP_FIFO:
-            break  # only the (sender, recipient)-channel head is reachable
-    return out
-
-
 def context_transitions(g: TypeContext, sigma, r: Reliability,
                         limits: ExploreLimits,
                         classes: TypeClasses | None = None) -> list:
@@ -122,6 +99,7 @@ def context_transitions(g: TypeContext, sigma, r: Reliability,
     covers g's type positions."""
     out = []
     sigma = set(sigma)
+    heads: dict = {}  # sender key -> the heads of its buffer, made on first use
     for key, sbt in g.endpoints:
         session, role = key
         if session not in sigma or sbt.session is None:
@@ -139,16 +117,20 @@ def context_transitions(g: TypeContext, sigma, r: Reliability,
                 ssbt = g.endpoint(skey)
                 if ssbt is None or not ssbt.buffer:
                     continue
-                for i in _head_reachable(ssbt.buffer, role, limits.mode, classes):
+                if skey not in heads:
+                    heads[skey] = buffer_heads(buffer_keys(ssbt.buffer, classes),
+                                               limits.mode)
+                for i in heads[skey]:
                     e = ssbt.buffer[i]
-                    if e.label != arm.label or not type_equal(e.payload, arm.payload):
+                    if (e.to != role or e.label != arm.label
+                            or not type_equal(e.payload, arm.payload)):
                         continue
                     ng = g.with_endpoint(skey, SessionBufferType(
                         ssbt.buffer[:i] + ssbt.buffer[i + 1:], ssbt.session))
                     ng = ng.with_endpoint(key, SessionBufferType(sbt.buffer, arm.cont))
                     out.append((ComAct(session, arm.frm, role, arm.label), ng))
             if (limits.relation == FULL and head.timeout is not None
-                    and any(arm.frm not in r.get(role) for arm in head.arms)):
+                    and r.needs_timeout(role, head.arms)):
                 out.append((TimeoutAct(session, role),
                             g.with_endpoint(key, SessionBufferType(sbt.buffer,
                                                                    head.timeout))))

@@ -48,10 +48,6 @@ def pretty_file(pf: ProtocolFile) -> str:
 # shape, not node identity)
 
 
-def value_equal(a: P.Value, b: P.Value) -> bool:
-    return a == b
-
-
 def ast_equal(a: P.Process, b: P.Process) -> bool:
     if type(a) is not type(b):
         return False

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 
 from .diagnostics import Diagnostic, Span
 from .types import (BASIC_KINDS, CongruenceMode, SessionType, Type,
-                    format_type)
+                    buffer_order, format_type)
 
 # ---------------------------------------------------------------------------
 # values
@@ -182,6 +182,36 @@ def children(p: Process) -> tuple:
     return ()
 
 
+def subterms(p: Process) -> list:
+    """Every subterm of p, p included, in pre-order with children left to
+    right."""
+    out: list = []
+    _preorder(p, out)
+    return out
+
+
+def _preorder(p: Process, out: list) -> None:
+    # Recursion depth is the term's nesting depth, as in the other walkers
+    # here; an explicit stack measured slower on the simulator's per-step walks.
+    out.append(p)
+    for c in children(p):
+        _preorder(c, out)
+
+
+def node_values(p: Process) -> tuple:
+    """The values the node p itself carries, in source order; its
+    subterms' values are not included."""
+    if isinstance(p, Send):
+        return (p.ch, p.value)
+    if isinstance(p, Branch):
+        return (p.ch,)
+    if isinstance(p, Call):
+        return p.args
+    if isinstance(p, Buffer):
+        return tuple(e.value for e in p.entries)
+    return ()
+
+
 def free_vars(p: Process) -> frozenset:
     """Free value variables of a process."""
 
@@ -213,40 +243,6 @@ def free_vars(p: Process) -> frozenset:
         out = frozenset()
         for e in p.entries:
             out |= vv(e.value)
-        return out
-    return frozenset()
-
-
-def free_sessions(p: Process) -> frozenset:
-    """Session names occurring free (as endpoints or buffers)."""
-
-    def vs(v: Value) -> frozenset:
-        return frozenset([v.session]) if isinstance(v, Endpoint) else frozenset()
-
-    if isinstance(p, Send):
-        return vs(p.ch) | vs(p.value) | free_sessions(p.cont)
-    if isinstance(p, Branch):
-        out = vs(p.ch)
-        for a in p.arms:
-            out |= free_sessions(a.cont)
-        if p.timeout is not None:
-            out |= free_sessions(p.timeout)
-        return out
-    if isinstance(p, (Choice, Par)):
-        return free_sessions(p.left) | free_sessions(p.right)
-    if isinstance(p, Restriction):
-        return free_sessions(p.body) - {p.session}
-    if isinstance(p, Def):
-        return free_sessions(p.body) | free_sessions(p.cont)
-    if isinstance(p, Call):
-        out = frozenset()
-        for a in p.args:
-            out |= vs(a)
-        return out
-    if isinstance(p, Buffer):
-        out = frozenset([p.session])
-        for e in p.entries:
-            out |= vs(e.value)
         return out
     return frozenset()
 
@@ -308,29 +304,8 @@ def well_formed(p: Process, defs: dict | None = None) -> list[Diagnostic]:
         return out
 
     def endpoints(q: Process) -> list[Endpoint]:
-        out = []
-
-        def visit_value(v):
-            if isinstance(v, Endpoint):
-                out.append(v)
-
-        def walk(r):
-            if isinstance(r, Send):
-                visit_value(r.ch)
-                visit_value(r.value)
-            elif isinstance(r, Branch):
-                visit_value(r.ch)
-            elif isinstance(r, Call):
-                for a in r.args:
-                    visit_value(a)
-            elif isinstance(r, Buffer):
-                for e in r.entries:
-                    visit_value(e.value)
-            for c in children(r):
-                walk(c)
-
-        walk(q)
-        return out
+        return [v for r in subterms(q) for v in node_values(r)
+                if isinstance(v, Endpoint)]
 
     def walk(q: Process, defs: dict):
         if isinstance(q, Restriction):
@@ -449,30 +424,15 @@ def canonical_process(p: Process, mode: CongruenceMode = CongruenceMode.TOTAL_RE
         return replace(p, body=canonical_process(p.body, mode),
                        cont=canonical_process(p.cont, mode))
     if isinstance(p, Buffer):
-        return replace(p, entries=canonical_buffer_entries(p.entries, mode))
+        return replace(p, entries=tuple(
+            p.entries[i] for i in buffer_order(buffer_keys(p.entries), mode)))
     return p
 
 
-def canonical_buffer_entries(entries: tuple, mode: CongruenceMode) -> tuple:
-    """Canonical order of runtime buffer entries.  TotalReorder sorts fully;
-    TcpFifo keeps each (sender, recipient) channel in order, adjacent entries
-    of distinct channels may swap, so a stable partition by channel (channels
-    sorted) is canonical."""
-    if mode is CongruenceMode.TOTAL_REORDER:
-        return tuple(sorted(entries, key=lambda e: (e.frm, e.to, e.label,
-                                                    render_value(e.value))))
-    groups: dict = {}
-    for e in entries:
-        groups.setdefault((e.frm, e.to), []).append(e)
-    out = []
-    for k in sorted(groups):
-        out.extend(groups[k])
-    return tuple(out)
-
-
-def structural_congruent(a: Process, b: Process,
-                         mode: CongruenceMode = CongruenceMode.TOTAL_REORDER) -> bool:
-    return canonical_process(a, mode) == canonical_process(b, mode)
+def buffer_keys(entries: tuple) -> list:
+    """Each runtime entry's (channel, message) for the buffer congruence:
+    its (sender, recipient) pair, and its label and rendered value."""
+    return [((e.frm, e.to), (e.label, render_value(e.value))) for e in entries]
 
 
 def is_inactive(p: Process) -> bool:

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, replace
 
 from . import proc as P
 from .context import TypeContext
-from .types import (Branch as TBranch, BufEntry, CongruenceMode, Reliability,
-                    Select, SessionBufferType, resolve)
+from .types import (BufEntry, CongruenceMode, Reliability, SessionBufferType,
+                    buffer_heads, resolve)
 
 RELIABLE = "reliable"
 UNRESTRICTED = "unrestricted"
@@ -190,30 +190,10 @@ def _droppable(e: P.BufMsg, r: Reliability, policy: str,
     """(allowed, weight) of dropping one in-transit message."""
     forced = (scenario.crashed(e.frm, step)
               or scenario.link_failed(e.frm, e.to, step))
-    if policy == RELIABLE and e.to in r.get(e.frm) and not forced:
+    if policy == RELIABLE and r.reliable(e.frm, e.to) and not forced:
         return False, 0.0
     w = 1.0 if forced else scenario.drop_prob(e.frm, e.to)
     return True, w
-
-
-def _head_indices(entries: tuple, mode: CongruenceMode) -> list:
-    """Entry indices reachable at the queue head up to the reorder
-    congruence: all under total reordering (one per equal message), only
-    per-(sender, recipient)-channel heads under per-pair FIFO."""
-    out, seen, heads = [], set(), set()
-    for i, e in enumerate(entries):
-        chan = (e.frm, e.to)
-        if mode is CongruenceMode.TCP_FIFO:
-            if chan in heads:
-                continue
-            heads.add(chan)
-            out.append(i)
-        else:
-            key = (e.frm, e.to, e.label, P.render_value(e.value))
-            if key not in seen:
-                seen.add(key)
-                out.append(i)
-    return out
 
 
 def enabled_steps(c: Config, r: Reliability, policy: str,
@@ -222,6 +202,8 @@ def enabled_steps(c: Config, r: Reliability, policy: str,
     ordered.  Weight 0 marks a step the sampler will never take."""
     root, step = c.process, c.step_count
     sites, buffers = _collect(root)
+    heads = {path: buffer_heads(P.buffer_keys(node.entries), scenario.reorder)
+             for path, node, _ in sites if isinstance(node, P.Buffer)}
     out = []
     for path, node, env in sites:
         if isinstance(node, P.Send) and isinstance(node.ch, P.Endpoint):
@@ -243,10 +225,10 @@ def enabled_steps(c: Config, r: Reliability, policy: str,
             s, role = node.ch.session, node.ch.role
             if scenario.crashed(role, step) and scenario.freeze_crashed:
                 continue
-            buf = _get(root, buffers[s]) if s in buffers else None
-            entries = buf.entries if buf is not None else ()
+            bpath = buffers.get(s)
+            entries = () if bpath is None else _get(root, bpath).entries
             matched = False
-            for i in _head_indices(entries, scenario.reorder):
+            for i in heads.get(bpath, ()):
                 e = entries[i]
                 if e.to != role:
                     continue
@@ -263,13 +245,11 @@ def enabled_steps(c: Config, r: Reliability, policy: str,
                                                 ("session", s), ("to", role),
                                                 ("value", P.render_value(e.value))),
                                     new, 1.0))
-            if node.timeout is not None:
-                allowed = (policy == UNRESTRICTED
-                           or any(a.frm not in r.get(role) for a in node.arms))
-                if allowed:
-                    w = scenario.delay_bias if matched else 1.0
-                    out.append(Step(RULE_TIMEOUT, (("role", role), ("session", s)),
-                                    _rebuild(root, path, node.timeout), w))
+            if node.timeout is not None and (policy == UNRESTRICTED
+                                             or r.needs_timeout(role, node.arms)):
+                w = scenario.delay_bias if matched else 1.0
+                out.append(Step(RULE_TIMEOUT, (("role", role), ("session", s)),
+                                _rebuild(root, path, node.timeout), w))
         elif isinstance(node, P.Choice):
             out.append(Step(RULE_CHOICE, (("side", "left"),),
                             _rebuild(root, path, node.left), 1.0))
@@ -282,7 +262,7 @@ def enabled_steps(c: Config, r: Reliability, policy: str,
                 out.append(Step(RULE_CALL, (("name", node.name),),
                                 _rebuild(root, path, P.subst(body, sub)), 1.0))
         elif isinstance(node, P.Buffer):
-            for i in _head_indices(node.entries, scenario.reorder):
+            for i in heads[path]:
                 e = node.entries[i]
                 allowed, w = _droppable(e, r, policy, scenario, step)
                 if not allowed:
@@ -302,15 +282,7 @@ def enabled_steps(c: Config, r: Reliability, policy: str,
 
 
 def _buffer_digest(p: P.Process) -> str:
-    parts = []
-
-    def walk(q):
-        if isinstance(q, P.Buffer):
-            parts.append(P.render_process(q))
-        for c in P.children(q):
-            walk(c)
-
-    walk(p)
+    parts = [P.render_process(q) for q in P.subterms(p) if isinstance(q, P.Buffer)]
     parts.sort()
     return hashlib.sha256("|".join(parts).encode()).hexdigest()[:12]
 
@@ -392,22 +364,11 @@ class MonitorViolation:
 
 
 def _branch_violations(p: P.Process, r: Reliability, step: int) -> list:
-    out = []
-
-    def walk(q):
-        if isinstance(q, P.Branch) and isinstance(q.ch, P.Endpoint):
-            role = q.ch.role
-            rset = r.get(role)
-            unreliable = [a.frm for a in q.arms if a.frm not in rset]
-            if q.timeout is None and unreliable:
-                out.append(MonitorViolation("Cor1", q.ch.session, role, step))
-            if q.timeout is not None and not unreliable:
-                out.append(MonitorViolation("Cor2", q.ch.session, role, step))
-        for c in P.children(q):
-            walk(c)
-
-    walk(p)
-    return out
+    return [MonitorViolation("Cor1" if q.timeout is None else "Cor2",
+                             q.ch.session, q.ch.role, step)
+            for q in P.subterms(p)
+            if isinstance(q, P.Branch) and isinstance(q.ch, P.Endpoint)
+            and (q.timeout is not None) != r.needs_timeout(q.ch.role, q.arms)]
 
 
 def monitor_corollaries(t: Trace, r: Reliability) -> list:

@@ -105,8 +105,7 @@ def restriction_context(rest: P.Restriction, g: TypeContext) -> TypeContext:
     a buffer type; other values are left for the buffer rule to reject."""
     for role, ty in rest.annotations:
         g = g.with_endpoint((rest.session, role), SessionBufferType((), ty))
-
-    def walk(q: P.Process, g: TypeContext) -> TypeContext:
+    for q in P.subterms(rest.body):
         if isinstance(q, P.Buffer) and q.session == rest.session:
             for e in q.entries:
                 if isinstance(e.value, P.Lit):
@@ -114,11 +113,7 @@ def restriction_context(rest: P.Restriction, g: TypeContext) -> TypeContext:
                     entry = BufEntry(e.to, e.label, Basic(e.value.kind))
                     g = g.with_endpoint((rest.session, e.frm), SessionBufferType(
                         cur.buffer + (entry,), cur.session))
-        for c in P.children(q):
-            g = walk(c, g)
-        return g
-
-    return walk(rest.body, g)
+    return g
 
 
 def _buffer_only(p: P.Process) -> bool:

@@ -389,19 +389,41 @@ class BufEntry:
 BufferType = tuple  # tuple[BufEntry, ...]
 
 
-def canonical_buffer_type(entries: tuple, mode: CongruenceMode,
-                          classes: TypeClasses | None = None) -> tuple:
-    """Canonical representative of a buffer type under the mode's congruence.
-
-    TotalReorder sorts by recipient, label and payload key (`classes`, by
-    default the entries' own); TcpFifo stably sorts by recipient, since the
-    per-recipient order is observable.
-    """
+def buffer_heads(keys, mode: CongruenceMode) -> list:
+    """The buffer congruence's heads: indices of the entries a receiver may
+    take next.  `keys` holds each entry's (channel, message) in buffer order.
+    Under TcpFifo each channel's first entry is a head; under TotalReorder
+    the first entry of each (channel, message), one per equal message."""
     if mode is CongruenceMode.TCP_FIFO:
-        return tuple(sorted(entries, key=lambda e: e.to))
+        keys = [k[0] for k in keys]
+    first: dict = {}
+    for i, k in enumerate(keys):
+        first.setdefault(k, i)
+    return list(first.values())
+
+
+def buffer_order(keys, mode: CongruenceMode) -> list:
+    """The buffer congruence's canonical order, as the entries' indices:
+    a stable sort by channel under TcpFifo, since each channel's order is
+    observable, else a sort by (channel, message)."""
+    if mode is CongruenceMode.TCP_FIFO:
+        keys = [k[0] for k in keys]
+    return sorted(range(len(keys)), key=keys.__getitem__)
+
+
+def buffer_keys(entries: tuple, classes: TypeClasses | None = None) -> list:
+    """Each type-level entry's (channel, message): its recipient, and its
+    label and payload key in `classes` (by default the entries' own)."""
     if classes is None:
         classes = type_classes(e.payload for e in entries)
-    return tuple(sorted(entries, key=lambda e: (e.to, e.label, classes.key(e.payload))))
+    key = classes.key
+    return [(e.to, (e.label, key(e.payload))) for e in entries]
+
+
+def canonical_buffer_type(entries: tuple, mode: CongruenceMode,
+                          classes: TypeClasses | None = None) -> tuple:
+    """Canonical representative of a buffer type under the mode's congruence."""
+    return tuple(entries[i] for i in buffer_order(buffer_keys(entries, classes), mode))
 
 
 def buffer_type_congruent(a: tuple, b: tuple, mode: CongruenceMode) -> bool:
@@ -431,17 +453,6 @@ class SessionBufferType:
             raise ValueError("session-buffer type needs a component")
 
 
-def sbt_congruent(a: SessionBufferType, b: SessionBufferType,
-                  mode: CongruenceMode) -> bool:
-    """Type congruence on session-buffer types: buffer components congruent
-    per mode, session components bisimilar."""
-    if (a.session is None) != (b.session is None):
-        return False
-    if a.session is not None and not session_equal(a.session, b.session):
-        return False
-    return buffer_type_congruent(a.buffer, b.buffer, mode)
-
-
 # ---------------------------------------------------------------------------
 # reliability
 
@@ -467,6 +478,13 @@ class Reliability:
 
     def reliable(self, viewpoint: str, other: str) -> bool:
         return other in self.get(viewpoint)
+
+    def needs_timeout(self, role: str, arms) -> bool:
+        """Whether `role`, waiting on branch `arms`, hears from a peer it
+        does not trust.  Such a wait needs a timeout arm, and any other wait
+        must have none (SP1/SP2 statically, Cor1/Cor2 at run time)."""
+        trusted = self.get(role)
+        return any(a.frm not in trusted for a in arms)
 
     def get(self, role: str) -> frozenset:
         for r, s in self.sets:

@@ -8,10 +8,10 @@ from dataclasses import dataclass
 
 from .context import TypeContext, split_end_gc
 from .lts import (ComAct, Exceeded, ExploreLimits, FULL, LtsGraph,
-                  SEND_COM_ONLY, _head_reachable, action_to_json, explore,
-                  occupancy)
+                  SEND_COM_ONLY, action_to_json, explore, occupancy)
 from .types import (Branch, CongruenceMode, Reliability, Select, TypeClasses,
-                    resolve, session_nodes, type_equal)
+                    buffer_heads, buffer_keys, resolve, session_nodes,
+                    type_equal)
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -52,7 +52,7 @@ def _may_time_out(g0: TypeContext, r: Reliability) -> bool:
     """Whether some branching with a timeout in g0's type graphs waits on a
     peer outside its reliability set, i.e. could ever time out under r."""
     return any(isinstance(n, Branch) and n.timeout is not None
-               and any(a.frm not in r.get(role) for a in n.arms)
+               and r.needs_timeout(role, n.arms)
                for (_, role), sbt in g0.endpoints if sbt.session is not None
                for n in session_nodes(sbt.session))
 
@@ -116,24 +116,27 @@ def _branch_endpoints(g: TypeContext):
             yield key, sbt, head
 
 
+def _receivable(entries: tuple, recipient: str, mode: CongruenceMode,
+                classes: TypeClasses) -> list:
+    """Indices of the entries recipient may consume next: the buffer
+    congruence's heads addressed to it."""
+    return [i for i in buffer_heads(buffer_keys(entries, classes), mode)
+            if entries[i].to == recipient]
+
+
 def _state_safety_failure(g: TypeContext, r: Reliability, mode: CongruenceMode,
                           classes: TypeClasses | None) -> str | None:
     """SP1/SP2/SP-Com on a single context; None when satisfied.  SP-Com is
     relative to the congruence mode because it constrains exactly the
     messages a reception could observe next."""
     for (session, role), sbt, head in _branch_endpoints(g):
-        rset = r.get(role)
-        if head.timeout is None:
-            if any(arm.frm not in rset for arm in head.arms):
-                return "SP1"
-        else:
-            if all(arm.frm in rset for arm in head.arms):
-                return "SP2"
+        if (head.timeout is not None) != r.needs_timeout(role, head.arms):
+            return "SP1" if head.timeout is None else "SP2"
         for arm in head.arms:
             sender = g.endpoint((session, arm.frm))
             if sender is None:
                 continue
-            for i in _head_reachable(sender.buffer, role, mode, classes):
+            for i in _receivable(sender.buffer, role, mode, classes):
                 e = sender.buffer[i]
                 if (e.label == arm.label
                         and not type_equal(e.payload, arm.payload)):
@@ -149,13 +152,9 @@ def _static_safety_holds(g0: TypeContext, r: Reliability) -> bool:
     types.  Passing certifies safety of all reachable contexts."""
     graphs = {key: sbt.session for key, sbt in g0.endpoints if sbt.session is not None}
     for (session, role), s in graphs.items():
-        rset = r.get(role)
         for node in session_nodes(s):
-            if not isinstance(node, Branch):
-                continue
-            if node.timeout is None and any(a.frm not in rset for a in node.arms):
-                return False
-            if node.timeout is not None and all(a.frm in rset for a in node.arms):
+            if (isinstance(node, Branch)
+                    and (node.timeout is not None) != r.needs_timeout(role, node.arms)):
                 return False
     # all message sources a receiver may observe, per (sender, recipient):
     # selection arms anywhere in the sender's type graph plus any initial
@@ -221,14 +220,14 @@ def check_tcp_safety(g0: TypeContext, sigma, limits: ExploreLimits,
                 sender = state.endpoint((session, frm))
                 if sender is None:
                     continue
-                hd = next((e for e in sender.buffer if e.to == role), None)
-                if hd is None:
-                    continue
-                if not any(a.frm == frm and a.label == hd.label
-                           and type_equal(a.payload, hd.payload)
-                           for a in head.arms):
-                    return Verdict(VIOLATED, reason="TCP",
-                                   witness=graph.path_to(sid))
+                for i in _receivable(sender.buffer, role, CongruenceMode.TCP_FIFO,
+                                     graph.classes):
+                    hd = sender.buffer[i]
+                    if not any(a.frm == frm and a.label == hd.label
+                               and type_equal(a.payload, hd.payload)
+                               for a in head.arms):
+                        return Verdict(VIOLATED, reason="TCP",
+                                       witness=graph.path_to(sid))
     return Verdict(HOLDS)
 
 
