@@ -2,6 +2,8 @@
 """Measure how the typing-context transition system of a protocol grows as
 the per-channel buffer bound increases, under both message-reordering
 congruences.  Useful for picking a bound before running `magpi verify`.
+Each row also gives the exploration's wall time and states per second: on
+a maxStates trip the cap over that time, and none on a bufferLen trip.
 
 Usage: state_space.py [FILE] [--max-bound K] [--dot OUT.dot]
 """
@@ -10,12 +12,31 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
+import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from magpi import Exceeded, ExploreLimits, explore, export_lts, parse
 from magpi.cli import initial_context
 from magpi.types import CongruenceMode
+
+
+def timed_explore(ctx, sigma, r, limits):
+    """(outcome, wall time in s, states/s) of one exploration.  The rate
+    counts the cap on a maxStates trip and is None on a bufferLen trip,
+    whose outcome does not say how many states were found."""
+    t = time.perf_counter()
+    g = explore(ctx, sigma, r, limits)
+    wall = time.perf_counter() - t
+    if isinstance(g, Exceeded):
+        n = g.limit if g.kind == "maxStates" else None
+    else:
+        n = len(g.states)
+    return g, wall, None if n is None or not wall else n / wall
+
+
+def timing(wall, rate) -> str:
+    return f"{wall:>8.3f} {'-' if rate is None else f'{rate:.0f}':>9}"
 
 
 def main() -> int:
@@ -35,24 +56,28 @@ def main() -> int:
         return 1
 
     print(f"protocol {pf.name}")
-    print(f"{'bound':>6} {'mode':>6} {'states':>8} {'edges':>8} {'stuck':>6}")
+    print(f"{'bound':>6} {'mode':>6} {'states':>8} {'edges':>8} {'stuck':>6} "
+          f"{'wall_s':>8} {'states/s':>9}")
     for k in range(1, args.max_bound + 1):
         for mode in (CongruenceMode.TOTAL_REORDER, CongruenceMode.TCP_FIFO):
             lim = ExploreLimits(args.max_states, k, mode)
-            g = explore(ctx, {sess}, pf.reliability, lim)
+            g, wall, rate = timed_explore(ctx, {sess}, pf.reliability, lim)
             if isinstance(g, Exceeded):
-                print(f"{k:>6} {mode.value:>6} {'-':>8} {'-':>8}  exceeded {g.kind}")
+                print(f"{k:>6} {mode.value:>6} {'-':>8} {'-':>8} {'-':>6} "
+                      f"{timing(wall, rate)}  exceeded {g.kind}")
             else:
                 stuck = sum(1 for sid in range(len(g.states)) if g.stuck(sid))
                 print(f"{k:>6} {mode.value:>6} {len(g.states):>8} "
-                      f"{len(g.edges):>8} {stuck:>6}")
+                      f"{len(g.edges):>8} {stuck:>6} {timing(wall, rate)}")
 
     lim = ExploreLimits(args.max_states)
-    g = explore(ctx, {sess}, pf.reliability, lim)
+    g, wall, rate = timed_explore(ctx, {sess}, pf.reliability, lim)
     if isinstance(g, Exceeded):
-        print(f"unbounded: exceeded {g.kind} at {g.limit}")
+        print(f"unbounded: exceeded {g.kind} at {g.limit}, {wall:.3f} s, "
+              f"{rate:.0f} states/s")
     else:
-        print(f"unbounded: {len(g.states)} states, {len(g.edges)} edges")
+        print(f"unbounded: {len(g.states)} states, {len(g.edges)} edges, "
+              f"{wall:.3f} s, {rate:.0f} states/s")
         if args.dot:
             pathlib.Path(args.dot).write_text(export_lts(g, "dot"))
             print(f"wrote {args.dot}")

@@ -6,18 +6,26 @@ sender's buffer (one Send per arm); a branching consumes a congruence-
 head-reachable matching entry from the arm source's buffer (Com); a
 branching with a timeout and at least one unreliable arm source may time
 out.  Recursion nodes are unfolded transparently before matching.
+
+`explore` works over interned endpoint bindings.  Each distinct canonical
+binding gets an id, and is canonicalised, keyed and expanded by the rules
+once per exploration, however many states hold it.  A state is the tuple of
+its bindings' ids, a successor is its parent's tuple with one or two ids
+replaced, and only a state not seen before is built as a TypeContext.
 """
 from __future__ import annotations
 
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 
-from .context import (TypeContext, canonical_binding, canonical_context,
-                      context_classes, render_context)
+from .context import (TypeContext, canonical_binding, context_classes,
+                      render_context)
 # Unused here, but kept importable from this module: the public state
-# identity that explore's keys agree with, for tools that wrap it here.
-from .context import context_key  # noqa: F401
+# identity and canonical form that explore's keys and states agree with, for
+# tools that wrap them here.
+from .context import canonical_context, context_key  # noqa: F401
 from .types import (Branch, BufEntry, CongruenceMode, Reliability, Select,
                     SessionBufferType, Type, TypeClasses, buffer_heads,
                     buffer_keys, format_type, resolve, type_equal)
@@ -89,6 +97,52 @@ class Exceeded:
 
 # ---------------------------------------------------------------------------
 # single-state transitions
+#
+# The rules are stated per endpoint binding: what a binding can do on its own
+# (`_own_moves`), and what a sender's binding becomes when a receiver takes a
+# message from its buffer (`_taken`).  `context_transitions` applies them to
+# one context; `explore` applies the same two functions once per distinct
+# binding and reuses the result in every state that holds it.
+
+
+def _own_moves(key: tuple, sbt: SessionBufferType, r: Reliability,
+               limits: ExploreLimits) -> tuple:
+    """(sends, arms, timeout) of one tracked endpoint binding with a session:
+    `sends` holds (SendAct, new binding) per selection arm; `arms` holds
+    (arm, ComAct, receiver's new binding) per branch arm, enabled when the
+    arm's source buffer has a matching head; `timeout` is (TimeoutAct, new
+    binding) or None."""
+    session, role = key
+    head = resolve(sbt.session)
+    if isinstance(head, Select):
+        return ([(SendAct(session, role, a.to, a.label, a.payload),
+                  SessionBufferType(sbt.buffer + (BufEntry(a.to, a.label, a.payload),),
+                                    a.cont))
+                 for a in head.arms], [], None)
+    if not isinstance(head, Branch):
+        return [], [], None
+    arms = [(a, ComAct(session, a.frm, role, a.label), SessionBufferType(sbt.buffer, a.cont))
+            for a in head.arms]
+    timeout = None
+    if (limits.relation == FULL and head.timeout is not None
+            and r.needs_timeout(role, head.arms)):
+        timeout = (TimeoutAct(session, role), SessionBufferType(sbt.buffer, head.timeout))
+    return [], arms, timeout
+
+
+def _taken(sender: SessionBufferType, want: tuple, mode: CongruenceMode,
+           classes: TypeClasses | None) -> list:
+    """The sender's bindings after a receiver takes the message `want`
+    (recipient, label, payload) from its buffer: one per congruence head
+    that matches."""
+    buf = sender.buffer
+    if not buf:
+        return []
+    to, label, payload = want
+    return [SessionBufferType(buf[:i] + buf[i + 1:], sender.session)
+            for i in buffer_heads(buffer_keys(buf, classes), mode)
+            if buf[i].to == to and buf[i].label == label
+            and type_equal(buf[i].payload, payload)]
 
 
 def context_transitions(g: TypeContext, sigma, r: Reliability,
@@ -99,41 +153,21 @@ def context_transitions(g: TypeContext, sigma, r: Reliability,
     covers g's type positions."""
     out = []
     sigma = set(sigma)
-    heads: dict = {}  # sender key -> the heads of its buffer, made on first use
     for key, sbt in g.endpoints:
         session, role = key
         if session not in sigma or sbt.session is None:
             continue
-        head = resolve(sbt.session)
-        if isinstance(head, Select):
-            for arm in head.arms:
-                entry = BufEntry(arm.to, arm.label, arm.payload)
-                nsbt = SessionBufferType(sbt.buffer + (entry,), arm.cont)
-                out.append((SendAct(session, role, arm.to, arm.label, arm.payload),
-                            g.with_endpoint(key, nsbt)))
-        elif isinstance(head, Branch):
-            for arm in head.arms:
-                skey = (session, arm.frm)
-                ssbt = g.endpoint(skey)
-                if ssbt is None or not ssbt.buffer:
-                    continue
-                if skey not in heads:
-                    heads[skey] = buffer_heads(buffer_keys(ssbt.buffer, classes),
-                                               limits.mode)
-                for i in heads[skey]:
-                    e = ssbt.buffer[i]
-                    if (e.to != role or e.label != arm.label
-                            or not type_equal(e.payload, arm.payload)):
-                        continue
-                    ng = g.with_endpoint(skey, SessionBufferType(
-                        ssbt.buffer[:i] + ssbt.buffer[i + 1:], ssbt.session))
-                    ng = ng.with_endpoint(key, SessionBufferType(sbt.buffer, arm.cont))
-                    out.append((ComAct(session, arm.frm, role, arm.label), ng))
-            if (limits.relation == FULL and head.timeout is not None
-                    and r.needs_timeout(role, head.arms)):
-                out.append((TimeoutAct(session, role),
-                            g.with_endpoint(key, SessionBufferType(sbt.buffer,
-                                                                   head.timeout))))
+        sends, arms, timeout = _own_moves(key, sbt, r, limits)
+        out += [(act, g.with_endpoint(key, nsbt)) for act, nsbt in sends]
+        for arm, act, nsbt in arms:
+            skey = (session, arm.frm)
+            ssbt = g.endpoint(skey)
+            if ssbt is not None:
+                out += [(act, g.with_endpoint(skey, rest).with_endpoint(key, nsbt))
+                        for rest in _taken(ssbt, (role, arm.label, arm.payload),
+                                           limits.mode, classes)]
+        if timeout is not None:
+            out.append((timeout[0], g.with_endpoint(key, timeout[1])))
     out.sort(key=lambda p: p[0].render())
     return out
 
@@ -182,16 +216,26 @@ def _path(parents: dict, sid: int) -> tuple:
     return tuple(reversed(acts))
 
 
+def _buffer_occupancy(buffer: tuple) -> int:
+    """Largest number of messages the buffer holds for one recipient."""
+    best, counts = 0, {}
+    for e in buffer:
+        n = counts[e.to] = counts.get(e.to, 0) + 1
+        if n > best:
+            best = n
+    return best
+
+
 def occupancy(g: TypeContext) -> int:
     """Largest number of messages any sender buffer holds for one recipient."""
     best = 0
     for _, sbt in g.endpoints:
-        counts: dict = {}
-        for e in sbt.buffer:
-            n = counts[e.to] = counts.get(e.to, 0) + 1
-            if n > best:
-                best = n
+        if sbt.buffer:
+            best = max(best, _buffer_occupancy(sbt.buffer))
     return best
+
+
+_NO_MOVES = ((), (), None)
 
 
 def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits,
@@ -202,49 +246,110 @@ def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits,
     for order-independence checks."""
     # Every successor reuses nodes of g0's type graphs, so g0's table of
     # classes covers every reachable state.
-    classes, mode = context_classes(g0), limits.mode
-    g0 = canonical_context(g0, mode, classes)
-    # A state is keyed by its bindings' key parts, each part interned as an
-    # int.  context_transitions builds a successor with with_endpoint, which
-    # neither adds nor drops an endpoint and keeps every binding it does not
-    # change as the parent's own, already canonical object.  So only the
-    # bindings that are not the parent's are canonicalised and keyed; the
-    # parent's parts stand for the rest.
+    classes, mode, sigma = context_classes(g0), limits.mode, set(sigma)
+    # Endpoint bindings are interned: a binding id stands for one endpoint
+    # slot and one canonical binding, compared by content, so bisimilar
+    # bindings written differently keep their own ids and spellings.  Per id
+    # are kept the (endpoint key, binding) pair every state holding it
+    # shares, its key part, interned as an int, and its occupancy.  A state
+    # is a tuple of binding ids, and its key the tuple of their part ids.
+    keys = [k for k, _ in g0.endpoints]
+    slot = {k: i for i, k in enumerate(keys)}
+    interned: dict = {}  # (slot, canonical binding) -> binding id
+    pairs, part, occ = [], [], []
     part_ids: dict = {}
-    parts = [tuple(part_ids.setdefault(canonical_binding(sbt, mode, classes)[1], len(part_ids))
-                   for _, sbt in g0.endpoints)]
+
+    def intern(i: int, sbt: SessionBufferType) -> int:
+        sbt, p = canonical_binding(sbt, mode, classes)
+        b = interned.setdefault((i, sbt), len(pairs))
+        if b == len(pairs):
+            pairs.append((keys[i], sbt))
+            part.append(part_ids.setdefault(p, len(part_ids)))
+            occ.append(_buffer_occupancy(sbt.buffer))
+        return b
+
+    # The rules run once per binding id, and once per (sender id, wanted
+    # message) for receptions, on first need.  A move is (rendered action,
+    # action, changes), the changes being (slot, new binding id) pairs.
+    moves: dict = {}  # binding id -> (sends, arms, timeout)
+    coms: dict = {}   # sender id -> {(recipient, label, payload): new sender ids}
+
+    def own(b: int) -> tuple:
+        key, sbt = pairs[b]
+        i = slot[key]
+        if key[0] not in sigma or sbt.session is None:
+            return _NO_MOVES
+        sends, arms, timeout = _own_moves(key, sbt, r, limits)
+        return ([(a.render(), a, ((i, intern(i, n)),)) for a, n in sends],
+                [(a.render(), a, slot[key[0], arm.frm], (key[1], arm.label, arm.payload),
+                  intern(i, n))
+                 for arm, a, n in arms if (key[0], arm.frm) in slot],
+                None if timeout is None else
+                (timeout[0].render(), timeout[0], ((i, intern(i, timeout[1])),)))
+
+    def taken(sb: int, want: tuple) -> tuple:
+        skey, sender = pairs[sb]
+        out = tuple(intern(slot[skey], n) for n in _taken(sender, want, mode, classes))
+        coms.setdefault(sb, {})[want] = out
+        return out
+
+    bids = [tuple(intern(i, sbt) for i, (_, sbt) in enumerate(g0.endpoints))]
+    parts = [tuple(part[b] for b in bids[0])]
+    g0 = TypeContext(g0.vars, tuple(map(pairs.__getitem__, bids[0])))
     states, edges, parents = [g0], [], {}
     ids = {parts[0]: 0}
     cap = limits.max_buffer_len
-    if cap is not None and occupancy(g0) >= cap:
+    if cap is not None and any(occ[b] >= cap for b in bids[0]):
         return Exceeded("bufferLen", cap, (), g0)
     frontier = deque([0])
     take = frontier.popleft if order == "bfs" else frontier.pop
     while frontier:
         sid = take()
-        g = states[sid]
-        for action, nxt in context_transitions(g, sigma, r, limits, classes):
-            es, key = list(nxt.endpoints), list(parts[sid])
-            for i, ((k, sbt), (_, old)) in enumerate(zip(nxt.endpoints, g.endpoints)):
-                if sbt is not old:
-                    sbt, part = canonical_binding(sbt, mode, classes)
-                    es[i], key[i] = (k, sbt), part_ids.setdefault(part, len(part_ids))
+        state = bids[sid]
+        succ = []
+        for i, b in enumerate(state):
+            rec = moves.get(b)
+            if rec is None:
+                rec = moves[b] = own(b)
+            sends, arms, timeout = rec
+            succ += sends
+            for text, action, j, want, nb in arms:
+                sb = state[j]
+                try:
+                    rest = coms[sb][want]
+                except KeyError:
+                    rest = taken(sb, want)
+                for ns in rest:
+                    succ.append((text, action, ((j, ns), (i, nb))))
+            if timeout is not None:
+                succ.append(timeout)
+        succ.sort(key=itemgetter(0))
+        known = parts[sid]
+        for _, action, changes in succ:
+            key = list(known)
+            for j, nb in changes:
+                key[j] = part[nb]
             key = tuple(key)
-            if key in ids:
-                edges.append((sid, action, ids[key]))
+            nid = ids.get(key)
+            if nid is not None:
+                edges.append((sid, action, nid))
                 continue
-            nxt = TypeContext(nxt.vars, tuple(es))
+            nxt = list(state)
+            for j, nb in changes:
+                nxt[j] = nb
+            nxt = tuple(nxt)
+            g = TypeContext(g0.vars, tuple(map(pairs.__getitem__, nxt)))
             if len(states) >= limits.max_states:
                 return Exceeded("maxStates", limits.max_states,
-                                _path(parents, sid) + (action,), nxt)
-            nid = len(states)
-            ids[key] = nid
-            states.append(nxt)
+                                _path(parents, sid) + (action,), g)
+            nid = ids[key] = len(states)
+            states.append(g)
+            bids.append(nxt)
             parts.append(key)
             parents[nid] = (sid, action)
             edges.append((sid, action, nid))
-            if cap is not None and occupancy(nxt) >= cap:
-                return Exceeded("bufferLen", cap, _path(parents, nid), nxt)
+            if cap is not None and any(occ[nb] >= cap for _, nb in changes):
+                return Exceeded("bufferLen", cap, _path(parents, nid), g)
             frontier.append(nid)
     return LtsGraph(states, edges, parents=parents, classes=classes)
 

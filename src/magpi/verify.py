@@ -70,11 +70,14 @@ class Graphs:
     def __init__(self, g0: TypeContext, sigma, limits: ExploreLimits):
         self.g0, self.sigma, self.limits = g0, sigma, limits
         self._built: dict = {}
+        self._times_out: dict = {}  # map -> _may_time_out(g0, map)
 
     def _key(self, r: Reliability, mode, relation) -> tuple:
         mode = self.limits.mode if mode is None else mode
         relation = self.limits.relation if relation is None else relation
-        if relation == FULL and _may_time_out(self.g0, r):
+        if r not in self._times_out:
+            self._times_out[r] = _may_time_out(self.g0, r)
+        if relation == FULL and self._times_out[r]:
             return (mode, FULL, r)
         return (mode, SEND_COM_ONLY, None)
 
@@ -150,23 +153,25 @@ def _static_safety_holds(g0: TypeContext, r: Reliability) -> bool:
     SP1/SP2, and every (selection arm, matching branch arm) pair across
     endpoint graphs — plus initial buffer entries — must agree on payload
     types.  Passing certifies safety of all reachable contexts."""
-    graphs = {key: sbt.session for key, sbt in g0.endpoints if sbt.session is not None}
-    for (session, role), s in graphs.items():
-        for node in session_nodes(s):
+    # each endpoint's type graph, walked once
+    graphs = {key: session_nodes(sbt.session)
+              for key, sbt in g0.endpoints if sbt.session is not None}
+    for (session, role), nodes in graphs.items():
+        for node in nodes:
             if (isinstance(node, Branch)
                     and (node.timeout is not None) != r.needs_timeout(role, node.arms)):
                 return False
     # all message sources a receiver may observe, per (sender, recipient):
     # selection arms anywhere in the sender's type graph plus any initial
     # in-transit entries (the sender binding may be buffer-only).
-    for (session, sender), sbt in g0.endpoints:
-        sources = ([a for n in session_nodes(sbt.session)
-                    if isinstance(n, Select) for a in n.arms]
-                   if sbt.session is not None else []) + list(sbt.buffer)
-        for (s2, recv), t in graphs.items():
+    for key, sbt in g0.endpoints:
+        session, sender = key
+        sources = [a for n in graphs.get(key, ())
+                   if isinstance(n, Select) for a in n.arms] + list(sbt.buffer)
+        for (s2, recv), nodes in graphs.items():
             if s2 != session or recv == sender:
                 continue
-            for node in session_nodes(t):
+            for node in nodes:
                 if not isinstance(node, Branch):
                     continue
                 for arm in node.arms:
@@ -309,11 +314,20 @@ def check_live(g0: TypeContext, sigma, r: Reliability,
     graph = _graphs(graphs, g0, sigma, limits).get(r)
     if isinstance(graph, Exceeded):
         return _inconclusive(graph)
-    # endpoints with at least one timeout-less waiting state
+    # endpoints with at least one timeout-less waiting state, each session
+    # node decided once
+    waits: dict = {}  # session node -> whether it waits without a timeout
     obligations: dict = {}
     for sid, state in enumerate(graph.states):
-        for key, _, head in _branch_endpoints(state):
-            if head.timeout is None:
+        for key, sbt in state.endpoints:
+            s = sbt.session
+            if s is None:
+                continue
+            w = waits.get(s)
+            if w is None:
+                head = resolve(s)
+                w = waits[s] = isinstance(head, Branch) and head.timeout is None
+            if w:
                 obligations.setdefault(key, []).append(sid)
     # states with an enabled communication, per receiving endpoint
     receives: dict = {}

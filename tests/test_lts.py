@@ -1,7 +1,8 @@
 """Context transition system: single-rule examples, exploration invariants,
 export round-trips."""
+import itertools
 import json
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -9,11 +10,11 @@ from magpi import parse, parse_session_text
 from magpi.cli import initial_context
 from magpi.context import (TypeContext, canonical_context, context_classes,
                            context_key, render_context)
-from magpi.lts import (ComAct, ExploreLimits, Exceeded, FULL, SEND_COM_ONLY,
-                       SendAct, TimeoutAct, context_transitions, explore,
-                       export_lts)
+from magpi.lts import (ComAct, ExploreLimits, Exceeded, FULL, LtsGraph,
+                       SEND_COM_ONLY, SendAct, TimeoutAct, context_transitions,
+                       explore, export_lts)
 from magpi.types import (BufEntry, CongruenceMode, Reliability,
-                         SessionBufferType, UNIT)
+                         SessionBufferType, UNIT, format_type)
 from tests.conftest import fixture_text
 from tests.test_golden import FILES, ROOT
 from tests.test_type_classes import ROLES as PROBE_ROLES, _probe
@@ -172,12 +173,29 @@ def test_fully_reliable_send_com_equals_full():
     assert {key(s) for s in full.states} == {key(s) for s in sc.states}
 
 
-def _reference_explore(g0, sigma, r, limits, order):
+def _path(parents, sid):
+    acts = []
+    while sid in parents:
+        sid, a = parents[sid]
+        acts.append(a)
+    return tuple(reversed(acts))
+
+
+def _reference_run(g0, sigma, r, limits, order):
     """Exploration that canonicalises and keys every successor from scratch:
-    (states, edges, parents)."""
+    (states, edges, parents, None), or, at the first limit it trips, the
+    states, edges and parents so far and the Exceeded."""
     classes = context_classes(g0)
     g0 = canonical_context(g0, limits.mode, classes)
     states, edges, parents = [g0], [], {}
+
+    def full(g):  # a buffer holds `limits.max_buffer_len` messages for one recipient
+        return limits.max_buffer_len is not None and any(
+            max(Counter(e.to for e in sbt.buffer).values(), default=0)
+            >= limits.max_buffer_len for _, sbt in g.endpoints)
+
+    if full(g0):
+        return states, edges, parents, Exceeded("bufferLen", limits.max_buffer_len, (), g0)
     ids = {context_key(g0, limits.mode, classes): 0}
     frontier = deque([0])
     take = frontier.popleft if order == "bfs" else frontier.pop
@@ -187,12 +205,42 @@ def _reference_explore(g0, sigma, r, limits, order):
             nxt = canonical_context(nxt, limits.mode, classes)
             key = context_key(nxt, limits.mode, classes)
             if key not in ids:
+                if len(states) >= limits.max_states:
+                    return states, edges, parents, Exceeded(
+                        "maxStates", limits.max_states, _path(parents, sid) + (action,), nxt)
                 ids[key] = len(states)
                 states.append(nxt)
                 parents[ids[key]] = (sid, action)
+                if full(nxt):
+                    return states, edges, parents, Exceeded(
+                        "bufferLen", limits.max_buffer_len, _path(parents, ids[key]), nxt)
                 frontier.append(ids[key])
             edges.append((sid, action, ids[key]))
+    return states, edges, parents, None
+
+
+def _reference_explore(g0, sigma, r, limits, order):
+    """(states, edges, parents) of a reference run that trips no limit."""
+    states, edges, parents, exceeded = _reference_run(g0, sigma, r, limits, order)
+    assert exceeded is None, exceeded
     return states, edges, parents
+
+
+def test_bindings_are_interned_by_content_not_by_class():
+    # p's buffer holds a(S1) on one path and a(S2) on the other, with S1 and
+    # S2 bisimilar but written differently.  The two bindings share a key
+    # part, but the states holding them differ in q, so both are states and
+    # each keeps the payload it was sent with.
+    p = S("+{ q!a(rec t. q!m().t).end, q!b(). q!a(q!m(). rec t. q!m().t).end }")
+    s1, s2 = p.arms[0].payload, p.arms[1].cont.arms[0].payload
+    g = ctx({("s", "p"): sbt(p), ("s", "q"): sbt(S("p?b().end"))})
+    graph = explore(g, {"s"}, RF, ExploreLimits())
+    assert graph.classes.key(s1) == graph.classes.key(s2)
+    assert format_type(s1) != format_type(s2)
+    sent = [e.payload for st in graph.states for e in st.endpoint(("s", "p")).buffer
+            if e.label == "a"]
+    assert any(x is s1 for x in sent) and any(x is s2 for x in sent)
+    assert _outcome(graph) == _outcome(_reference_explore(g, {"s"}, RF, ExploreLimits(), "bfs"))
 
 
 def _reference_cases():
@@ -223,6 +271,51 @@ def test_explore_matches_from_scratch_reference(mode, order):
             {n: (p, a.render()) for n, (p, a) in parents.items()}, name
         key = lambda s: context_key(s, mode, graph.classes)
         assert [key(s) for s in graph.states] == [key(s) for s in states], name
+
+
+def _capped(run, cap):
+    """What _reference_run gives under the state cap `cap`, read off `run`,
+    the same reference run without that cap: a capped run is the uncapped
+    one stopped where it finds its state number `cap`, counting from 0."""
+    states, edges, parents, exceeded = run
+    if cap < len(states):
+        sid, action = parents[cap]
+        return Exceeded("maxStates", cap, _path(parents, sid) + (action,), states[cap])
+    return exceeded or (states, edges, parents)
+
+
+def _act(a):
+    return type(a).__name__, a.render()
+
+
+def _outcome(out):
+    """An explore outcome or a reference one, in comparable form."""
+    if isinstance(out, Exceeded):
+        return out.kind, out.limit, [_act(a) for a in out.witness], out.state
+    states, edges, parents = (out.states, out.edges, out.parents) \
+        if isinstance(out, LtsGraph) else out
+    return (states, [(f, _act(a), t) for f, a, t in edges],
+            {n: (p, _act(a)) for n, (p, a) in parents.items()})
+
+
+@pytest.mark.parametrize("relation", (FULL, SEND_COM_ONLY))
+def test_explore_matches_reference_under_every_limit(relation):
+    # Every state cap from 1 to the full size, with and without a buffer
+    # bound, under the input's map and the fully reliable one, BFS and DFS:
+    # the same graph, or the same Exceeded (kind, limit, witness and state).
+    # The limits act alike under both congruences, and the sweep is
+    # quadratic in the graph size, so it runs under the default one; the
+    # test above compares the complete graphs under both.
+    mode = CongruenceMode.TOTAL_REORDER
+    for name, g0, sigma, r in _reference_cases():
+        rf = Reliability.fully_reliable({k[1] for k, _ in g0.endpoints})
+        for rel, bound, order in itertools.product((r, rf), (None, 1, 2, 3), ("bfs", "dfs")):
+            run = _reference_run(g0, sigma, rel, ExploreLimits(
+                10 ** 9, bound, mode, relation), order)
+            for cap in range(1, len(run[0]) + 1):
+                got = explore(g0, sigma, rel, ExploreLimits(cap, bound, mode, relation), order)
+                assert _outcome(got) == _outcome(_capped(run, cap)), \
+                    (name, rel is rf, bound, order, cap)
 
 
 # -- export -------------------------------------------------------------------
