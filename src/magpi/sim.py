@@ -43,20 +43,29 @@ class FailureScenario:
 
     @staticmethod
     def from_json(doc: dict) -> "FailureScenario":
+        """Read a `docs/schema/scenario.json` document (drop keys must be
+        'from->to'); raise ValueError on anything else."""
+        if not isinstance(doc, dict):
+            raise ValueError("a scenario is a JSON object")
+        for k, v in doc.items():
+            if k not in _SCENARIO_FIELDS:
+                raise ValueError(f"unknown scenario field {k!r}")
+            if not _SCENARIO_FIELDS[k](v):
+                raise ValueError(f"scenario field {k!r} is invalid: {v!r} "
+                                 "(see docs/schema/scenario.json)")
         drop = tuple(sorted((tuple(k.split("->")), float(v))
                             for k, v in doc.get("drop", {}).items()))
-        crash = tuple(sorted((c["role"], int(c.get("at", 0)))
+        crash = tuple(sorted((c["role"], int(c["at"]))
                              for c in doc.get("crash", [])))
-        links = tuple(sorted((l["a"], l["b"], int(l.get("at", 0)))
+        links = tuple(sorted((l["a"], l["b"], int(l["at"]))
                              for l in doc.get("links", [])))
-        parts = tuple((tuple(sorted(p["a"])), tuple(sorted(p["b"])),
-                       int(p.get("at", 0)))
+        parts = tuple((tuple(sorted(p["a"])), tuple(sorted(p["b"])), int(p["at"]))
                       for p in doc.get("partition", []))
         mode = (CongruenceMode.TCP_FIFO if doc.get("reorder") == "tcp"
                 else CongruenceMode.TOTAL_REORDER)
         return FailureScenario(drop, crash, links, parts,
                                float(doc.get("delayBias", 0.0)), mode,
-                               bool(doc.get("freezeCrashed", True)))
+                               doc.get("freezeCrashed", True))
 
     def drop_prob(self, frm: str, to: str) -> float:
         for (f, t), p in self.drop:
@@ -78,6 +87,35 @@ class FailureScenario:
         return False
 
 
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _objects(**fields):
+    """Check for a list of objects, each holding every named field with a
+    value of its kind: str (a role), list (of roles) or int (a step)."""
+    kinds = {str: lambda v: isinstance(v, str),
+             list: lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+             int: lambda v: _number(v) and float(v).is_integer()}
+    return lambda v: isinstance(v, list) and all(
+        isinstance(e, dict) and all(f in e and kinds[k](e[f]) for f, k in fields.items())
+        for e in v)
+
+
+# What `docs/schema/scenario.json` accepts for each field.
+_SCENARIO_FIELDS = {
+    "drop": lambda v: isinstance(v, dict) and all(
+        len(k.split("->")) == 2 and all(k.split("->")) and _number(p) and 0 <= p <= 1
+        for k, p in v.items()),
+    "crash": _objects(role=str, at=int),
+    "links": _objects(a=str, b=str, at=int),
+    "partition": _objects(a=list, b=list, at=int),
+    "delayBias": lambda v: _number(v) and v >= 0,
+    "reorder": lambda v: v in ("total", "tcp"),
+    "freezeCrashed": lambda v: isinstance(v, bool),
+}
+
+
 @dataclass(frozen=True)
 class Config:
     process: P.Process
@@ -86,13 +124,22 @@ class Config:
 
 @dataclass(frozen=True)
 class Step:
+    """One enabled reduction.  Its edits, (path, new subterm) pairs applied
+    to `root` in turn, are the thread's continuation plus, for R-send and
+    R-recv, the session buffer's new entries; R-drop edits the buffer alone."""
     rule: str
     detail: tuple  # sorted (key, value) pairs describing the redex
-    process: P.Process
     weight: float
+    root: P.Process
+    edits: tuple
 
-    def detail_dict(self) -> dict:
-        return dict(self.detail)
+    @property
+    def process(self) -> P.Process:
+        """The process after this step, rewritten on every read."""
+        p = self.root
+        for path, new in self.edits:
+            p = _rebuild(p, path, new)
+        return p
 
 
 @dataclass(frozen=True)
@@ -127,34 +174,19 @@ class Trace:
 
 
 def _rebuild(p: P.Process, path: tuple, new: P.Process) -> P.Process:
+    """p with the subterm at path (a path of `_collect`) replaced by new."""
     if not path:
         return new
     i, rest = path[0], path[1:]
-    if isinstance(p, P.Send):
-        return replace(p, cont=_rebuild(p.cont, rest, new))
-    if isinstance(p, P.Branch):
-        if i < len(p.arms):
-            arms = list(p.arms)
-            arms[i] = replace(arms[i], cont=_rebuild(arms[i].cont, rest, new))
-            return replace(p, arms=tuple(arms))
-        return replace(p, timeout=_rebuild(p.timeout, rest, new))
-    if isinstance(p, (P.Choice, P.Par)):
+    if isinstance(p, P.Par):
         if i == 0:
             return replace(p, left=_rebuild(p.left, rest, new))
         return replace(p, right=_rebuild(p.right, rest, new))
     if isinstance(p, P.Restriction):
         return replace(p, body=_rebuild(p.body, rest, new))
     if isinstance(p, P.Def):
-        if i == 0:
-            return replace(p, body=_rebuild(p.body, rest, new))
         return replace(p, cont=_rebuild(p.cont, rest, new))
-    raise ValueError("path into a leaf process")
-
-
-def _get(p: P.Process, path: tuple) -> P.Process:
-    for i in path:
-        p = P.children(p)[i]
-    return p
+    raise ValueError("path outside the running threads")
 
 
 # ---------------------------------------------------------------------------
@@ -162,27 +194,32 @@ def _get(p: P.Process, path: tuple) -> P.Process:
 
 
 def _collect(root: P.Process):
-    """(redex sites, buffer paths per session, def environment per path)."""
+    """(redex sites, (path, node) of each session's buffer).  Paths run
+    through `Par`, `Restriction` and a `Def`'s continuation only: the
+    running threads."""
     sites = []   # (path, node, env dict at that point)
-    buffers = {}  # session -> path
+    buffers = {}  # session -> (path, Buffer)
 
     def walk(p, path, env):
-        if isinstance(p, P.Buffer):
-            buffers[p.session] = path
-            sites.append((path, p, env))
-            return
         if isinstance(p, P.Def):
             env2 = dict(env)
             env2[p.name] = (p.params, p.body)
             walk(p.cont, path + (1,), env2)
             return
         sites.append((path, p, env))
-        if isinstance(p, (P.Par, P.Restriction)):
+        if isinstance(p, P.Buffer):
+            buffers[p.session] = (path, p)
+        elif isinstance(p, (P.Par, P.Restriction)):
             for i, c in enumerate(P.children(p)):
                 walk(c, path + (i,), env)
 
     walk(root, (), {})
     return sites, buffers
+
+
+def _message_detail(e: P.BufMsg, session: str) -> tuple:
+    return (("from", e.frm), ("label", e.label), ("session", session),
+            ("to", e.to), ("value", P.render_value(e.value)))
 
 
 def _droppable(e: P.BufMsg, r: Reliability, policy: str,
@@ -199,7 +236,8 @@ def _droppable(e: P.BufMsg, r: Reliability, policy: str,
 def enabled_steps(c: Config, r: Reliability, policy: str,
                   scenario: FailureScenario) -> list:
     """All enabled reductions with their scenario weights, deterministically
-    ordered.  Weight 0 marks a step the sampler will never take."""
+    ordered.  Weight 0 marks a step the sampler will never take.  No step's
+    process is built here: see `Step.process`."""
     root, step = c.process, c.step_count
     sites, buffers = _collect(root)
     heads = {path: buffer_heads(P.buffer_keys(node.entries), scenario.reorder)
@@ -212,67 +250,54 @@ def enabled_steps(c: Config, r: Reliability, policy: str,
                 continue
             if s not in buffers:
                 continue
-            new = _rebuild(root, path, node.cont)
-            bpath = buffers[s]
-            buf = _get(new, bpath)
+            bpath, buf = buffers[s]
             entry = P.BufMsg(role, node.to, node.label, node.value)
-            new = _rebuild(new, bpath, replace(buf, entries=buf.entries + (entry,)))
-            out.append(Step(RULE_SEND, (("from", role), ("label", node.label),
-                                        ("session", s), ("to", node.to),
-                                        ("value", P.render_value(node.value))),
-                            new, 1.0))
+            out.append(Step(RULE_SEND, _message_detail(entry, s), 1.0, root, (
+                (path, node.cont),
+                (bpath, replace(buf, entries=buf.entries + (entry,))))))
         elif isinstance(node, P.Branch) and isinstance(node.ch, P.Endpoint):
             s, role = node.ch.session, node.ch.role
             if scenario.crashed(role, step) and scenario.freeze_crashed:
                 continue
-            bpath = buffers.get(s)
-            entries = () if bpath is None else _get(root, bpath).entries
+            bpath, buf = buffers.get(s, (None, None))
             matched = False
             for i in heads.get(bpath, ()):
-                e = entries[i]
+                e = buf.entries[i]
                 if e.to != role:
                     continue
-                for ai, arm in enumerate(node.arms):
+                for arm in node.arms:
                     if arm.frm != e.frm or arm.label != e.label:
                         continue
                     matched = True
-                    cont = P.subst(arm.cont, {arm.var: e.value})
-                    new = _rebuild(root, path, cont)
-                    nbuf = _get(new, buffers[s])
-                    new = _rebuild(new, buffers[s], replace(
-                        nbuf, entries=nbuf.entries[:i] + nbuf.entries[i + 1:]))
-                    out.append(Step(RULE_RECV, (("from", e.frm), ("label", e.label),
-                                                ("session", s), ("to", role),
-                                                ("value", P.render_value(e.value))),
-                                    new, 1.0))
+                    rest = buf.entries[:i] + buf.entries[i + 1:]
+                    out.append(Step(RULE_RECV, _message_detail(e, s), 1.0, root, (
+                        (path, P.subst(arm.cont, {arm.var: e.value})),
+                        (bpath, replace(buf, entries=rest)))))
             if node.timeout is not None and (policy == UNRESTRICTED
                                              or r.needs_timeout(role, node.arms)):
                 w = scenario.delay_bias if matched else 1.0
                 out.append(Step(RULE_TIMEOUT, (("role", role), ("session", s)),
-                                _rebuild(root, path, node.timeout), w))
+                                w, root, ((path, node.timeout),)))
         elif isinstance(node, P.Choice):
-            out.append(Step(RULE_CHOICE, (("side", "left"),),
-                            _rebuild(root, path, node.left), 1.0))
-            out.append(Step(RULE_CHOICE, (("side", "right"),),
-                            _rebuild(root, path, node.right), 1.0))
+            out.append(Step(RULE_CHOICE, (("side", "left"),), 1.0, root,
+                            ((path, node.left),)))
+            out.append(Step(RULE_CHOICE, (("side", "right"),), 1.0, root,
+                            ((path, node.right),)))
         elif isinstance(node, P.Call):
             if node.name in env:
                 params, body = env[node.name]
                 sub = {v: a for (v, _), a in zip(params, node.args)}
-                out.append(Step(RULE_CALL, (("name", node.name),),
-                                _rebuild(root, path, P.subst(body, sub)), 1.0))
+                out.append(Step(RULE_CALL, (("name", node.name),), 1.0, root,
+                                ((path, P.subst(body, sub)),)))
         elif isinstance(node, P.Buffer):
             for i in heads[path]:
                 e = node.entries[i]
                 allowed, w = _droppable(e, r, policy, scenario, step)
                 if not allowed:
                     continue
-                new = _rebuild(root, path, replace(
-                    node, entries=node.entries[:i] + node.entries[i + 1:]))
-                out.append(Step(RULE_DROP, (("from", e.frm), ("label", e.label),
-                                            ("session", node.session), ("to", e.to),
-                                            ("value", P.render_value(e.value))),
-                                new, w))
+                rest = node.entries[:i] + node.entries[i + 1:]
+                out.append(Step(RULE_DROP, _message_detail(e, node.session), w,
+                                root, ((path, replace(node, entries=rest)),)))
     out.sort(key=lambda s: (s.rule, s.detail))
     return out
 
@@ -317,8 +342,6 @@ def run(c0: Config, r: Reliability, policy: str, scenario: FailureScenario,
         events.append(TraceEvent(cfg.step_count, chosen.rule, chosen.detail,
                                  _buffer_digest(cfg.process)))
         configs.append(cfg)
-    else:
-        stuck = False
     return Trace(events, configs, cfg, stuck)
 
 

@@ -2,9 +2,14 @@
 exhaustive oracle, and the runtime monitors."""
 import io
 import json
+import pathlib
 import random
+from dataclasses import replace
 
-from magpi import parse
+import pytest
+
+import magpi.proc as P
+from magpi import parse, sim
 from magpi.cli import main
 from magpi.proc import (Branch, Buffer, Endpoint, Inaction, Par, Process,
                         RecvArm, Restriction, canonical_process, is_inactive,
@@ -13,7 +18,7 @@ from magpi.sim import (Config, FailureScenario, RELIABLE, Trace, TraceEvent,
                        UNRESTRICTED, enabled_steps,
                        exhaustive_small_step_oracle, mirror_on_context,
                        monitor_corollaries, run)
-from magpi.types import END, Reliability, UNIT
+from magpi.types import END, Reliability, UNIT, buffer_heads
 from tests.conftest import fixture_text
 
 CALM = FailureScenario()
@@ -249,3 +254,201 @@ system = new s:{ p: Sp, q: Sq } in ( s[p]!q:a().0 | s[q]&{ p?a(). 0 } | s:[] )
     for text in (with_def, inline):
         doc = _simulate_json(tmp_path, text)
         assert (doc["stuck"], doc["inactive"]) == (False, True), doc
+
+
+# -- enabled steps against the eager rewrite ------------------------------------
+#
+# `_reference_steps` is the simulator that built the rewritten process of
+# every enabled step up front (two rewrites for a send or a receive: the
+# thread, then the buffer, read back out of the rewritten tree).  The
+# simulator now describes each step by its edits and builds the process only
+# when a step is taken; both must list the same steps, in the same order,
+# leading to the same processes.
+
+
+def _ref_rebuild(p, path, new):
+    if not path:
+        return new
+    i, rest = path[0], path[1:]
+    if isinstance(p, P.Send):
+        return replace(p, cont=_ref_rebuild(p.cont, rest, new))
+    if isinstance(p, P.Branch):
+        if i < len(p.arms):
+            arms = list(p.arms)
+            arms[i] = replace(arms[i], cont=_ref_rebuild(arms[i].cont, rest, new))
+            return replace(p, arms=tuple(arms))
+        return replace(p, timeout=_ref_rebuild(p.timeout, rest, new))
+    if isinstance(p, (P.Choice, P.Par)):
+        if i == 0:
+            return replace(p, left=_ref_rebuild(p.left, rest, new))
+        return replace(p, right=_ref_rebuild(p.right, rest, new))
+    if isinstance(p, P.Restriction):
+        return replace(p, body=_ref_rebuild(p.body, rest, new))
+    if i == 0:
+        return replace(p, body=_ref_rebuild(p.body, rest, new))
+    return replace(p, cont=_ref_rebuild(p.cont, rest, new))
+
+
+def _ref_get(p, path):
+    for i in path:
+        p = P.children(p)[i]
+    return p
+
+
+def _ref_sites(root):
+    sites, buffers = [], {}
+
+    def walk(p, path, env):
+        if isinstance(p, P.Buffer):
+            buffers[p.session] = path
+            sites.append((path, p, env))
+        elif isinstance(p, P.Def):
+            walk(p.cont, path + (1,), {**env, p.name: (p.params, p.body)})
+        else:
+            sites.append((path, p, env))
+            if isinstance(p, (P.Par, P.Restriction)):
+                for i, c in enumerate(P.children(p)):
+                    walk(c, path + (i,), env)
+
+    walk(root, (), {})
+    return sites, buffers
+
+
+def _ref_detail(e, session):
+    return (("from", e.frm), ("label", e.label), ("session", session),
+            ("to", e.to), ("value", P.render_value(e.value)))
+
+
+def _reference_steps(c, r, policy, scenario):
+    """[(rule, detail, weight, process)] of every enabled step."""
+    root, step = c.process, c.step_count
+    sites, buffers = _ref_sites(root)
+    heads = {path: buffer_heads(P.buffer_keys(node.entries), scenario.reorder)
+             for path, node, _ in sites if isinstance(node, P.Buffer)}
+    frozen = scenario.freeze_crashed
+    out = []
+    for path, node, env in sites:
+        if isinstance(node, P.Send) and isinstance(node.ch, P.Endpoint):
+            s, role = node.ch.session, node.ch.role
+            if (scenario.crashed(role, step) and frozen) or s not in buffers:
+                continue
+            new = _ref_rebuild(root, path, node.cont)
+            buf = _ref_get(new, buffers[s])
+            e = P.BufMsg(role, node.to, node.label, node.value)
+            new = _ref_rebuild(new, buffers[s],
+                               replace(buf, entries=buf.entries + (e,)))
+            out.append(("R-send", _ref_detail(e, s), 1.0, new))
+        elif isinstance(node, P.Branch) and isinstance(node.ch, P.Endpoint):
+            s, role = node.ch.session, node.ch.role
+            if scenario.crashed(role, step) and frozen:
+                continue
+            bpath = buffers.get(s)
+            entries = () if bpath is None else _ref_get(root, bpath).entries
+            matched = False
+            for i in heads.get(bpath, ()):
+                e = entries[i]
+                if e.to != role:
+                    continue
+                for arm in node.arms:
+                    if arm.frm != e.frm or arm.label != e.label:
+                        continue
+                    matched = True
+                    new = _ref_rebuild(root, path,
+                                       P.subst(arm.cont, {arm.var: e.value}))
+                    buf = _ref_get(new, bpath)
+                    new = _ref_rebuild(new, bpath, replace(
+                        buf, entries=buf.entries[:i] + buf.entries[i + 1:]))
+                    out.append(("R-recv", _ref_detail(e, s), 1.0, new))
+            if node.timeout is not None and (policy == UNRESTRICTED
+                                             or r.needs_timeout(role, node.arms)):
+                out.append(("R-timeout", (("role", role), ("session", s)),
+                            scenario.delay_bias if matched else 1.0,
+                            _ref_rebuild(root, path, node.timeout)))
+        elif isinstance(node, P.Choice):
+            out.append(("R-choice", (("side", "left"),), 1.0,
+                        _ref_rebuild(root, path, node.left)))
+            out.append(("R-choice", (("side", "right"),), 1.0,
+                        _ref_rebuild(root, path, node.right)))
+        elif isinstance(node, P.Call) and node.name in env:
+            params, body = env[node.name]
+            sub = {v: a for (v, _), a in zip(params, node.args)}
+            out.append(("R-call", (("name", node.name),), 1.0,
+                        _ref_rebuild(root, path, P.subst(body, sub))))
+        elif isinstance(node, P.Buffer):
+            for i in heads[path]:
+                e = node.entries[i]
+                forced = (scenario.crashed(e.frm, step)
+                          or scenario.link_failed(e.frm, e.to, step))
+                if policy == RELIABLE and r.reliable(e.frm, e.to) and not forced:
+                    continue
+                w = 1.0 if forced else scenario.drop_prob(e.frm, e.to)
+                out.append(("R-drop", _ref_detail(e, node.session), w,
+                            _ref_rebuild(root, path, replace(
+                                node, entries=node.entries[:i] + node.entries[i + 1:]))))
+    out.sort(key=lambda s: (s[0], s[1]))
+    return out
+
+
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+def protocol_text(name: str) -> str:
+    """A fixture, or one of the golden meshes."""
+    golden = GOLDEN_DIR / f"{name}.magpi"
+    if golden.exists():
+        return golden.read_text(encoding="utf-8")
+    return fixture_text(name)
+
+
+@pytest.mark.parametrize("reorder", ["total", "tcp"])
+@pytest.mark.parametrize("name", ["dns", "leader", "mesh", "mesh_loop", "ping"])
+def test_enabled_steps_match_the_eager_reference(name, reorder):
+    pf = parse(protocol_text(name))
+    roles = sorted(pf.roles)
+    drops = {f"{a}->{b}": 0.3 for a in roles for b in roles if a != b}
+    scenarios = [
+        FailureScenario.from_json({"drop": drops, "reorder": reorder}),
+        FailureScenario.from_json({"drop": drops, "reorder": reorder,
+                                   "crash": [{"role": roles[0], "at": 4}]}),
+    ]
+    steps = 40 if name == "leader" else 120
+    checked = 0
+    for scen in scenarios:
+        for seed in range(3):
+            policy = (RELIABLE, UNRESTRICTED)[seed % 2]
+            tr = run(cfg(pf), pf.reliability, policy, scen, seed, steps)
+            for c in tr.configs:
+                got = [(s.rule, s.detail, s.weight, s.process)
+                       for s in enabled_steps(c, pf.reliability, policy, scen)]
+                assert got == _reference_steps(c, pf.reliability, policy, scen)
+                checked += len(got)
+    assert checked > 0
+
+
+# Edits of the step each rule takes: the thread, plus the buffer for a send
+# or a receive; a drop edits the buffer alone.
+EDITS = {"R-send": 2, "R-recv": 2, "R-drop": 1,
+         "R-timeout": 1, "R-choice": 1, "R-call": 1}
+
+
+def test_run_rewrites_only_the_step_it_takes(monkeypatch):
+    pf = parse(fixture_text("dns"))
+    rewrites, depth = 0, 0
+    rebuild = sim._rebuild
+
+    def counting(p, path, new):
+        nonlocal rewrites, depth
+        rewrites += depth == 0
+        depth += 1
+        try:
+            return rebuild(p, path, new)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(sim, "_rebuild", counting)
+    scen = FailureScenario.from_json({"drop": {"c->dns": 0.3, "dns->c": 0.3}})
+    for seed in range(5):
+        rewrites = 0
+        tr = run(cfg(pf), pf.reliability, UNRESTRICTED, scen, seed, 300)
+        assert tr.events
+        assert rewrites <= sum(EDITS[e.rule] for e in tr.events), seed
