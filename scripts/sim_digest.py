@@ -2,15 +2,17 @@
 """Print one SHA-256 over the simulator's outputs on a fixed grid of seeded
 runs, so that two versions of the simulator can be compared byte for byte.
 
-The grid is ping, dns, leader and both golden meshes × total/tcp reordering
-× six drop/crash/link/partition scenarios × reliable/unrestricted policy ×
-six seeds, 300 steps each: 720 runs.  Each run contributes the fields of
-`magpi simulate --json` (events, stuck, inactive, terminal, monitors) and
-its trace JSONL; with --configs, also the rendering of every configuration
-the run stored (much slower: a `leader` configuration renders to hundreds
-of kilobytes).
+The grid is the protocols and drop/crash/link/partition scenarios of the
+golden simulate runs (`tests/test_golden.py`: ping, dns, leader and both
+golden meshes) plus two more scenarios (heavy drops with delay bias, and a
+late crash that does not freeze) × total/tcp reordering × reliable/
+unrestricted policy × six seeds, 300 steps each: 720 runs.  Each run
+contributes the fields of `magpi simulate --json` (events, stuck, inactive,
+terminal, monitors) and its trace JSONL; with --configs, also the rendering
+of every configuration the run stored (much slower: a `leader`
+configuration renders to hundreds of kilobytes).
 
-Usage: python3 scripts/sim_digest.py [--steps N] [--seeds N] [--configs]
+Usage: python3 scripts/sim_digest.py [--configs]
 """
 from __future__ import annotations
 
@@ -21,36 +23,34 @@ import pathlib
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from magpi import parse  # noqa: E402
 from magpi.proc import canonical_process, is_inactive, render_process  # noqa: E402
 from magpi.sim import (Config, FailureScenario, RELIABLE, UNRESTRICTED,  # noqa: E402
                        monitor_corollaries, run)
+from test_golden import SIM_FILES, scenario  # noqa: E402
 
-FILES = ("fixtures/ping.magpi", "fixtures/dns.magpi", "fixtures/leader.magpi",
-         "tests/golden/mesh.magpi", "tests/golden/mesh_loop.magpi")
+STEPS = 300
+SEEDS = 6
 
 
-def scenarios(roles: list) -> list:
-    """Six scenario documents over a protocol's roles (sorted)."""
+def scenarios(roles: list, reorder: str) -> list:
+    """The golden scenarios over a protocol's sorted roles, and two more."""
     a, b, last = roles[0], roles[1], roles[-1]
-    return [
-        {"drop": {f"{x}->{y}": 0.3 for x in roles for y in roles if x != y}},
+    extra = [
         {"drop": {f"{a}->{b}": 0.9, f"{b}->{a}": 0.9}, "delayBias": 0.5},
-        {"drop": {f"{a}->{b}": 0.2}, "crash": [{"role": a, "at": 3}]},
         {"crash": [{"role": last, "at": 10}], "freezeCrashed": False},
-        {"links": [{"a": a, "b": b, "at": 2}]},
-        {"partition": [{"a": roles[:1], "b": roles[1:], "at": 4}],
-         "delayBias": 0.2},
     ]
+    return ([scenario(kind, roles, reorder)
+             for kind in ("drop", "crash", "link", "partition")]
+            + [dict(doc, reorder=reorder) for doc in extra])
 
 
-def run_record(pf, doc: dict, policy: str, seed: int, steps: int,
-               configs: bool) -> bytes:
+def run_record(pf, doc: dict, policy: str, seed: int, configs: bool) -> bytes:
     """The bytes one run contributes to the digest."""
     trace = run(Config(pf.system_with_defs()), pf.reliability, policy,
-                FailureScenario.from_json(doc), seed, steps)
+                FailureScenario.from_json(doc), seed, STEPS)
     fields = {
         "events": len(trace.events),
         "stuck": trace.stuck,
@@ -67,22 +67,18 @@ def run_record(pf, doc: dict, policy: str, seed: int, steps: int,
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--steps", type=int, default=300)
-    ap.add_argument("--seeds", type=int, default=6)
     ap.add_argument("--configs", action="store_true",
                     help="also hash every stored configuration's rendering")
     args = ap.parse_args()
     h = hashlib.sha256()
     runs = 0
-    for f in FILES:
+    for f in SIM_FILES:
         pf = parse((ROOT / f).read_text(encoding="utf-8"))
         for reorder in ("total", "tcp"):
-            for doc in scenarios(sorted(pf.roles)):
-                doc = dict(doc, reorder=reorder)
+            for doc in scenarios(sorted(pf.roles), reorder):
                 for policy in (RELIABLE, UNRESTRICTED):
-                    for seed in range(args.seeds):
-                        h.update(run_record(pf, doc, policy, seed, args.steps,
-                                            args.configs))
+                    for seed in range(SEEDS):
+                        h.update(run_record(pf, doc, policy, seed, args.configs))
                         runs += 1
     print(f"{h.hexdigest()}  ({runs} runs)")
     return 0

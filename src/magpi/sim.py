@@ -12,8 +12,10 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import sys
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 from . import proc as P
 from .context import TypeContext
@@ -88,7 +90,9 @@ class FailureScenario:
 
 
 def _number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite JSON number (`1e400` reads as inf; a bool is not a number)."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 def _objects(**fields):
@@ -133,9 +137,9 @@ class Step:
     root: P.Process
     edits: tuple
 
-    @property
+    @cached_property
     def process(self) -> P.Process:
-        """The process after this step, rewritten on every read."""
+        """The process after this step, rewritten on the first read."""
         p = self.root
         for path, new in self.edits:
             p = _rebuild(p, path, new)

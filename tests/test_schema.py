@@ -120,6 +120,10 @@ SCHEMA_INVALID_SCENARIOS = [
 # The schema leaves the form of a drop key to its description ('from->to').
 MALFORMED_DROP_KEYS = [{"drop": {"pq": 0.5}}, {"drop": {"p->q->r": 0.5}},
                        {"drop": {"->q": 0.5}}]
+# Numbers that JSON can spell but a float cannot hold: `1e400` reads as inf,
+# which makes every weighted choice pick the last step.
+NON_FINITE = [{"delayBias": 1e400}, {"delayBias": 10 ** 400},
+              {"crash": [{"role": "q", "at": 10 ** 400}]}]
 
 
 def _bench_scenarios() -> list:
@@ -142,6 +146,7 @@ def _bench_scenarios() -> list:
     *((doc, False, False) for doc in SCHEMA_INVALID_SCENARIOS),
     *((doc, True, False) for doc in MALFORMED_DROP_KEYS),
     *((doc, True, True) for doc in _bench_scenarios()),
+    *((doc, True, False) for doc in NON_FINITE),
 ])
 def test_scenario_file_loads_only_if_it_validates(tmp_path, doc, schema_valid, loads):
     assert (errors("scenario.json", doc) == []) == schema_valid
