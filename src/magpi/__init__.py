@@ -15,9 +15,8 @@ from .pretty import ast_equal, pretty, protocol_equal
 from .context import (TypeContext, compose, context_key, end_predicate,
                       gc_predicate, insert_message, render_context,
                       split_end_gc)
-from .lts import (ComAct, Exceeded, ExploreLimits, FULL, LtsGraph,
-                  SEND_COM_ONLY, SendAct, TimeoutAct, context_transitions,
-                  explore, export_lts)
+from .lts import (ComAct, Exceeded, ExploreLimits, LtsGraph, SendAct,
+                  TimeoutAct, context_transitions, explore, export_lts)
 from .verify import (HOLDS, INCONCLUSIVE, VIOLATED, Verdict, check_bound_k,
                      check_bounded, check_comm_safe_RF, check_deadlock_free,
                      check_live, check_never_terminating, check_safety,

@@ -135,8 +135,7 @@ def cmd_verify(args, out) -> int:
     graph = graphs.built(r)
     if graph is None:
         stats_limits = ExploreLimits(min(limits.max_states, STATS_STATE_CAP),
-                                     limits.max_buffer_len, limits.mode,
-                                     limits.relation)
+                                     limits.max_buffer_len, limits.mode)
         graph = explore(g0, sigma, r, stats_limits)
     stats = ({"states": len(graph.states), "edges": len(graph.edges)}
              if not isinstance(graph, Exceeded)
@@ -175,6 +174,10 @@ def cmd_simulate(args, out) -> int:
         try:
             with open(args.scenario, encoding="utf-8") as fh:
                 scenario = FailureScenario.from_json(json.load(fh))
+            unknown = scenario.roles() - set(pf.roles)
+            if unknown:
+                raise ValueError("undeclared role(s) "
+                                 + ", ".join(map(repr, sorted(unknown))))
         except (OSError, ValueError, KeyError, TypeError) as exc:
             print(f"error: bad scenario file: {exc}", file=out)
             return EXIT_USAGE
@@ -209,6 +212,19 @@ def cmd_simulate(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+    def parse_int(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+    return parse_int
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="magpi",
                                  description="protocol typechecker, verifier "
@@ -218,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("file")
         sp.add_argument("--json", action="store_true")
-        sp.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
+        sp.add_argument("--max-states", type=_int_at_least(1),
+                        default=DEFAULT_MAX_STATES)
 
     c = sub.add_parser("check", help="typecheck a protocol file")
     common(c)
@@ -226,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="verify type-level properties")
     common(v)
     v.add_argument("--props", default="")
-    v.add_argument("--bound", type=int, default=0)
+    v.add_argument("--bound", type=_int_at_least(0), default=0)
     v.add_argument("--mode", choices=("total", "tcp"), default="total")
     v.add_argument("--dot", default="")
     v.add_argument("--unsafe-skip-typecheck", action="store_true")
@@ -235,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(s)
     s.add_argument("--scenario", default="")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--steps", type=int, default=1000)
+    s.add_argument("--steps", type=_int_at_least(0), default=1000)
     s.add_argument("--policy", choices=("reliable", "unrestricted"),
                    default="reliable")
     s.add_argument("--trace", default="")

@@ -69,16 +69,12 @@ class TimeoutAct:
 
 Action = object
 
-FULL = "full"
-SEND_COM_ONLY = "sendcom"
-
 
 @dataclass(frozen=True)
 class ExploreLimits:
     max_states: int = 100000
     max_buffer_len: int | None = None
     mode: CongruenceMode = CongruenceMode.TOTAL_REORDER
-    relation: str = FULL
 
     def __post_init__(self):
         if self.max_states < 1:
@@ -105,8 +101,7 @@ class Exceeded:
 # binding and reuses the result in every state that holds it.
 
 
-def _own_moves(key: tuple, sbt: SessionBufferType, r: Reliability,
-               limits: ExploreLimits) -> tuple:
+def _own_moves(key: tuple, sbt: SessionBufferType, r: Reliability) -> tuple:
     """(sends, arms, timeout) of one tracked endpoint binding with a session:
     `sends` holds (SendAct, new binding) per selection arm; `arms` holds
     (arm, ComAct, receiver's new binding) per branch arm, enabled when the
@@ -124,8 +119,7 @@ def _own_moves(key: tuple, sbt: SessionBufferType, r: Reliability,
     arms = [(a, ComAct(session, a.frm, role, a.label), SessionBufferType(sbt.buffer, a.cont))
             for a in head.arms]
     timeout = None
-    if (limits.relation == FULL and head.timeout is not None
-            and r.needs_timeout(role, head.arms)):
+    if head.timeout is not None and r.needs_timeout(role, head.arms):
         timeout = (TimeoutAct(session, role), SessionBufferType(sbt.buffer, head.timeout))
     return [], arms, timeout
 
@@ -157,7 +151,7 @@ def context_transitions(g: TypeContext, sigma, r: Reliability,
         session, role = key
         if session not in sigma or sbt.session is None:
             continue
-        sends, arms, timeout = _own_moves(key, sbt, r, limits)
+        sends, arms, timeout = _own_moves(key, sbt, r)
         out += [(act, g.with_endpoint(key, nsbt)) for act, nsbt in sends]
         for arm, act, nsbt in arms:
             skey = (session, arm.frm)
@@ -279,7 +273,7 @@ def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits,
         i = slot[key]
         if key[0] not in sigma or sbt.session is None:
             return _NO_MOVES
-        sends, arms, timeout = _own_moves(key, sbt, r, limits)
+        sends, arms, timeout = _own_moves(key, sbt, r)
         return ([(a.render(), a, ((i, intern(i, n)),)) for a, n in sends],
                 [(a.render(), a, slot[key[0], arm.frm], (key[1], arm.label, arm.payload),
                   intern(i, n))

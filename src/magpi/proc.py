@@ -192,7 +192,7 @@ def subterms(p: Process) -> list:
 
 def _preorder(p: Process, out: list) -> None:
     # Recursion depth is the term's nesting depth, as in the other walkers
-    # here; an explicit stack measured slower on the simulator's per-step walks.
+    # here.
     out.append(p)
     for c in children(p):
         _preorder(c, out)

@@ -69,6 +69,13 @@ class FailureScenario:
                                float(doc.get("delayBias", 0.0)), mode,
                                doc.get("freezeCrashed", True))
 
+    def roles(self) -> set:
+        """Every role the scenario names."""
+        return ({x for (f, t), _ in self.drop for x in (f, t)}
+                | {x for x, _ in self.crash}
+                | {x for a, b, _ in self.links for x in (a, b)}
+                | {x for left, right, _ in self.partitions for x in left + right})
+
     def drop_prob(self, frm: str, to: str) -> float:
         for (f, t), p in self.drop:
             if f == frm and t == to:
@@ -151,7 +158,7 @@ class TraceEvent:
     step: int
     rule: str
     detail: tuple
-    buffers: str  # digest of all session buffers after the step
+    buffers: str  # digest of the running session buffers after the step
 
     def detail_dict(self) -> dict:
         return dict(self.detail)
@@ -197,12 +204,13 @@ def _rebuild(p: P.Process, path: tuple, new: P.Process) -> P.Process:
 # enabled steps
 
 
-def _collect(root: P.Process):
-    """(redex sites, (path, node) of each session's buffer).  Paths run
-    through `Par`, `Restriction` and a `Def`'s continuation only: the
-    running threads."""
-    sites = []   # (path, node, env dict at that point)
-    buffers = {}  # session -> (path, Buffer)
+def _collect(root: P.Process) -> list:
+    """The running configuration of root: a (path, node, def environment)
+    site per node on the paths through `Par`, `Restriction` and a `Def`'s
+    continuation.  The thread heads and session buffers are its leaves;
+    nothing below a head (continuations, arms, timeouts, choice sides,
+    `def` bodies) is visited."""
+    sites = []
 
     def walk(p, path, env):
         if isinstance(p, P.Def):
@@ -211,14 +219,12 @@ def _collect(root: P.Process):
             walk(p.cont, path + (1,), env2)
             return
         sites.append((path, p, env))
-        if isinstance(p, P.Buffer):
-            buffers[p.session] = (path, p)
-        elif isinstance(p, (P.Par, P.Restriction)):
+        if isinstance(p, (P.Par, P.Restriction)):
             for i, c in enumerate(P.children(p)):
                 walk(c, path + (i,), env)
 
     walk(root, (), {})
-    return sites, buffers
+    return sites
 
 
 def _message_detail(e: P.BufMsg, session: str) -> tuple:
@@ -243,7 +249,9 @@ def enabled_steps(c: Config, r: Reliability, policy: str,
     ordered.  Weight 0 marks a step the sampler will never take.  No step's
     process is built here: see `Step.process`."""
     root, step = c.process, c.step_count
-    sites, buffers = _collect(root)
+    sites = _collect(root)
+    buffers = {node.session: (path, node) for path, node, _ in sites
+               if isinstance(node, P.Buffer)}
     heads = {path: buffer_heads(P.buffer_keys(node.entries), scenario.reorder)
              for path, node, _ in sites if isinstance(node, P.Buffer)}
     out = []
@@ -311,7 +319,8 @@ def enabled_steps(c: Config, r: Reliability, policy: str,
 
 
 def _buffer_digest(p: P.Process) -> str:
-    parts = [P.render_process(q) for q in P.subterms(p) if isinstance(q, P.Buffer)]
+    """Hash of the running configuration's session buffers, each rendered."""
+    parts = [P.render_process(q) for _, q, _ in _collect(p) if isinstance(q, P.Buffer)]
     parts.sort()
     return hashlib.sha256("|".join(parts).encode()).hexdigest()[:12]
 
@@ -390,22 +399,17 @@ class MonitorViolation:
                 "role": self.role, "step": self.step}
 
 
-def _branch_violations(p: P.Process, r: Reliability, step: int) -> list:
+def monitor_corollaries(t: Trace, r: Reliability) -> list:
+    """Check every thread that waits on a branching in a stored configuration:
+    a timeout-less branching must only await reliable sources, and a
+    timeout-bearing branching must await at least one unreliable source.  A
+    branching below a thread head is checked once it becomes a head."""
     return [MonitorViolation("Cor1" if q.timeout is None else "Cor2",
-                             q.ch.session, q.ch.role, step)
-            for q in P.subterms(p)
+                             q.ch.session, q.ch.role, i)
+            for i, cfg in enumerate(t.configs)
+            for _, q, _ in _collect(cfg.process)
             if isinstance(q, P.Branch) and isinstance(q.ch, P.Endpoint)
             and (q.timeout is not None) != r.needs_timeout(q.ch.role, q.arms)]
-
-
-def monitor_corollaries(t: Trace, r: Reliability) -> list:
-    """Scan every intermediate process: a timeout-less branching must only
-    await reliable sources, and a timeout-bearing branching must await at
-    least one unreliable source."""
-    out = []
-    for i, cfg in enumerate(t.configs):
-        out.extend(_branch_violations(cfg.process, r, i))
-    return out
 
 
 # ---------------------------------------------------------------------------

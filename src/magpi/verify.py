@@ -7,8 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .context import TypeContext, split_end_gc
-from .lts import (ComAct, Exceeded, ExploreLimits, FULL, LtsGraph,
-                  SEND_COM_ONLY, action_to_json, explore, occupancy)
+from .lts import (ComAct, Exceeded, ExploreLimits, LtsGraph, action_to_json,
+                  explore, occupancy)
 from .types import (Branch, CongruenceMode, Reliability, Select, TypeClasses,
                     buffer_heads, buffer_keys, resolve, session_nodes,
                     type_equal)
@@ -61,41 +61,33 @@ class Graphs:
     """The explored graphs of one verify run, each built at most once and
     shared by every property that reads it.
 
-    A graph is fixed by its reliability map, congruence mode and relation.
-    The map and the relation only decide whether timeouts are enabled, so
-    when no timeout can fire under the map, the graph is the send/com-only
-    graph of that mode whatever the map: under the fully reliable map,
-    comm-rf and tcp read one graph."""
+    A graph is fixed by its reliability map and congruence mode.  The map
+    only decides which timeouts are enabled, so when no timeout can fire
+    under the map, the graph is the timeout-free graph of that mode whatever
+    the map: under the fully reliable map, comm-rf and tcp read one graph."""
 
     def __init__(self, g0: TypeContext, sigma, limits: ExploreLimits):
         self.g0, self.sigma, self.limits = g0, sigma, limits
         self._built: dict = {}
         self._times_out: dict = {}  # map -> _may_time_out(g0, map)
 
-    def _key(self, r: Reliability, mode, relation) -> tuple:
-        mode = self.limits.mode if mode is None else mode
-        relation = self.limits.relation if relation is None else relation
+    def _key(self, r: Reliability, mode) -> tuple:
         if r not in self._times_out:
             self._times_out[r] = _may_time_out(self.g0, r)
-        if relation == FULL and self._times_out[r]:
-            return (mode, FULL, r)
-        return (mode, SEND_COM_ONLY, None)
+        return (self.limits.mode if mode is None else mode,
+                r if self._times_out[r] else None)
 
-    def get(self, r: Reliability, mode: CongruenceMode | None = None,
-            relation: str | None = None):
-        """The LtsGraph (or Exceeded) under r; mode and relation default to
-        the run's limits."""
-        key = self._key(r, mode, relation)
+    def get(self, r: Reliability, mode: CongruenceMode | None = None):
+        """The LtsGraph (or Exceeded) under r; mode defaults to the run's."""
+        key = self._key(r, mode)
         if key not in self._built:
             self._built[key] = explore(self.g0, self.sigma, r, ExploreLimits(
-                self.limits.max_states, self.limits.max_buffer_len, key[0],
-                key[1]))
+                self.limits.max_states, self.limits.max_buffer_len, key[0]))
         return self._built[key]
 
-    def built(self, r: Reliability, mode: CongruenceMode | None = None,
-              relation: str | None = None):
+    def built(self, r: Reliability, mode: CongruenceMode | None = None):
         """The graph under r if a property has already built it, else None."""
-        return self._built.get(self._key(r, mode, relation))
+        return self._built.get(self._key(r, mode))
 
 
 def _graphs(graphs: Graphs | None, g0, sigma, limits) -> Graphs:
@@ -206,14 +198,13 @@ def check_safety(g0: TypeContext, sigma, r: Reliability,
 
 def check_tcp_safety(g0: TypeContext, sigma, limits: ExploreLimits,
                      graphs: Graphs | None = None) -> Verdict:
-    """Per-pair FIFO safety over the send/com-only relation: whenever a
+    """Per-pair FIFO safety under the fully reliable map: whenever a
     receiver branches on messages from p, the (p, receiver)-channel head (if
     any) must match some arm from p on both label and payload type.  The
     base safety conditions are included, evaluated under the FIFO congruence,
     so this property is strictly stronger than the reordering one."""
     r = _fully_reliable(g0)
-    graph = _graphs(graphs, g0, sigma, limits).get(
-        r, CongruenceMode.TCP_FIFO, SEND_COM_ONLY)
+    graph = _graphs(graphs, g0, sigma, limits).get(r, CongruenceMode.TCP_FIFO)
     if isinstance(graph, Exceeded):
         return _inconclusive(graph)
     for sid, state in enumerate(graph.states):
@@ -381,7 +372,7 @@ def check_comm_safe_RF(g0: TypeContext, sigma, limits: ExploreLimits,
 
 def _shared_complete(graphs: Graphs | None, r: Reliability,
                      mode: CongruenceMode) -> LtsGraph | None:
-    graph = None if graphs is None else graphs.built(r, mode, FULL)
+    graph = None if graphs is None else graphs.built(r, mode)
     return graph if isinstance(graph, LtsGraph) else None
 
 

@@ -10,9 +10,8 @@ from magpi import parse, parse_session_text
 from magpi.cli import initial_context
 from magpi.context import (TypeContext, canonical_context, context_classes,
                            context_key, render_context)
-from magpi.lts import (ComAct, ExploreLimits, Exceeded, FULL, LtsGraph,
-                       SEND_COM_ONLY, SendAct, TimeoutAct, context_transitions,
-                       explore, export_lts)
+from magpi.lts import (ComAct, ExploreLimits, Exceeded, LtsGraph, SendAct,
+                       TimeoutAct, context_transitions, explore, export_lts)
 from magpi.types import (BufEntry, CongruenceMode, Reliability,
                          SessionBufferType, UNIT, format_type)
 from tests.conftest import fixture_text
@@ -45,7 +44,7 @@ def test_send_appends_to_own_buffer():
     # [DERIVED] a selection step adds the typed message to the sender's
     # buffer component and advances the session.
     g = ctx({("s", "p"): sbt(S("q!a(int).end"))})
-    steps = context_transitions(g, {"s"}, RF, ExploreLimits(mode=CongruenceMode.TOTAL_REORDER, relation=FULL))
+    steps = context_transitions(g, {"s"}, RF, ExploreLimits(mode=CongruenceMode.TOTAL_REORDER))
     assert len(steps) == 1
     act, g2 = steps[0]
     assert isinstance(act, SendAct)
@@ -56,7 +55,7 @@ def test_send_appends_to_own_buffer():
 def test_com_consumes_matching_head():
     g = ctx({("s", "p"): sbt(None, BufEntry("q", "a", UNIT)),
              ("s", "q"): sbt(S("p?a().end"))})
-    steps = context_transitions(g, {"s"}, RF, ExploreLimits(mode=CongruenceMode.TOTAL_REORDER, relation=FULL))
+    steps = context_transitions(g, {"s"}, RF, ExploreLimits(mode=CongruenceMode.TOTAL_REORDER))
     assert len(steps) == 1
     act, g2 = steps[0]
     assert isinstance(act, ComAct)
@@ -66,7 +65,7 @@ def test_com_consumes_matching_head():
 def test_com_requires_type_match():
     g = ctx({("s", "p"): sbt(None, BufEntry("q", "a", UNIT)),
              ("s", "q"): sbt(S("p?a(int).end"))})
-    steps = context_transitions(g, {"s"}, RF, ExploreLimits(mode=CongruenceMode.TOTAL_REORDER, relation=FULL))
+    steps = context_transitions(g, {"s"}, RF, ExploreLimits(mode=CongruenceMode.TOTAL_REORDER))
     assert steps == []
 
 
@@ -76,18 +75,13 @@ def test_com_requires_tracked_session():
     assert context_transitions(g, set(), RF, ExploreLimits()) == []
 
 
-def test_timeout_needs_unreliable_source_and_full_relation():
+def test_timeout_needs_unreliable_source():
     g = ctx({("s", "q"): sbt(S("&{ p?a().end, timeout. end }"))})
     # Unreliable source: the timeout fires.
-    steps = context_transitions(g, {"s"}, R0, ExploreLimits(mode=CongruenceMode.TOTAL_REORDER, relation=FULL))
+    steps = context_transitions(g, {"s"}, R0, ExploreLimits(mode=CongruenceMode.TOTAL_REORDER))
     assert any(isinstance(a, TimeoutAct) for a, _ in steps)
     # Fully reliable: it must not.
-    steps = context_transitions(g, {"s"}, RF, ExploreLimits(mode=CongruenceMode.TOTAL_REORDER, relation=FULL))
-    assert steps == []
-    # Send/receive-only relation: it must not either.
-    steps = context_transitions(
-        g, {"s"}, R0, ExploreLimits(mode=CongruenceMode.TOTAL_REORDER,
-                                    relation=SEND_COM_ONLY))
+    steps = context_transitions(g, {"s"}, RF, ExploreLimits(mode=CongruenceMode.TOTAL_REORDER))
     assert steps == []
 
 
@@ -98,8 +92,8 @@ def test_total_reorder_reaches_deeper_entries():
     g = ctx({("s", "p"): sbt(None, BufEntry("q", "b", UNIT),
                              BufEntry("q", "a", UNIT)),
              ("s", "q"): sbt(S("p?a().p?b().end"))})
-    total = context_transitions(g, {"s"}, RF, ExploreLimits(mode=CongruenceMode.TOTAL_REORDER, relation=FULL))
-    fifo = context_transitions(g, {"s"}, RF, ExploreLimits(mode=CongruenceMode.TCP_FIFO, relation=FULL))
+    total = context_transitions(g, {"s"}, RF, ExploreLimits(mode=CongruenceMode.TOTAL_REORDER))
+    fifo = context_transitions(g, {"s"}, RF, ExploreLimits(mode=CongruenceMode.TCP_FIFO))
     assert any(isinstance(a, ComAct) and a.label == "a" for a, _ in total)
     assert not any(isinstance(a, ComAct) and a.label == "a" for a, _ in fifo)
 
@@ -158,19 +152,6 @@ def test_buffer_limit_trips_with_witness():
     out = explore(g, {"s"}, RF, ExploreLimits(max_buffer_len=3))
     assert isinstance(out, Exceeded) and out.kind == "bufferLen"
     assert len(out.witness) == 3  # three sends reach the bound
-
-
-def test_fully_reliable_send_com_equals_full():
-    # [DERIVED] under R_F the timeout rule never fires, so the full relation
-    # and the send/receive-only relation generate the same graph.
-    pf = parse(fixture_text("ping"))
-    g0, sess = initial_context(pf)
-    rf = Reliability.fully_reliable(set(pf.roles))
-    full = explore(g0, {sess}, rf, ExploreLimits())
-    sc = explore(g0, {sess}, rf,
-                 ExploreLimits(relation=SEND_COM_ONLY))
-    key = lambda s: context_key(s, CongruenceMode.TOTAL_REORDER)
-    assert {key(s) for s in full.states} == {key(s) for s in sc.states}
 
 
 def _path(parents, sid):
@@ -298,8 +279,7 @@ def _outcome(out):
             {n: (p, _act(a)) for n, (p, a) in parents.items()})
 
 
-@pytest.mark.parametrize("relation", (FULL, SEND_COM_ONLY))
-def test_explore_matches_reference_under_every_limit(relation):
+def test_explore_matches_reference_under_every_limit():
     # Every state cap from 1 to the full size, with and without a buffer
     # bound, under the input's map and the fully reliable one, BFS and DFS:
     # the same graph, or the same Exceeded (kind, limit, witness and state).
@@ -311,9 +291,9 @@ def test_explore_matches_reference_under_every_limit(relation):
         rf = Reliability.fully_reliable({k[1] for k, _ in g0.endpoints})
         for rel, bound, order in itertools.product((r, rf), (None, 1, 2, 3), ("bfs", "dfs")):
             run = _reference_run(g0, sigma, rel, ExploreLimits(
-                10 ** 9, bound, mode, relation), order)
+                10 ** 9, bound, mode), order)
             for cap in range(1, len(run[0]) + 1):
-                got = explore(g0, sigma, rel, ExploreLimits(cap, bound, mode, relation), order)
+                got = explore(g0, sigma, rel, ExploreLimits(cap, bound, mode), order)
                 assert _outcome(got) == _outcome(_capped(run, cap)), \
                     (name, rel is rf, bound, order, cap)
 

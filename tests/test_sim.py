@@ -209,6 +209,61 @@ def test_monitor_flags_timeout_on_reliable_wait():
     assert len(violations) == 1 and violations[0].kind == "Cor2"
 
 
+# The monitors judge the threads that wait now.  A branching that would
+# violate Cor1 if it were a head, placed anywhere below a thread head, is not
+# flagged: it is checked once a step makes it a head (the tests above flag
+# it at a head).
+
+_R_UNRELIABLE = Reliability.of({"p": set(), "q": set()})
+
+
+def _cor1_branch() -> Branch:
+    return Branch(Endpoint("s", "q"), (RecvArm("p", "a", "_", UNIT, Inaction()),),
+                  None)
+
+
+def _in_session(thread: Process) -> Process:
+    return Restriction("s", (("p", END), ("q", END)),
+                       Par(thread, Buffer("s", ())))
+
+
+def _waiting(arm_cont, timeout):
+    # A well-placed wait: q awaits an unreliable p and has a timeout.
+    return Branch(Endpoint("s", "q"), (RecvArm("p", "b", "_", UNIT, arm_cont),),
+                  timeout)
+
+
+@pytest.mark.parametrize("place", [
+    lambda b: _waiting(b, Inaction()),
+    lambda b: _waiting(Inaction(), b),
+    lambda b: P.Choice(b, Inaction()),
+    lambda b: P.Send(Endpoint("s", "p"), "q", "a", P.UNIT_VAL, b),
+    lambda b: P.Def("D", (), b, Inaction()),
+], ids=["arm", "timeout", "choice", "send", "def-body"])
+def test_monitors_skip_branchings_below_thread_heads(place):
+    proc = _in_session(place(_cor1_branch()))
+    assert monitor_corollaries(_one_config_trace(proc), _R_UNRELIABLE) == []
+
+
+_UNTAKEN_ARM = """
+protocol probe
+roles p, q, r
+reliability { p: {q}, q: {p} }
+type Sp @ p = q!a().end
+type Sq @ q = &{ p?a(). end, p?b(). &{ r?c(). end } }
+type Sr @ r = end
+system = new s:{ p: Sp, q: Sq, r: Sr } in
+  ( s[p]!q:a().0 | s[q]&{ p?a(). 0, p?b(). s[q]&{ r?c(). 0 } } | 0 | s:[] )
+"""
+
+
+def test_untaken_arm_is_not_monitored(tmp_path):
+    # q would wait on the unreliable r without a timeout only after `b`,
+    # which p never sends: the run is clean.
+    doc = _simulate_json(tmp_path, _UNTAKEN_ARM)
+    assert (doc["monitors"], doc["inactive"]) == ([], True)
+
+
 # -- trace serialization ----------------------------------------------------------
 
 

@@ -306,7 +306,7 @@ def test_run_explores_each_distinct_graph_once(monkeypatch):
     V.check_bounded(g0, {sess}, r, 8, tcp.mode, graphs=graphs)
     V.check_bound_k(g0, {sess}, r, 2, tcp.mode, graphs=graphs)
     # no timeout fires under the fully reliable map, so comm-rf and tcp
-    # read the same send/com graph
+    # read the same timeout-free graph
     V.check_comm_safe_RF(g0, {sess}, tcp, graphs)
     V.check_tcp_safety(g0, {sess}, tcp, graphs)
     assert len(calls) == 2
