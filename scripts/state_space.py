@@ -66,7 +66,7 @@ def main() -> int:
                 print(f"{k:>6} {mode.value:>6} {'-':>8} {'-':>8} {'-':>6} "
                       f"{timing(wall, rate)}  exceeded {g.kind}")
             else:
-                stuck = sum(1 for sid in range(len(g.states)) if g.stuck(sid))
+                stuck = len(g.stuck_ids)
                 print(f"{k:>6} {mode.value:>6} {len(g.states):>8} "
                       f"{len(g.edges):>8} {stuck:>6} {timing(wall, rate)}")
 

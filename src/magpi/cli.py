@@ -35,6 +35,16 @@ def _load(path: str) -> ProtocolFile:
             return parse(fh.read())
     except OSError as exc:
         raise MagpiError.usage(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise MagpiError.usage(f"cannot read {path}: not UTF-8 ({exc.reason})")
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise MagpiError.usage(f"cannot write {path}: {exc.strerror}")
 
 
 def initial_context(pf: ProtocolFile):
@@ -76,10 +86,6 @@ def cmd_check(args, out) -> int:
     return EXIT_OK if report.accepted else EXIT_VIOLATION
 
 
-PROP_NAMES = ("safety", "comm-rf", "deadlock", "terminating", "live",
-              "never", "tcp", "bounded")
-
-
 def cmd_verify(args, out) -> int:
     pf = _load(args.file)
     gate = _gate_typecheck(pf, args, out)
@@ -97,34 +103,31 @@ def cmd_verify(args, out) -> int:
     props = [p.strip() for p in args.props.split(",")] if args.props else \
         ["safety", "comm-rf", "deadlock", "terminating", "live"]
     graphs = V.Graphs(g0, sigma, limits)
-    results: dict = {}
-    minimal_k = None
+    # The checks are looked up when called, so that wrappers installed on
+    # the verify module see every call.
+    checks = {
+        "safety": lambda: V.check_safety(g0, sigma, r, limits, graphs=graphs),
+        "comm-rf": lambda: V.check_comm_safe_RF(g0, sigma, limits, graphs=graphs),
+        "deadlock": lambda: V.check_deadlock_free(g0, sigma, r, limits, graphs=graphs),
+        "terminating": lambda: V.check_terminating(g0, sigma, r, limits, graphs=graphs),
+        "live": lambda: V.check_live(g0, sigma, r, limits, graphs=graphs),
+        "never": lambda: V.check_never_terminating(g0, sigma, r, limits, graphs=graphs),
+        "tcp": lambda: V.check_tcp_safety(g0, sigma, limits, graphs=graphs),
+        "bounded": lambda: V.check_bounded(g0, sigma, r, args.bound or DEFAULT_BOUND_PROBE,
+                                           mode, graphs=graphs),
+    }
+    unknown = [name for name in props if name not in checks]
+    if unknown:
+        print(f"error: unknown property {unknown[0]!r} "
+              f"(expected one of {', '.join(checks)})", file=out)
+        return EXIT_USAGE
     # Boundedness reads its answer off the graph the other properties have
     # built, so it runs after them.
-    for name in sorted(props, key=lambda name: name == "bounded"):
-        if name == "safety":
-            results[name] = V.check_safety(g0, sigma, r, limits, graphs=graphs)
-        elif name == "comm-rf":
-            results[name] = V.check_comm_safe_RF(g0, sigma, limits, graphs=graphs)
-        elif name == "deadlock":
-            results[name] = V.check_deadlock_free(g0, sigma, r, limits, graphs=graphs)
-        elif name == "terminating":
-            results[name] = V.check_terminating(g0, sigma, r, limits, graphs=graphs)
-        elif name == "live":
-            results[name] = V.check_live(g0, sigma, r, limits, graphs=graphs)
-        elif name == "never":
-            results[name] = V.check_never_terminating(g0, sigma, r, limits,
-                                                      graphs=graphs)
-        elif name == "tcp":
-            results[name] = V.check_tcp_safety(g0, sigma, limits, graphs=graphs)
-        elif name == "bounded":
-            results[name], minimal_k = V.check_bounded(
-                g0, sigma, r, args.bound or DEFAULT_BOUND_PROBE, mode,
-                graphs=graphs)
-        else:
-            print(f"error: unknown property {name!r} "
-                  f"(expected one of {', '.join(PROP_NAMES)})", file=out)
-            return EXIT_USAGE
+    results = {name: checks[name]()
+               for name in sorted(props, key=lambda name: name == "bounded")}
+    minimal_k = None
+    if "bounded" in results:
+        results["bounded"], minimal_k = results["bounded"]
     if args.bound and "bounded" not in props:
         results[f"bound_{args.bound}"] = V.check_bound_k(
             g0, sigma, r, args.bound, mode, graphs=graphs)
@@ -141,8 +144,7 @@ def cmd_verify(args, out) -> int:
              if not isinstance(graph, Exceeded)
              else {"exceeded": graph.kind, "limit": graph.limit})
     if args.dot and not isinstance(graph, Exceeded):
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(export_lts(graph, "dot"))
+        _write(args.dot, export_lts(graph, "dot"))
     doc = {"properties": {k: v.to_json() for k, v in results.items()},
            "stats": stats}
     if minimal_k is not None:
@@ -186,8 +188,7 @@ def cmd_simulate(args, out) -> int:
                 scenario, args.seed, args.steps)
     lines = trace.to_json_lines()
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(lines + ("\n" if lines else ""))
+        _write(args.trace, lines + ("\n" if lines else ""))
     violations = monitor_corollaries(trace, pf.reliability)
     doc = {
         "events": len(trace.events),

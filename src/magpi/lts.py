@@ -172,7 +172,9 @@ def context_transitions(g: TypeContext, sigma, r: Reliability,
 
 @dataclass
 class LtsGraph:
-    """An explored LTS.  The successor and predecessor adjacency and the
+    """An explored LTS.  `explore` records each state's occupancy, the
+    largest number of messages any sender buffer holds for one recipient,
+    as it finds the state.  The successor and predecessor adjacency and the
     stuck states are derived from `edges` once, when the graph is made."""
 
     states: list            # state id -> TypeContext (canonical)
@@ -180,6 +182,7 @@ class LtsGraph:
     initial: int = 0
     parents: dict = field(default_factory=dict)  # id -> (parent id, Action)
     classes: TypeClasses | None = None  # the type classes every state is keyed by
+    occupancy: list = field(default_factory=list)  # id -> buffer occupancy
     succ: list = field(init=False, repr=False)   # id -> [(Action, to id)]
     pred: list = field(init=False, repr=False)   # id -> [from id]
     stuck_ids: list = field(init=False, repr=False)  # ids without successors, ascending
@@ -191,12 +194,6 @@ class LtsGraph:
             self.succ[f].append((a, t))
             self.pred[t].append(f)
         self.stuck_ids = [sid for sid, out in enumerate(self.succ) if not out]
-
-    def successors(self, sid: int) -> list:
-        return self.succ[sid]
-
-    def stuck(self, sid: int) -> bool:
-        return not self.succ[sid]
 
     def path_to(self, sid: int) -> tuple:
         return _path(self.parents, sid)
@@ -217,15 +214,6 @@ def _buffer_occupancy(buffer: tuple) -> int:
         n = counts[e.to] = counts.get(e.to, 0) + 1
         if n > best:
             best = n
-    return best
-
-
-def occupancy(g: TypeContext) -> int:
-    """Largest number of messages any sender buffer holds for one recipient."""
-    best = 0
-    for _, sbt in g.endpoints:
-        if sbt.buffer:
-            best = max(best, _buffer_occupancy(sbt.buffer))
     return best
 
 
@@ -291,9 +279,10 @@ def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits,
     parts = [tuple(part[b] for b in bids[0])]
     g0 = TypeContext(g0.vars, tuple(map(pairs.__getitem__, bids[0])))
     states, edges, parents = [g0], [], {}
+    occupancy = [max(map(occ.__getitem__, bids[0]), default=0)]
     ids = {parts[0]: 0}
     cap = limits.max_buffer_len
-    if cap is not None and any(occ[b] >= cap for b in bids[0]):
+    if cap is not None and occupancy[0] >= cap:
         return Exceeded("bufferLen", cap, (), g0)
     frontier = deque([0])
     take = frontier.popleft if order == "bfs" else frontier.pop
@@ -342,10 +331,12 @@ def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits,
             parts.append(key)
             parents[nid] = (sid, action)
             edges.append((sid, action, nid))
-            if cap is not None and any(occ[nb] >= cap for _, nb in changes):
+            occupancy.append(max(map(occ.__getitem__, nxt)))
+            if cap is not None and occupancy[nid] >= cap:
                 return Exceeded("bufferLen", cap, _path(parents, nid), g)
             frontier.append(nid)
-    return LtsGraph(states, edges, parents=parents, classes=classes)
+    return LtsGraph(states, edges, parents=parents, classes=classes,
+                    occupancy=occupancy)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +357,7 @@ def export_lts(g: LtsGraph, fmt: str = "json") -> str:
     if fmt == "json":
         doc = {
             "initial": g.initial,
-            "states": [{"id": i, "ctx": render_context(s), "stuck": g.stuck(i)}
+            "states": [{"id": i, "ctx": render_context(s), "stuck": not g.succ[i]}
                        for i, s in enumerate(g.states)],
             "edges": [{"from": f, "action": action_to_json(a), "to": t}
                       for f, a, t in g.edges],
@@ -375,7 +366,7 @@ def export_lts(g: LtsGraph, fmt: str = "json") -> str:
     if fmt == "dot":
         lines = ["digraph lts {"]
         for i, s in enumerate(g.states):
-            shape = "doublecircle" if g.stuck(i) else "circle"
+            shape = "circle" if g.succ[i] else "doublecircle"
             label = render_context(s).replace('"', '\\"')
             lines.append(f'  n{i} [shape={shape}, label="{i}: {label}"];')
         for f, a, t in g.edges:

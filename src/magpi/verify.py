@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .context import TypeContext, split_end_gc
 from .lts import (ComAct, Exceeded, ExploreLimits, LtsGraph, action_to_json,
-                  explore, occupancy)
+                  explore)
 from .types import (Branch, CongruenceMode, Reliability, Select, TypeClasses,
                     buffer_heads, buffer_keys, resolve, session_nodes,
                     type_equal)
@@ -42,6 +42,20 @@ class Verdict:
 
 def _inconclusive(exc: Exceeded) -> Verdict:
     return Verdict(INCONCLUSIVE, reason=exc.kind, limit=exc.limit)
+
+
+def _scan(graph, reason, stuck_only: bool = False) -> Verdict:
+    """The verdict of a per-state property on `graph` (or Exceeded):
+    violated at the lowest state id, among the stuck ones when `stuck_only`,
+    for which `reason(sid)` gives a reason, with the path to that state;
+    holds when no id does."""
+    if isinstance(graph, Exceeded):
+        return _inconclusive(graph)
+    for sid in graph.stuck_ids if stuck_only else range(len(graph.states)):
+        fail = reason(sid)
+        if fail is not None:
+            return Verdict(VIOLATED, reason=fail, witness=graph.path_to(sid))
+    return Verdict(HOLDS)
 
 
 # ---------------------------------------------------------------------------
@@ -113,9 +127,9 @@ def _branch_endpoints(g: TypeContext):
 
 def _receivable(entries: tuple, recipient: str, mode: CongruenceMode,
                 classes: TypeClasses) -> list:
-    """Indices of the entries recipient may consume next: the buffer
-    congruence's heads addressed to it."""
-    return [i for i in buffer_heads(buffer_keys(entries, classes), mode)
+    """The entries recipient may consume next: the buffer congruence's heads
+    addressed to it."""
+    return [entries[i] for i in buffer_heads(buffer_keys(entries, classes), mode)
             if entries[i].to == recipient]
 
 
@@ -131,11 +145,28 @@ def _state_safety_failure(g: TypeContext, r: Reliability, mode: CongruenceMode,
             sender = g.endpoint((session, arm.frm))
             if sender is None:
                 continue
-            for i in _receivable(sender.buffer, role, mode, classes):
-                e = sender.buffer[i]
+            for e in _receivable(sender.buffer, role, mode, classes):
                 if (e.label == arm.label
                         and not type_equal(e.payload, arm.payload)):
                     return "SP-Com"
+    return None
+
+
+def _fifo_head_failure(g: TypeContext, classes: TypeClasses | None) -> str | None:
+    """FIFO head safety on one context: "TCP" when a receiver branching on
+    messages from p has a (p, receiver)-channel head that matches no arm
+    from p on both label and payload type; None when satisfied."""
+    for (session, role), _, head in _branch_endpoints(g):
+        for frm in {a.frm for a in head.arms}:
+            sender = g.endpoint((session, frm))
+            if sender is None:
+                continue
+            for hd in _receivable(sender.buffer, role, CongruenceMode.TCP_FIFO,
+                                  classes):
+                if not any(a.frm == frm and a.label == hd.label
+                           and type_equal(a.payload, hd.payload)
+                           for a in head.arms):
+                    return "TCP"
     return None
 
 
@@ -187,13 +218,8 @@ def check_safety(g0: TypeContext, sigma, r: Reliability,
     if _static_safety_holds(g0, r):
         return Verdict(HOLDS, reason="static")
     graph = _graphs(graphs, g0, sigma, limits).get(r)
-    if isinstance(graph, Exceeded):
-        return _inconclusive(graph)
-    for sid, state in enumerate(graph.states):
-        fail = _state_safety_failure(state, r, limits.mode, graph.classes)
-        if fail is not None:
-            return Verdict(VIOLATED, reason=fail, witness=graph.path_to(sid))
-    return Verdict(HOLDS)
+    return _scan(graph, lambda sid: _state_safety_failure(
+        graph.states[sid], r, limits.mode, graph.classes))
 
 
 def check_tcp_safety(g0: TypeContext, sigma, limits: ExploreLimits,
@@ -205,26 +231,12 @@ def check_tcp_safety(g0: TypeContext, sigma, limits: ExploreLimits,
     so this property is strictly stronger than the reordering one."""
     r = _fully_reliable(g0)
     graph = _graphs(graphs, g0, sigma, limits).get(r, CongruenceMode.TCP_FIFO)
-    if isinstance(graph, Exceeded):
-        return _inconclusive(graph)
-    for sid, state in enumerate(graph.states):
-        fail = _state_safety_failure(state, r, CongruenceMode.TCP_FIFO, graph.classes)
-        if fail is not None:
-            return Verdict(VIOLATED, reason=fail, witness=graph.path_to(sid))
-        for (session, role), sbt, head in _branch_endpoints(state):
-            for frm in sorted({a.frm for a in head.arms}):
-                sender = state.endpoint((session, frm))
-                if sender is None:
-                    continue
-                for i in _receivable(sender.buffer, role, CongruenceMode.TCP_FIFO,
-                                     graph.classes):
-                    hd = sender.buffer[i]
-                    if not any(a.frm == frm and a.label == hd.label
-                               and type_equal(a.payload, hd.payload)
-                               for a in head.arms):
-                        return Verdict(VIOLATED, reason="TCP",
-                                       witness=graph.path_to(sid))
-    return Verdict(HOLDS)
+
+    def failure(sid):
+        state = graph.states[sid]
+        return (_state_safety_failure(state, r, CongruenceMode.TCP_FIFO, graph.classes)
+                or _fifo_head_failure(state, graph.classes))
+    return _scan(graph, failure)
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +247,11 @@ def check_deadlock_free(g0: TypeContext, sigma, r: Reliability,
                         limits: ExploreLimits,
                         graphs: Graphs | None = None) -> Verdict:
     graph = _graphs(graphs, g0, sigma, limits).get(r)
-    if isinstance(graph, Exceeded):
-        return _inconclusive(graph)
-    for sid in graph.stuck_ids:
+
+    def failure(sid):
         ok, reason = split_end_gc(graph.states[sid])
-        if not ok:
-            return Verdict(VIOLATED, reason=f"Deadlock: {reason}",
-                           witness=graph.path_to(sid))
-    return Verdict(HOLDS)
+        return None if ok else f"Deadlock: {reason}"
+    return _scan(graph, failure, stuck_only=True)
 
 
 def _lasso(graph: LtsGraph) -> tuple | None:
@@ -271,14 +280,11 @@ def check_terminating(g0: TypeContext, sigma, r: Reliability,
                       limits: ExploreLimits,
                       graphs: Graphs | None = None) -> Verdict:
     graphs = _graphs(graphs, g0, sigma, limits)
-    graph = graphs.get(r)
-    if isinstance(graph, Exceeded):
-        return _inconclusive(graph)
     df = check_deadlock_free(g0, sigma, r, limits, graphs)
     if not df.holds:
         return df
     # a reachable cycle is a non-terminating lasso
-    lasso = _lasso(graph)
+    lasso = _lasso(graphs.get(r))
     if lasso is not None:
         return Verdict(VIOLATED, reason="Cycle", witness=lasso)
     return Verdict(HOLDS)
@@ -288,12 +294,7 @@ def check_never_terminating(g0: TypeContext, sigma, r: Reliability,
                             limits: ExploreLimits,
                             graphs: Graphs | None = None) -> Verdict:
     graph = _graphs(graphs, g0, sigma, limits).get(r)
-    if isinstance(graph, Exceeded):
-        return _inconclusive(graph)
-    if graph.stuck_ids:
-        return Verdict(VIOLATED, reason="Terminal",
-                       witness=graph.path_to(graph.stuck_ids[0]))
-    return Verdict(HOLDS)
+    return _scan(graph, lambda sid: "Terminal", stuck_only=True)
 
 
 def check_live(g0: TypeContext, sigma, r: Reliability,
@@ -349,15 +350,10 @@ def check_comm_safe_RF(g0: TypeContext, sigma, limits: ExploreLimits,
     """Under the fully reliable map (no timeout is ever enabled), every
     stuck state must have all buffers drained."""
     graph = _graphs(graphs, g0, sigma, limits).get(_fully_reliable(g0))
-    if isinstance(graph, Exceeded):
-        return _inconclusive(graph)
-    for sid in graph.stuck_ids:
-        for (session, role), sbt in graph.states[sid].endpoints:
-            if sbt.buffer:
-                return Verdict(VIOLATED,
-                               reason=f"CommRF: orphan message in {session}[{role}]",
-                               witness=graph.path_to(sid))
-    return Verdict(HOLDS)
+    return _scan(graph, lambda sid: next(
+        (f"CommRF: orphan message in {session}[{role}]"
+         for (session, role), sbt in graph.states[sid].endpoints if sbt.buffer),
+        None), stuck_only=True)
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +366,12 @@ def check_comm_safe_RF(g0: TypeContext, sigma, limits: ExploreLimits,
 # than the run's state limit: a trip of that limit is inconclusive.
 
 
-def _shared_complete(graphs: Graphs | None, r: Reliability,
-                     mode: CongruenceMode) -> LtsGraph | None:
+def _bound_graph(g0, sigma, r, k, mode, graphs: Graphs | None):
+    """The run's graph under r and mode if a property has built it
+    completely, else one exploration with the buffer bound k."""
     graph = None if graphs is None else graphs.built(r, mode)
-    return graph if isinstance(graph, LtsGraph) else None
-
-
-def _buffer_bounded(g0, sigma, r, k, mode, graphs: Graphs | None):
+    if isinstance(graph, LtsGraph):
+        return graph
     limits = ExploreLimits() if graphs is None else graphs.limits
     return explore(g0, sigma, r, ExploreLimits(limits.max_states, k, mode))
 
@@ -388,20 +383,14 @@ def check_bound_k(g0: TypeContext, sigma, r: Reliability, k: int,
     The witness leads to the first context, in BFS order, that reaches k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    graph = _shared_complete(graphs, r, mode)
-    if graph is not None:
-        # state ids are BFS discovery order, so the lowest id reaching k is
-        # the context a buffer-bounded BFS stops at
-        sid = next((i for i, g in enumerate(graph.states) if occupancy(g) >= k), None)
-        if sid is not None:
-            return Verdict(VIOLATED, reason=f"bound_{k}", witness=graph.path_to(sid))
-        return Verdict(HOLDS)
-    graph = _buffer_bounded(g0, sigma, r, k, mode, graphs)
-    if isinstance(graph, Exceeded):
-        if graph.kind == "maxStates":
-            return _inconclusive(graph)
+    graph = _bound_graph(g0, sigma, r, k, mode, graphs)
+    if isinstance(graph, Exceeded) and graph.kind == "bufferLen":
         return Verdict(VIOLATED, reason=f"bound_{k}", witness=graph.witness)
-    return Verdict(HOLDS)
+    # state ids are BFS discovery order, so on the shared graph the lowest id
+    # reaching k is the context a buffer-bounded BFS stops at; a
+    # buffer-bounded graph that did not stop has none
+    return _scan(graph, lambda sid:
+                 f"bound_{k}" if graph.occupancy[sid] >= k else None)
 
 
 def check_bounded(g0: TypeContext, sigma, r: Reliability, k_max: int,
@@ -409,10 +398,9 @@ def check_bounded(g0: TypeContext, sigma, r: Reliability, k_max: int,
                   graphs: Graphs | None = None):
     """Holds with the minimal k (largest channel occupancy + 1) when that k
     is at most k_max, else Inconclusive."""
-    graph = _shared_complete(graphs, r, mode) or _buffer_bounded(
-        g0, sigma, r, k_max, mode, graphs)
+    graph = _bound_graph(g0, sigma, r, k_max, mode, graphs)
     if isinstance(graph, LtsGraph):
-        k = max(map(occupancy, graph.states)) + 1
+        k = max(graph.occupancy) + 1
         if k <= k_max:
             return Verdict(HOLDS), k
     elif graph.kind == "maxStates":

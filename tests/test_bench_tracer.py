@@ -1,9 +1,12 @@
 """Smoke test of the benchmark's tracer: `bench/run.py --trace 1` wraps
-magpi's module attributes by name, so every name it wraps must exist, and
-`restore` must put the originals back."""
+magpi's module attributes by name, so every name it wraps must exist,
+`restore` must put the originals back, and the wrapped functions must be
+looked up when they are called."""
 import importlib.util
+import io
 import sys
 
+import magpi.cli
 import magpi.context
 import magpi.lts
 
@@ -33,3 +36,24 @@ def test_tracer_installs_and_restores(monkeypatch):
     finally:
         tracer.restore()
     assert all(getattr(m, a) is fn for (m, a), fn in before.items())
+
+
+def test_tracer_sees_every_check_and_exploration(monkeypatch):
+    # The verify command must resolve the checks and `explore` on their
+    # modules at call time, or the tracer's wrappers would miss them.  The
+    # six-property op explores in verify and the safety-only op, settled
+    # statically, explores for its stats in cli.
+    monkeypatch.syspath_prepend(str(BENCH))
+    run, tracer = _load(monkeypatch, "run"), _load(monkeypatch, "tracer").Tracer()
+    mesh = str(ROOT / "tests" / "golden" / "mesh.magpi")
+    run.install(tracer)
+    try:
+        for props in ("safety,comm-rf,deadlock,terminating,live,bounded", "safety"):
+            magpi.cli.main(["verify", mesh, "--props", props, "--json"],
+                           out=io.StringIO())
+    finally:
+        tracer.restore()
+    calls = tracer.totals()[2]
+    for name in [f"verify.{c}" for c in run.CHECKS] + ["verify.explore",
+                                                         "cli.stats_explore"]:
+        assert calls[name] > 0, name

@@ -1,5 +1,7 @@
-"""Command-line usage errors: out-of-range numbers and scenarios that name
-undeclared roles are refused with exit code 3, before any work is done."""
+"""Command-line usage errors: out-of-range numbers, scenarios that name
+undeclared roles, unreadable inputs, unwritable output paths and unknown
+properties are refused with exit code 3 and an error message, without a
+traceback."""
 import io
 import json
 
@@ -46,3 +48,42 @@ def test_scenario_naming_undeclared_roles_is_refused(tmp_path, doc, unknown):
                 out=out)
     assert code == EXIT_USAGE
     assert out.getvalue() == f"error: bad scenario file: undeclared role(s) {unknown}\n"
+
+
+def _refused(argv, capsys) -> str:
+    """The one line a refused command prints; it must exit 3 without a
+    traceback."""
+    out = io.StringIO()
+    assert main(argv, out=out) == EXIT_USAGE
+    assert "Traceback" not in capsys.readouterr().err
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1
+    return lines[0]
+
+
+def test_non_utf8_input_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "binary.magpi"
+    path.write_bytes(bytes(range(56, 256)))
+    line = _refused(["check", str(path)], capsys)
+    assert line.startswith(f"error [Usage] at 0:0: cannot read {path}: not UTF-8")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--props", "safety", "--dot"],
+    ["simulate", "--steps", "5", "--trace"],
+], ids=["verify-dot", "simulate-trace"])
+def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "out"
+    line = _refused([argv[0], fixture_file("ping"), *argv[1:], str(path)], capsys)
+    assert line == f"error [Usage] at 0:0: cannot write {path}: No such file or directory"
+
+
+def test_unknown_property_is_refused_before_any_check(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr("magpi.verify.check_safety", fail)
+    line = _refused(["verify", fixture_file("ping"), "--props", "safety,bogus"],
+                    capsys)
+    assert line == ("error: unknown property 'bogus' (expected one of safety, "
+                    "comm-rf, deadlock, terminating, live, never, tcp, bounded)")

@@ -56,6 +56,8 @@ def _commands() -> list:
             ("verify", f, "--props", "comm-rf,tcp", "--mode", "tcp", "--json"),
             ("verify", f, "--props", ALL),
         ]
+        out += [("verify", f, "--props", NO_BOUNDED, "--bound", k, "--mode", m,
+                 "--json") for k in ("2", "3") for m in ("total", "tcp")]
     return out
 
 

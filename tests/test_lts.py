@@ -154,6 +154,24 @@ def test_buffer_limit_trips_with_witness():
     assert len(out.witness) == 3  # three sends reach the bound
 
 
+def _occupancy(g):
+    """Reference: the largest number of messages any sender buffer of g
+    holds for one recipient, recounted from the context."""
+    return max((n for _, b in g.endpoints
+                for n in Counter(e.to for e in b.buffer).values()), default=0)
+
+
+@pytest.mark.parametrize("mode", list(CongruenceMode))
+def test_explore_records_each_state_occupancy(mode):
+    for f in FILES:
+        pf = parse((ROOT / f).read_text(encoding="utf-8"))
+        g0, sess = initial_context(pf)
+        graph = explore(g0, {sess}, pf.reliability, ExploreLimits(mode=mode))
+        assert len(graph.occupancy) == len(graph.states), f
+        for sid, state in enumerate(graph.states):
+            assert graph.occupancy[sid] == _occupancy(state), (f, sid)
+
+
 def _path(parents, sid):
     acts = []
     while sid in parents:

@@ -323,7 +323,7 @@ def _lasso_recursive(graph):
 
     def dfs(u):
         color[u] = 1
-        for a, v in graph.successors(u):
+        for a, v in graph.succ[u]:
             if color.get(v, 0) == 1:
                 return graph.path_to(u) + (a,)
             if color.get(v, 0) == 0:
