@@ -3,7 +3,8 @@
 the per-channel buffer bound increases, under both message-reordering
 congruences.  Useful for picking a bound before running `magpi verify`.
 Each row also gives the exploration's wall time and states per second: on
-a maxStates trip the cap over that time, and none on a bufferLen trip.
+a maxStates trip the cap over that time, and none on a bufferLen trip.  The
+header gives the input's parse time, the front end's share of a `verify`.
 
 Usage: state_space.py [FILE] [--max-bound K] [--dot OUT.dot]
 """
@@ -49,13 +50,17 @@ def main() -> int:
     ap.add_argument("--dot", help="write the unbounded LTS in graphviz form")
     args = ap.parse_args()
 
-    pf = parse(open(args.file, encoding="utf-8").read())
+    with open(args.file, encoding="utf-8") as fh:
+        text = fh.read()
+    t = time.perf_counter()
+    pf = parse(text)
+    parse_s = time.perf_counter() - t
     ctx, sess = initial_context(pf)
     if ctx is None:
         print("no session restriction found in system", file=sys.stderr)
         return 1
 
-    print(f"protocol {pf.name}")
+    print(f"protocol {pf.name}: {len(text)} bytes parsed in {parse_s * 1e3:.1f} ms")
     print(f"{'bound':>6} {'mode':>6} {'states':>8} {'edges':>8} {'stuck':>6} "
           f"{'wall_s':>8} {'states/s':>9}")
     for k in range(1, args.max_bound + 1):

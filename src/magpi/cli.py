@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import proc as P
@@ -45,6 +46,20 @@ def _write(path: str, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise MagpiError.usage(f"cannot write {path}: {exc.strerror}")
+
+
+def _check_writable(path: str) -> None:
+    """Refuse an output path that cannot be written, before the run that
+    fills it.  A file made by the check is removed again, so a run that
+    ends without writing leaves none behind."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise MagpiError.usage(f"cannot write {path}: {exc.strerror}")
+    if not existed:
+        os.remove(path)
 
 
 def initial_context(pf: ProtocolFile):
@@ -88,6 +103,8 @@ def cmd_check(args, out) -> int:
 
 def cmd_verify(args, out) -> int:
     pf = _load(args.file)
+    if args.dot:
+        _check_writable(args.dot)
     gate = _gate_typecheck(pf, args, out)
     if gate is not None:
         return gate
@@ -143,8 +160,12 @@ def cmd_verify(args, out) -> int:
     stats = ({"states": len(graph.states), "edges": len(graph.edges)}
              if not isinstance(graph, Exceeded)
              else {"exceeded": graph.kind, "limit": graph.limit})
-    if args.dot and not isinstance(graph, Exceeded):
-        _write(args.dot, export_lts(graph, "dot"))
+    if args.dot:
+        if isinstance(graph, Exceeded):
+            print(f"warning: {args.dot} not written: exploration stopped at the "
+                  f"{graph.kind} limit {graph.limit}", file=sys.stderr)
+        else:
+            _write(args.dot, export_lts(graph, "dot"))
     doc = {"properties": {k: v.to_json() for k, v in results.items()},
            "stats": stats}
     if minimal_k is not None:
@@ -168,6 +189,8 @@ def cmd_verify(args, out) -> int:
 
 def cmd_simulate(args, out) -> int:
     pf = _load(args.file)
+    if args.trace:
+        _check_writable(args.trace)
     gate = _gate_typecheck(pf, args, out)
     if gate is not None:
         return gate
@@ -261,11 +284,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Built once: parsing leaves the parser as it was, and every call gets a
+# fresh namespace of defaults.
+_PARSER = build_parser()
+
+
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

@@ -11,12 +11,14 @@ out.  Recursion nodes are unfolded transparently before matching.
 binding gets an id, and is canonicalised, keyed and expanded by the rules
 once per exploration, however many states hold it.  A state is the tuple of
 its bindings' ids, a successor is its parent's tuple with one or two ids
-replaced, and only a state not seen before is built as a TypeContext.
+replaced, and the graph keeps those tuples: a state is built as a
+TypeContext only when it is read.
 """
 from __future__ import annotations
 
 import json
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -170,6 +172,35 @@ def context_transitions(g: TypeContext, sigma, r: Reliability,
 # graph exploration
 
 
+class States(Sequence):
+    """The states of an explored graph, state id -> TypeContext, each
+    built from the state's binding ids when it is read.  `ids` holds the
+    binding-id tuple of every state, and `bindings` the (endpoint key,
+    canonical binding) pair of every binding id."""
+
+    __slots__ = ("vars", "ids", "bindings")
+
+    def __init__(self, vars_: tuple, ids: list, bindings: list):
+        self.vars, self.ids, self.bindings = vars_, ids, bindings
+
+    def context(self, ids: tuple) -> TypeContext:
+        return TypeContext(self.vars, tuple(map(self.bindings.__getitem__, ids)))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, sid: int) -> TypeContext:
+        return self.context(self.ids[sid])
+
+    def __iter__(self):
+        return map(self.context, self.ids)
+
+    def __eq__(self, other):
+        if isinstance(other, (States, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
 @dataclass
 class LtsGraph:
     """An explored LTS.  `explore` records each state's occupancy, the
@@ -177,7 +208,7 @@ class LtsGraph:
     as it finds the state.  The successor and predecessor adjacency and the
     stuck states are derived from `edges` once, when the graph is made."""
 
-    states: list            # state id -> TypeContext (canonical)
+    states: Sequence        # state id -> TypeContext (canonical); States from explore
     edges: list             # (from id, Action, to id)
     initial: int = 0
     parents: dict = field(default_factory=dict)  # id -> (parent id, Action)
@@ -188,8 +219,10 @@ class LtsGraph:
     stuck_ids: list = field(init=False, repr=False)  # ids without successors, ascending
 
     def __post_init__(self):
-        self.succ = [[] for _ in self.states]
-        self.pred = [[] for _ in self.states]
+        # Sized by count: reading `states` would build every context.
+        n = len(self.states)
+        self.succ = [[] for _ in range(n)]
+        self.pred = [[] for _ in range(n)]
         for f, a, t in self.edges:
             self.succ[f].append((a, t))
             self.pred[t].append(f)
@@ -277,13 +310,12 @@ def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits,
 
     bids = [tuple(intern(i, sbt) for i, (_, sbt) in enumerate(g0.endpoints))]
     parts = [tuple(part[b] for b in bids[0])]
-    g0 = TypeContext(g0.vars, tuple(map(pairs.__getitem__, bids[0])))
-    states, edges, parents = [g0], [], {}
+    states, edges, parents = States(g0.vars, bids, pairs), [], {}
     occupancy = [max(map(occ.__getitem__, bids[0]), default=0)]
     ids = {parts[0]: 0}
     cap = limits.max_buffer_len
     if cap is not None and occupancy[0] >= cap:
-        return Exceeded("bufferLen", cap, (), g0)
+        return Exceeded("bufferLen", cap, (), states[0])
     frontier = deque([0])
     take = frontier.popleft if order == "bfs" else frontier.pop
     while frontier:
@@ -321,19 +353,18 @@ def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits,
             for j, nb in changes:
                 nxt[j] = nb
             nxt = tuple(nxt)
-            g = TypeContext(g0.vars, tuple(map(pairs.__getitem__, nxt)))
-            if len(states) >= limits.max_states:
+            nid = len(bids)
+            if nid >= limits.max_states:
                 return Exceeded("maxStates", limits.max_states,
-                                _path(parents, sid) + (action,), g)
-            nid = ids[key] = len(states)
-            states.append(g)
+                                _path(parents, sid) + (action,), states.context(nxt))
+            ids[key] = nid
             bids.append(nxt)
             parts.append(key)
             parents[nid] = (sid, action)
             edges.append((sid, action, nid))
             occupancy.append(max(map(occ.__getitem__, nxt)))
             if cap is not None and occupancy[nid] >= cap:
-                return Exceeded("bufferLen", cap, _path(parents, nid), g)
+                return Exceeded("bufferLen", cap, _path(parents, nid), states[nid])
             frontier.append(nid)
     return LtsGraph(states, edges, parents=parents, classes=classes,
                     occupancy=occupancy)

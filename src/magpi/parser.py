@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .diagnostics import Diagnostic, MagpiError, Span
 from .proc import (Branch, BufMsg, Buffer, Call, Choice, Def, Endpoint,
@@ -21,20 +22,24 @@ from .types import (BASIC_KINDS, Basic, BranchArm, END, Rec, RecRef,
 KEYWORDS = {"protocol", "roles", "reliability", "type", "def", "system",
             "new", "in", "rec", "end", "timeout", "true", "false"}
 
+# The last alternative takes any character no token starts with, so every
+# position matches and the matches tile the source.
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
   | (?P<lcomment>//[^\n]*)
   | (?P<bcomment>/\*.*?\*/)
-  | (?P<real>\d+\.\d+)
-  | (?P<int>\d+)
-  | (?P<string>"(?:[^"\\]|\\.)*")
+  | (?P<REAL>\d+\.\d+)
+  | (?P<INT>\d+)
+  | (?P<STRING>"(?:[^"\\]|\\.)*")
   | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
   | (?P<punct>[{}()\[\]:,.!?&+|=@-])
+  | (?P<bad>.)
 """, re.VERBOSE | re.DOTALL)
 
+_SKIPPED = {"ws", "lcomment", "bcomment"}
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: str  # IDENT, KW, INT, REAL, STRING, EOF, or the punctuation itself
     text: str
     line: int
@@ -47,34 +52,24 @@ class Token:
 
 def tokenize(source: str) -> list[Token]:
     toks: list[Token] = []
-    pos, line, col = 0, 1, 1
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise MagpiError([Diagnostic("error", "LexError",
-                                         f"unexpected character {source[pos]!r}",
-                                         Span(line, col, line, col + 1))])
-        text = m.group(0)
-        kind = m.lastgroup
+    line, line_start = 1, 0  # line_start: the offset of the line's first character
+    for m in _TOKEN_RE.finditer(source):
+        kind, text = m.lastgroup, m.group()
         if kind == "ident":
-            toks.append(Token("KW" if text in KEYWORDS else "IDENT", text, line, col))
-        elif kind == "int":
-            toks.append(Token("INT", text, line, col))
-        elif kind == "real":
-            toks.append(Token("REAL", text, line, col))
-        elif kind == "string":
-            toks.append(Token("STRING", text, line, col))
+            kind = "KW" if text in KEYWORDS else "IDENT"
         elif kind == "punct":
-            toks.append(Token(text, text, line, col))
-        # whitespace/comments advance position only
-        nl = text.count("\n")
-        if nl:
-            line += nl
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    toks.append(Token("EOF", "", line, col))
+            kind = text
+        elif kind == "bad":
+            col = m.start() - line_start + 1
+            raise MagpiError([Diagnostic("error", "LexError",
+                                         f"unexpected character {text!r}",
+                                         Span(line, col, line, col + 1))])
+        if kind not in _SKIPPED:
+            toks.append(Token(kind, text, line, m.start() - line_start + 1))
+        if "\n" in text:
+            line += text.count("\n")
+            line_start = m.start() + text.rindex("\n") + 1
+    toks.append(Token("EOF", "", line, len(source) - line_start + 1))
     return toks
 
 
@@ -116,23 +111,29 @@ class Parser:
         self.type_defs: dict = {}
 
     # -- token plumbing
+    #
+    # `pos` never passes the EOF token, so only a look ahead can run off
+    # the end of `toks`.
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        try:
+            return self.toks[self.pos + ahead]
+        except IndexError:
+            return self.toks[-1]
 
     def next(self) -> Token:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.kind != "EOF":
             self.pos += 1
         return t
 
     def at(self, kind: str, text: str | None = None, ahead: int = 0) -> bool:
-        t = self.peek(ahead)
+        t = self.peek(ahead) if ahead else self.toks[self.pos]
         return t.kind == kind and (text is None or t.text == text)
 
     def expect(self, kind: str, text: str | None = None) -> Token:
-        t = self.peek()
-        if not self.at(kind, text):
+        t = self.toks[self.pos]
+        if t.kind != kind or (text is not None and t.text != text):
             want = text or kind
             raise MagpiError([Diagnostic("error", "SyntaxError",
                                          f"expected {want!r}, found {t.text or 'end of input'!r}",

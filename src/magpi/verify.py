@@ -297,6 +297,14 @@ def check_never_terminating(g0: TypeContext, sigma, r: Reliability,
     return _scan(graph, lambda sid: "Terminal", stuck_only=True)
 
 
+def _waits(sbt) -> bool:
+    """Whether a binding waits on a branching without a timeout."""
+    if sbt.session is None:
+        return False
+    head = resolve(sbt.session)
+    return isinstance(head, Branch) and head.timeout is None
+
+
 def check_live(g0: TypeContext, sigma, r: Reliability,
                limits: ExploreLimits, graphs: Graphs | None = None) -> Verdict:
     """A timeout-less branching endpoint must always be able to eventually
@@ -306,20 +314,14 @@ def check_live(g0: TypeContext, sigma, r: Reliability,
     graph = _graphs(graphs, g0, sigma, limits).get(r)
     if isinstance(graph, Exceeded):
         return _inconclusive(graph)
-    # endpoints with at least one timeout-less waiting state, each session
-    # node decided once
-    waits: dict = {}  # session node -> whether it waits without a timeout
+    # endpoints with at least one timeout-less waiting state, each binding
+    # id decided once: its endpoint key if it waits without a timeout
+    waiting = [key if _waits(sbt) else None for key, sbt in graph.states.bindings]
     obligations: dict = {}
-    for sid, state in enumerate(graph.states):
-        for key, sbt in state.endpoints:
-            s = sbt.session
-            if s is None:
-                continue
-            w = waits.get(s)
-            if w is None:
-                head = resolve(s)
-                w = waits[s] = isinstance(head, Branch) and head.timeout is None
-            if w:
+    for sid, ids in enumerate(graph.states.ids):
+        for b in ids:
+            key = waiting[b]
+            if key is not None:
                 obligations.setdefault(key, []).append(sid)
     # states with an enabled communication, per receiving endpoint
     receives: dict = {}

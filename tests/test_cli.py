@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from magpi.cli import EXIT_USAGE, main
+from magpi.cli import EXIT_OK, EXIT_USAGE, build_parser, main
 from tests.conftest import fixture_file
 
 
@@ -68,14 +68,20 @@ def test_non_utf8_input_is_a_usage_error(tmp_path, capsys):
     assert line.startswith(f"error [Usage] at 0:0: cannot read {path}: not UTF-8")
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--props", "safety", "--dot"],
-    ["simulate", "--steps", "5", "--trace"],
+@pytest.mark.parametrize("argv,runs", [
+    (["verify", "--props", "safety", "--dot"], ("magpi.cli.explore", "magpi.verify.explore")),
+    (["simulate", "--steps", "5", "--trace"], ("magpi.cli.run",)),
 ], ids=["verify-dot", "simulate-trace"])
-def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys, argv):
+def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                 argv, runs):
+    # The path is refused before anything is explored or simulated.
+    calls = []
+    for name in runs:
+        monkeypatch.setattr(name, lambda *args, **kwargs: calls.append(name))
     path = tmp_path / "missing" / "out"
     line = _refused([argv[0], fixture_file("ping"), *argv[1:], str(path)], capsys)
     assert line == f"error [Usage] at 0:0: cannot write {path}: No such file or directory"
+    assert calls == []
 
 
 def test_unknown_property_is_refused_before_any_check(monkeypatch, capsys):
@@ -87,3 +93,47 @@ def test_unknown_property_is_refused_before_any_check(monkeypatch, capsys):
                     capsys)
     assert line == ("error: unknown property 'bogus' (expected one of safety, "
                     "comm-rf, deadlock, terminating, live, never, tcp, bounded)")
+
+
+def test_dot_skipped_on_exceeded_graph_says_so(tmp_path, capsys):
+    # stdout and the exit code are those of a run without --dot; one line
+    # on stderr names the path and the limit, and no file is left behind.
+    path = tmp_path / "lts.dot"
+    argv = ["verify", fixture_file("leader"), "--max-states", "50"]
+    plain, with_dot = io.StringIO(), io.StringIO()
+    code = main(argv, out=plain)
+    capsys.readouterr()
+    assert main(argv + ["--dot", str(path)], out=with_dot) == code == 2
+    assert with_dot.getvalue() == plain.getvalue()
+    assert capsys.readouterr().err == (f"warning: {path} not written: exploration "
+                                       "stopped at the maxStates limit 50\n")
+    assert not path.exists()
+
+
+def test_output_path_check_leaves_existing_file_and_no_new_one(tmp_path):
+    old = tmp_path / "old.dot"
+    old.write_text("kept", encoding="utf-8")
+    fresh = tmp_path / "fresh.dot"
+    for path in (old, fresh):
+        main(["verify", fixture_file("leader"), "--max-states", "50",
+              "--dot", str(path)], out=io.StringIO())
+    assert old.read_text(encoding="utf-8") == "kept"
+    assert not fresh.exists()
+
+
+def test_parser_is_shared_without_carrying_options_over(monkeypatch):
+    # The argument parser is built once per process; each call must still
+    # start from the defaults.
+    seen = []
+    monkeypatch.setattr("magpi.cli.cmd_verify",
+                        lambda args, out: seen.append(vars(args)) or 0)
+    path = fixture_file("ping")
+    assert main(["verify", path, "--bound", "2", "--mode", "tcp"]) == 0
+    assert main(["verify", path]) == 0
+    assert (seen[0]["bound"], seen[0]["mode"]) == (2, "tcp")
+    assert seen[1] == vars(build_parser().parse_args(["verify", path]))
+    assert (seen[1]["bound"], seen[1]["mode"]) == (0, "total")
+    assert main(["--help"]) == EXIT_OK
+    assert main(["verify", path, "--no-such-option"]) == EXIT_USAGE
+    assert main(["verify", path]) == 0
+    assert seen[2] == seen[1]

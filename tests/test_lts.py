@@ -6,7 +6,7 @@ from collections import Counter, deque
 
 import pytest
 
-from magpi import parse, parse_session_text
+from magpi import lts, parse, parse_session_text
 from magpi.cli import initial_context
 from magpi.context import (TypeContext, canonical_context, context_classes,
                            context_key, render_context)
@@ -240,6 +240,28 @@ def test_bindings_are_interned_by_content_not_by_class():
             if e.label == "a"]
     assert any(x is s1 for x in sent) and any(x is s2 for x in sent)
     assert _outcome(graph) == _outcome(_reference_explore(g, {"s"}, RF, ExploreLimits(), "bfs"))
+
+
+def test_explore_builds_a_state_only_when_it_is_read(monkeypatch):
+    # The graph keeps each state's binding ids and builds its context when
+    # the state is read, so exploring builds at most one context; each read
+    # gives the state the from-scratch reference finds.
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return TypeContext(*args, **kwargs)
+
+    pf = parse((ROOT / "tests" / "golden" / "mesh.magpi").read_text(encoding="utf-8"))
+    g0, sess = initial_context(pf)
+    limits = ExploreLimits()
+    monkeypatch.setattr(lts, "TypeContext", counting)
+    graph = explore(g0, {sess}, pf.reliability, limits)
+    assert len(built) <= 1
+    states, _, _ = _reference_explore(g0, {sess}, pf.reliability, limits, "bfs")
+    assert len(graph.states) == len(states) > 100
+    for sid, state in enumerate(states):
+        assert graph.states[sid] == state, sid
 
 
 def _reference_cases():

@@ -1,12 +1,24 @@
-"""Surface syntax: round-trips, spans, and rejection of ill-formed files."""
+"""Surface syntax: tokens, round-trips, spans, and rejection of ill-formed
+files."""
+import importlib.util
+import itertools
+import random
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from magpi import (MagpiError, parse, parse_process_text, parse_session_text,
                    pretty, protocol_equal)
+from magpi.diagnostics import Diagnostic, Span
+from magpi.parser import KEYWORDS, tokenize
 from magpi.pretty import ast_equal
 from magpi.types import session_equal, type_iso
-from tests.conftest import fixture_text
+from tests.conftest import FIXTURES, fixture_text
+from tests.test_golden import ROOT
+
+GOLDEN = ROOT / "tests" / "golden"
+BENCH = ROOT / "bench"
 
 ROLES = ("p", "q", "r")
 LABELS = ("a", "b", "msg")
@@ -165,3 +177,101 @@ def test_syntax_error_has_position():
         parse("protocol t\nroles p q\nsystem = 0\n")
     d = err.value.diagnostics[0]
     assert d.span.line == 2 and d.code == "SyntaxError"
+
+
+# -- the tokenizer against a reference ----------------------------------------
+#
+# `_reference_tokenize` is a copy of the tokenizer as it was when tokens
+# were frozen dataclasses, matched one position at a time: the current one
+# must give the same (kind, text, line, col) tokens, and refuse the same
+# input at the same span.
+
+_REFERENCE_RE = re.compile(r"""
+    (?P<ws>\s+)
+  | (?P<lcomment>//[^\n]*)
+  | (?P<bcomment>/\*.*?\*/)
+  | (?P<real>\d+\.\d+)
+  | (?P<int>\d+)
+  | (?P<string>"(?:[^"\\]|\\.)*")
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+  | (?P<punct>[{}()\[\]:,.!?&+|=@-])
+""", re.VERBOSE | re.DOTALL)
+
+
+def _reference_tokenize(source):
+    toks = []
+    pos, line, col = 0, 1, 1
+    while pos < len(source):
+        m = _REFERENCE_RE.match(source, pos)
+        if m is None:
+            raise MagpiError([Diagnostic("error", "LexError",
+                                         f"unexpected character {source[pos]!r}",
+                                         Span(line, col, line, col + 1))])
+        text, kind = m.group(0), m.lastgroup
+        if kind == "ident":
+            toks.append(("KW" if text in KEYWORDS else "IDENT", text, line, col))
+        elif kind in ("int", "real", "string"):
+            toks.append((kind.upper(), text, line, col))
+        elif kind == "punct":
+            toks.append((text, text, line, col))
+        nl = text.count("\n")
+        if nl:
+            line += nl
+            col = len(text) - text.rfind("\n")
+        else:
+            col += len(text)
+        pos = m.end()
+    toks.append(("EOF", "", line, col))
+    return toks
+
+
+def _tokens(source):
+    return [(t.kind, t.text, t.line, t.col) for t in tokenize(source)]
+
+
+def _lexed(tokenizer, source):
+    """The tokens as (kind, text, line, col) tuples, or the LexError."""
+    try:
+        return tokenizer(source)
+    except MagpiError as err:
+        return [d.to_json() for d in err.diagnostics]
+
+
+def _inputs():
+    for path in sorted(FIXTURES.glob("*.magpi")) + sorted(GOLDEN.glob("mesh*.magpi")):
+        yield path.name, path.read_text(encoding="utf-8")
+    spec = importlib.util.spec_from_file_location("bench_gen", BENCH / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    for seed, (m, loop) in itertools.product(range(3), ((1, False), (2, True))):
+        yield f"mesh {seed} {m} {loop}", gen.mesh_source(random.Random(seed), 2, m, loop)
+
+
+def test_tokenize_matches_reference_on_every_input():
+    names = []
+    for name, source in _inputs():
+        names.append(name)
+        assert _lexed(_tokens, source) == _lexed(_reference_tokenize, source), name
+    assert {"leader.magpi", "mesh.magpi", "mesh_loop.magpi"} <= set(names)
+
+
+_LEX_PIECES = st.sampled_from([
+    "//", "/*", "*/", "\n", "\r\n", '"', "\\", "\\\"", " ", "\t", "#", "$",
+    "~", "é", "`", "1", "25", "2.5", "3.", "x", "_y'", "rec", "end", "{", "}",
+    ".", "!", "?", ":", "-", "'", "*", "/",
+])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(_LEX_PIECES, st.text(max_size=3)), max_size=25))
+def test_tokenize_matches_reference_on_mixed_text(pieces):
+    source = "".join(pieces)
+    assert _lexed(_tokens, source) == _lexed(_reference_tokenize, source)
+
+
+def test_stray_character_is_a_lex_error_with_its_span():
+    with pytest.raises(MagpiError) as err:
+        tokenize('x /* a\nb */ "s\ntr"\n  y # z')
+    d = err.value.diagnostics[0]
+    assert (d.code, d.message) == ("LexError", "unexpected character '#'")
+    assert (d.span.line, d.span.col, d.span.end_line, d.span.end_col) == (4, 5, 4, 6)
