@@ -5,6 +5,9 @@ congruences.  Useful for picking a bound before running `magpi verify`.
 Each row also gives the exploration's wall time and states per second: on
 a maxStates trip the cap over that time, and none on a bufferLen trip.  The
 header gives the input's parse time, the front end's share of a `verify`.
+Per mode, it then gives the wall time to read the fully reliable graph off
+the complete graph under the protocol's map (what `verify` does for
+comm-rf and tcp) next to the time to explore that graph.
 
 Usage: state_space.py [FILE] [--max-bound K] [--dot OUT.dot]
 """
@@ -19,7 +22,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from magpi import Exceeded, ExploreLimits, explore, export_lts, parse
 from magpi.cli import initial_context
-from magpi.types import CongruenceMode
+from magpi.lts import without_timeouts
+from magpi.types import CongruenceMode, Reliability
 
 
 def timed_explore(ctx, sigma, r, limits):
@@ -74,6 +78,23 @@ def main() -> int:
                 stuck = len(g.stuck_ids)
                 print(f"{k:>6} {mode.value:>6} {len(g.states):>8} "
                       f"{len(g.edges):>8} {stuck:>6} {timing(wall, rate)}")
+
+    rf = Reliability.fully_reliable(set(pf.roles))
+    print(f"{'fully reliable':>14} {'mode':>6} {'states':>8} {'edges':>8} "
+          f"{'view_s':>9} {'explore_s':>9}")
+    for mode in (CongruenceMode.TOTAL_REORDER, CongruenceMode.TCP_FIFO):
+        lim = ExploreLimits(args.max_states, None, mode)
+        full = explore(ctx, {sess}, pf.reliability, lim)
+        rel, explore_s, _ = timed_explore(ctx, {sess}, rf, lim)
+        if isinstance(full, Exceeded) or isinstance(rel, Exceeded):
+            print(f"{'':>14} {mode.value:>6} {'-':>8} {'-':>8} {'-':>9} "
+                  f"{explore_s:>9.4f}  exceeded")
+            continue
+        t = time.perf_counter()
+        view = without_timeouts(full)
+        view_s = time.perf_counter() - t
+        print(f"{'':>14} {mode.value:>6} {len(view.states):>8} {len(view.edges):>8} "
+              f"{view_s:>9.4f} {explore_s:>9.4f}")
 
     lim = ExploreLimits(args.max_states)
     g, wall, rate = timed_explore(ctx, {sess}, pf.reliability, lim)

@@ -138,10 +138,13 @@ def cmd_verify(args, out) -> int:
         print(f"error: unknown property {unknown[0]!r} "
               f"(expected one of {', '.join(checks)})", file=out)
         return EXIT_USAGE
-    # Boundedness reads its answer off the graph the other properties have
-    # built, so it runs after them.
+    # comm-rf and tcp read their timeout-free graph off the graph under the
+    # declared map when it is complete, so they run after the properties
+    # that build it; boundedness reads its answer off the graph the others
+    # have built, so it runs last.
+    late = {"comm-rf": 1, "tcp": 1, "bounded": 2}
     results = {name: checks[name]()
-               for name in sorted(props, key=lambda name: name == "bounded")}
+               for name in sorted(props, key=lambda name: late.get(name, 0))}
     minimal_k = None
     if "bounded" in results:
         results["bounded"], minimal_k = results["bounded"]

@@ -12,14 +12,21 @@ binding gets an id, and is canonicalised, keyed and expanded by the rules
 once per exploration, however many states hold it.  A state is the tuple of
 its bindings' ids, a successor is its parent's tuple with one or two ids
 replaced, and the graph keeps those tuples: a state is built as a
-TypeContext only when it is read.
+TypeContext only when it is read.  A state's key is one int, and a
+successor's key is its parent's plus the precomputed change of each
+replaced binding.
+
+`without_timeouts` reads the graph under a map where no timeout fires off
+a complete graph under any map: a map only enables timeouts.
 """
 from __future__ import annotations
 
 import json
+import sys
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 
 from .context import (TypeContext, canonical_binding, context_classes,
@@ -205,8 +212,9 @@ class States(Sequence):
 class LtsGraph:
     """An explored LTS.  `explore` records each state's occupancy, the
     largest number of messages any sender buffer holds for one recipient,
-    as it finds the state.  The successor and predecessor adjacency and the
-    stuck states are derived from `edges` once, when the graph is made."""
+    as it finds the state.  The successor adjacency and the stuck states are
+    derived from `edges` once, when the graph is made, and the predecessor
+    adjacency when it is first read."""
 
     states: Sequence        # state id -> TypeContext (canonical); States from explore
     edges: list             # (from id, Action, to id)
@@ -215,18 +223,23 @@ class LtsGraph:
     classes: TypeClasses | None = None  # the type classes every state is keyed by
     occupancy: list = field(default_factory=list)  # id -> buffer occupancy
     succ: list = field(init=False, repr=False)   # id -> [(Action, to id)]
-    pred: list = field(init=False, repr=False)   # id -> [from id]
     stuck_ids: list = field(init=False, repr=False)  # ids without successors, ascending
 
     def __post_init__(self):
         # Sized by count: reading `states` would build every context.
         n = len(self.states)
         self.succ = [[] for _ in range(n)]
-        self.pred = [[] for _ in range(n)]
         for f, a, t in self.edges:
             self.succ[f].append((a, t))
-            self.pred[t].append(f)
         self.stuck_ids = [sid for sid, out in enumerate(self.succ) if not out]
+
+    @cached_property
+    def pred(self) -> list:
+        """id -> [from id]."""
+        pred = [[] for _ in self.succ]
+        for f, _, t in self.edges:
+            pred[t].append(f)
+        return pred
 
     def path_to(self, sid: int) -> tuple:
         return _path(self.parents, sid)
@@ -252,13 +265,18 @@ def _buffer_occupancy(buffer: tuple) -> int:
 
 _NO_MOVES = ((), (), None)
 
+# The bit width of one binding's field in a state key.  A key part id counts
+# the distinct parts found so far, so it is below sys.maxsize and fits.
+_FIELD = sys.maxsize.bit_length()
+
 
 def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits,
             order: str = "bfs"):
     """Closure of context_transitions from g0 with canonical-state
-    deduplication; returns LtsGraph or Exceeded.  BFS by default, so state
-    ids and Exceeded witnesses are minimal-length; a DFS order is available
-    for order-independence checks."""
+    deduplication; returns LtsGraph or Exceeded.  A state is known by one
+    int key, its bindings' key parts packed one field per endpoint slot.
+    BFS by default, so state ids and Exceeded witnesses are minimal-length;
+    a DFS order is available for order-independence checks."""
     # Every successor reuses nodes of g0's type graphs, so g0's table of
     # classes covers every reachable state.
     classes, mode, sigma = context_classes(g0), limits.mode, set(sigma)
@@ -267,9 +285,11 @@ def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits,
     # bindings written differently keep their own ids and spellings.  Per id
     # are kept the (endpoint key, binding) pair every state holding it
     # shares, its key part, interned as an int, and its occupancy.  A state
-    # is a tuple of binding ids, and its key the tuple of their part ids.
+    # is a tuple of binding ids, and its key the int holding the part id of
+    # slot i in bits [i * _FIELD, (i + 1) * _FIELD).
     keys = [k for k, _ in g0.endpoints]
     slot = {k: i for i, k in enumerate(keys)}
+    shift = [i * _FIELD for i in range(len(keys))]
     interned: dict = {}  # (slot, canonical binding) -> binding id
     pairs, part, occ = [], [], []
     part_ids: dict = {}
@@ -283,11 +303,19 @@ def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits,
             occ.append(_buffer_occupancy(sbt.buffer))
         return b
 
+    def change(i: int, b: int, nb: int) -> tuple:
+        """(slot, new binding id) and the key change of replacing b by nb."""
+        return (i, nb), (part[nb] - part[b]) << shift[i]
+
     # The rules run once per binding id, and once per (sender id, wanted
     # message) for receptions, on first need.  A move is (rendered action,
-    # action, changes), the changes being (slot, new binding id) pairs.
+    # action, key change, changes), the changes being (slot, new binding id)
+    # pairs; an arm keeps the receiver's half of both, and a reception gives
+    # the sender's half.  An arm's wanted message (recipient, label,
+    # payload) is interned as an int, which is cheaper to hash.
     moves: dict = {}  # binding id -> (sends, arms, timeout)
-    coms: dict = {}   # sender id -> {(recipient, label, payload): new sender ids}
+    coms: dict = {}   # sender id -> {wanted message id: sender halves}
+    wants: dict = {}  # wanted message -> id
 
     def own(b: int) -> tuple:
         key, sbt = pairs[b]
@@ -295,24 +323,37 @@ def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits,
         if key[0] not in sigma or sbt.session is None:
             return _NO_MOVES
         sends, arms, timeout = _own_moves(key, sbt, r)
-        return ([(a.render(), a, ((i, intern(i, n)),)) for a, n in sends],
-                [(a.render(), a, slot[key[0], arm.frm], (key[1], arm.label, arm.payload),
-                  intern(i, n))
-                 for arm, a, n in arms if (key[0], arm.frm) in slot],
-                None if timeout is None else
-                (timeout[0].render(), timeout[0], ((i, intern(i, timeout[1])),)))
 
-    def taken(sb: int, want: tuple) -> tuple:
+        def move(a, n):
+            c, d = change(i, b, intern(i, n))
+            return a.render(), a, d, (c,)
+        recv = []  # (rendered, action, sender slot, want id, want, change, key change)
+        for arm, a, n in arms:
+            j = slot.get((key[0], arm.frm))
+            if j is not None:
+                want = (key[1], arm.label, arm.payload)
+                recv.append((a.render(), a, j, wants.setdefault(want, len(wants)), want,
+                             *change(i, b, intern(i, n))))
+        return ([move(a, n) for a, n in sends], recv,
+                None if timeout is None else move(*timeout))
+
+    def taken(sb: int, w: int, want: tuple) -> tuple:
         skey, sender = pairs[sb]
-        out = tuple(intern(slot[skey], n) for n in _taken(sender, want, mode, classes))
-        coms.setdefault(sb, {})[want] = out
+        j = slot[skey]
+        out = tuple(change(j, sb, intern(j, n))
+                    for n in _taken(sender, want, mode, classes))
+        if want[0] == skey[1]:
+            # A role taking from its own buffer: the receiver's half is
+            # applied last and overwrites this one, so it changes no key.
+            out = tuple((c, 0) for c, _ in out)
+        coms.setdefault(sb, {})[w] = out
         return out
 
     bids = [tuple(intern(i, sbt) for i, (_, sbt) in enumerate(g0.endpoints))]
-    parts = [tuple(part[b] for b in bids[0])]
+    skeys = [sum(part[b] << shift[i] for i, b in enumerate(bids[0]))]
     states, edges, parents = States(g0.vars, bids, pairs), [], {}
     occupancy = [max(map(occ.__getitem__, bids[0]), default=0)]
-    ids = {parts[0]: 0}
+    ids = {skeys[0]: 0}
     cap = limits.max_buffer_len
     if cap is not None and occupancy[0] >= cap:
         return Exceeded("bufferLen", cap, (), states[0])
@@ -322,29 +363,26 @@ def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits,
         sid = take()
         state = bids[sid]
         succ = []
-        for i, b in enumerate(state):
+        for b in state:
             rec = moves.get(b)
             if rec is None:
                 rec = moves[b] = own(b)
             sends, arms, timeout = rec
             succ += sends
-            for text, action, j, want, nb in arms:
+            for text, action, j, w, want, mine, d in arms:
                 sb = state[j]
                 try:
-                    rest = coms[sb][want]
+                    rest = coms[sb][w]
                 except KeyError:
-                    rest = taken(sb, want)
-                for ns in rest:
-                    succ.append((text, action, ((j, ns), (i, nb))))
+                    rest = taken(sb, w, want)
+                for theirs, ds in rest:
+                    succ.append((text, action, d + ds, (theirs, mine)))
             if timeout is not None:
                 succ.append(timeout)
         succ.sort(key=itemgetter(0))
-        known = parts[sid]
-        for _, action, changes in succ:
-            key = list(known)
-            for j, nb in changes:
-                key[j] = part[nb]
-            key = tuple(key)
+        known = skeys[sid]
+        for _, action, d, changes in succ:
+            key = known + d
             nid = ids.get(key)
             if nid is not None:
                 edges.append((sid, action, nid))
@@ -359,7 +397,7 @@ def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits,
                                 _path(parents, sid) + (action,), states.context(nxt))
             ids[key] = nid
             bids.append(nxt)
-            parts.append(key)
+            skeys.append(key)
             parents[nid] = (sid, action)
             edges.append((sid, action, nid))
             occupancy.append(max(map(occ.__getitem__, nxt)))
@@ -368,6 +406,31 @@ def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits,
             frontier.append(nid)
     return LtsGraph(states, edges, parents=parents, classes=classes,
                     occupancy=occupancy)
+
+
+def without_timeouts(graph: LtsGraph) -> LtsGraph:
+    """The part of a complete graph reachable without timeouts, its states
+    numbered in BFS visit order: the graph `explore` builds from the same
+    initial state under a map where no timeout fires.  A map only enables
+    timeouts, and each state's successors are in explore's order, so the
+    states, edges, parents and witnesses are explore's."""
+    old = [graph.initial]  # new id -> old id
+    new = {graph.initial: 0}
+    edges, parents = [], {}
+    for f, sid in enumerate(old):  # old grows as states are found
+        for a, t in graph.succ[sid]:
+            if isinstance(a, TimeoutAct):
+                continue
+            nid = new.get(t)
+            if nid is None:
+                nid = new[t] = len(old)
+                old.append(t)
+                parents[nid] = (f, a)
+            edges.append((f, a, nid))
+    ids, occupancy = graph.states.ids, graph.occupancy
+    states = States(graph.states.vars, [ids[o] for o in old], graph.states.bindings)
+    return LtsGraph(states, edges, parents=parents, classes=graph.classes,
+                    occupancy=[occupancy[o] for o in old])
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .context import TypeContext, split_end_gc
 from .lts import (ComAct, Exceeded, ExploreLimits, LtsGraph, action_to_json,
-                  explore)
+                  explore, without_timeouts)
 from .types import (Branch, CongruenceMode, Reliability, Select, TypeClasses,
                     buffer_heads, buffer_keys, resolve, session_nodes,
                     type_equal)
@@ -78,7 +78,10 @@ class Graphs:
     A graph is fixed by its reliability map and congruence mode.  The map
     only decides which timeouts are enabled, so when no timeout can fire
     under the map, the graph is the timeout-free graph of that mode whatever
-    the map: under the fully reliable map, comm-rf and tcp read one graph."""
+    the map: under the fully reliable map, comm-rf and tcp read one graph.
+    When a complete graph of the mode is already built, the timeout-free
+    graph is read off it (`lts.without_timeouts`) instead of explored, so a
+    run that asks for the declared map first explores once per mode."""
 
     def __init__(self, g0: TypeContext, sigma, limits: ExploreLimits):
         self.g0, self.sigma, self.limits = g0, sigma, limits
@@ -95,8 +98,12 @@ class Graphs:
         """The LtsGraph (or Exceeded) under r; mode defaults to the run's."""
         key = self._key(r, mode)
         if key not in self._built:
-            self._built[key] = explore(self.g0, self.sigma, r, ExploreLimits(
-                self.limits.max_states, self.limits.max_buffer_len, key[0]))
+            full = None if key[1] is not None else next(
+                (g for (m, _), g in self._built.items()
+                 if m == key[0] and isinstance(g, LtsGraph)), None)
+            self._built[key] = without_timeouts(full) if full is not None else \
+                explore(self.g0, self.sigma, r, ExploreLimits(
+                    self.limits.max_states, self.limits.max_buffer_len, key[0]))
         return self._built[key]
 
     def built(self, r: Reliability, mode: CongruenceMode | None = None):
@@ -314,36 +321,48 @@ def check_live(g0: TypeContext, sigma, r: Reliability,
     graph = _graphs(graphs, g0, sigma, limits).get(r)
     if isinstance(graph, Exceeded):
         return _inconclusive(graph)
-    # endpoints with at least one timeout-less waiting state, each binding
-    # id decided once: its endpoint key if it waits without a timeout
-    waiting = [key if _waits(sbt) else None for key, sbt in graph.states.bindings]
-    obligations: dict = {}
-    for sid, ids in enumerate(graph.states.ids):
-        for b in ids:
-            key = waiting[b]
-            if key is not None:
-                obligations.setdefault(key, []).append(sid)
-    # states with an enabled communication, per receiving endpoint
+    ids, bindings = graph.states.ids, graph.states.bindings
+    # the binding ids that wait without a timeout, per endpoint key, each
+    # binding id decided once
+    waiting: dict = {}
+    for b, (key, sbt) in enumerate(bindings):
+        if _waits(sbt):
+            waiting.setdefault(key, set()).add(b)
+    if not waiting:
+        return Verdict(HOLDS)
+    slot = {bindings[b][0]: i for i, b in enumerate(ids[graph.initial])}
+    # states with an enabled communication, per waiting receiver
     receives: dict = {}
     for f, a, _ in graph.edges:
-        if isinstance(a, ComAct):
-            receives.setdefault((a.session, a.to), set()).add(f)
-    for key in sorted(obligations):
+        if type(a) is ComAct and (a.session, a.to) in waiting:
+            receives.setdefault((a.session, a.to), []).append(f)
+    pred = graph.pred
+    for key in sorted(waiting):
         session, role = key
-        # backward closure: states that can reach a communication for key
-        closed = set(receives.get(key, ()))
-        work = list(closed)
-        while work:
-            u = work.pop()
-            for v in graph.pred[u]:
-                if v not in closed:
-                    closed.add(v)
+        mine, i = waiting[key], slot[key]
+        # the states where key waits, and a backward closure from the
+        # states that can take a communication for key, stopped once it
+        # holds all of them
+        waits = bytearray(state[i] in mine for state in ids)
+        closed = bytearray(len(ids))
+        left = sum(waits)
+        work = []
+        for u in receives.get(key, ()):
+            if not closed[u]:
+                closed[u] = 1
+                left -= waits[u]
+                work.append(u)
+        while work and left:
+            for v in pred[work.pop()]:
+                if not closed[v]:
+                    closed[v] = 1
+                    left -= waits[v]
                     work.append(v)
-        for sid in obligations[key]:
-            if sid not in closed:
-                return Verdict(VIOLATED,
-                               reason=f"Live: {session}[{role}] can never receive",
-                               witness=graph.path_to(sid))
+        if left:
+            sid = next(sid for sid, w in enumerate(waits) if w and not closed[sid])
+            return Verdict(VIOLATED,
+                           reason=f"Live: {session}[{role}] can never receive",
+                           witness=graph.path_to(sid))
     return Verdict(HOLDS)
 
 

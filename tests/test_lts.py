@@ -2,21 +2,25 @@
 export round-trips."""
 import itertools
 import json
+import random
 from collections import Counter, deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magpi import lts, parse, parse_session_text
 from magpi.cli import initial_context
-from magpi.context import (TypeContext, canonical_context, context_classes,
-                           context_key, render_context)
+from magpi.context import (TypeContext, canonical_binding, canonical_context,
+                           context_classes, context_key, render_context)
 from magpi.lts import (ComAct, ExploreLimits, Exceeded, LtsGraph, SendAct,
-                       TimeoutAct, context_transitions, explore, export_lts)
+                       TimeoutAct, context_transitions, explore, export_lts,
+                       without_timeouts)
 from magpi.types import (BufEntry, CongruenceMode, Reliability,
                          SessionBufferType, UNIT, format_type)
-from tests.conftest import fixture_text
+from tests.conftest import fixture_text, mesh_sources
 from tests.test_golden import FILES, ROOT
 from tests.test_type_classes import ROLES as PROBE_ROLES, _probe
+from tests.test_verify import _random_context
 
 ROLES = {"p", "q", "r"}
 
@@ -336,6 +340,102 @@ def test_explore_matches_reference_under_every_limit():
                 got = explore(g0, sigma, rel, ExploreLimits(cap, bound, mode), order)
                 assert _outcome(got) == _outcome(_capped(run, cap)), \
                     (name, rel is rf, bound, order, cap)
+
+
+def test_explore_keeps_a_self_reception_as_the_reference_does():
+    # A role that takes a message from its own buffer: the receiver's new
+    # binding is applied last, so the message stays, as under
+    # context_transitions.  p ends with a in its buffer on both of q's
+    # choices, so the two paths meet in one state.
+    g = ctx({("s", "p"): sbt(S("&{ q?go(). p!a(). end, q?no(). p!a(). p?a(). end }")),
+             ("s", "q"): sbt(S("+{ p!go(). end, p!no(). end }"))})
+    for mode in CongruenceMode:
+        limits = ExploreLimits(mode=mode)
+        assert _outcome(explore(g, {"s"}, RF, limits)) == \
+            _outcome(_reference_explore(g, {"s"}, RF, limits, "bfs"))
+
+
+# -- the timeout-free view ----------------------------------------------------
+
+
+def _mesh_cases():
+    for name, text in mesh_sources():
+        pf = parse(text)
+        g0, sess = initial_context(pf)
+        yield name, g0, {sess}, pf.reliability
+
+
+def _view_form(graph, mode):
+    """A complete graph in comparable form: per-state key parts, edges with
+    rendered actions, parents, occupancy and stuck ids."""
+    bindings = graph.states.bindings
+    parts = [tuple(canonical_binding(bindings[b][1], mode, graph.classes)[1] for b in ids)
+             for ids in graph.states.ids]
+    return (parts, [(f, _act(a), t) for f, a, t in graph.edges],
+            {n: (p, _act(a)) for n, (p, a) in graph.parents.items()},
+            graph.occupancy, graph.stuck_ids)
+
+
+def _assert_view_is_exploration(g0, sigma, r, mode, name, max_states=100000):
+    """Assert that without_timeouts of the graph under r is the graph
+    explored under the fully reliable map, and return the graph under r;
+    None when it exceeds max_states."""
+    limits = ExploreLimits(max_states, None, mode)
+    full = explore(g0, sigma, r, limits)
+    if isinstance(full, Exceeded):
+        return None
+    rf = Reliability.fully_reliable({k[1] for k, _ in g0.endpoints})
+    assert _view_form(without_timeouts(full), mode) == \
+        _view_form(explore(g0, sigma, rf, limits), mode), (name, mode)
+    return full
+
+
+@pytest.mark.parametrize("mode", list(CongruenceMode))
+def test_timeout_free_view_is_the_fully_reliable_exploration(mode):
+    with_timeouts = 0
+    for name, g0, sigma, r in list(_reference_cases()) + list(_mesh_cases()):
+        full = _assert_view_is_exploration(g0, sigma, r, mode, name)
+        assert full is not None, name
+        with_timeouts += any(isinstance(a, TimeoutAct) for _, a, _ in full.edges)
+    # every case but the two Open item 1 probes, which are fully reliable
+    assert with_timeouts == 7
+
+
+def _random_timeout_context(rng: random.Random):
+    """A small three-role context whose branchings may carry a timeout,
+    possibly recursive, with a random reliability map."""
+    roles = ("p", "q", "r")
+
+    def chain(role, depth, loop):
+        if depth == 0:
+            return "t" if loop and rng.random() < 0.5 else "end"
+        peer = rng.choice([x for x in roles if x != role])
+        lab = rng.choice("ab")
+        cont = chain(role, depth - 1, loop)
+        if rng.random() < 0.5:
+            return f"{peer}!{lab}(). {cont}"
+        if rng.random() < 0.3:
+            return f"{peer}?{lab}(). {cont}"
+        return f"&{{ {peer}?{lab}(). {cont}, timeout. {chain(role, depth - 1, loop)} }}"
+
+    eps = {}
+    for role in roles:
+        loop = rng.random() < 0.5
+        body = chain(role, rng.randint(1, 3), loop)
+        eps[("s", role)] = sbt(S(f"rec t. {body}" if loop else body))
+    r = Reliability.of({role: {x for x in roles if x != role and rng.random() < 0.4}
+                        for role in roles})
+    return ctx(eps), r
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from(list(CongruenceMode)))
+def test_timeout_free_view_matches_on_random_contexts(seed, mode):
+    rng = random.Random(seed)
+    g0, r = _random_timeout_context(rng)
+    _assert_view_is_exploration(g0, {"s"}, r, mode, seed, max_states=300)
+    g0 = _random_context(rng)
+    assert _assert_view_is_exploration(g0, {"s"}, R0, mode, seed) is not None
 
 
 # -- export -------------------------------------------------------------------

@@ -8,16 +8,19 @@ import time
 
 import pytest
 
+import magpi.cli
 from magpi import parse, parse_session_text
 from magpi.cli import initial_context, main
 from magpi.context import TypeContext
-from magpi.lts import (ComAct, ExploreLimits, LtsGraph, SendAct, TimeoutAct,
-                       context_transitions, explore)
+from magpi.lts import (ComAct, Exceeded, ExploreLimits, LtsGraph, SendAct,
+                       TimeoutAct, context_transitions, explore)
 from magpi.types import (Basic, BranchArm, BufEntry, CongruenceMode, END,
                          Reliability, Select, SelectArm, SessionBufferType,
                          Branch, UNIT)
 from magpi import verify as V
-from tests.conftest import fixture_file, fixture_text
+from tests.conftest import bench_gen, fixture_file, fixture_text, mesh_sources
+from tests.test_golden import ROOT
+from tests.test_type_classes import ROLES as PROBE_ROLES, _probe
 
 ROLES = {"p", "q", "r"}
 LIM = ExploreLimits()
@@ -306,11 +309,142 @@ def test_run_explores_each_distinct_graph_once(monkeypatch):
     V.check_bounded(g0, {sess}, r, 8, tcp.mode, graphs=graphs)
     V.check_bound_k(g0, {sess}, r, 2, tcp.mode, graphs=graphs)
     # no timeout fires under the fully reliable map, so comm-rf and tcp
-    # read the same timeout-free graph
+    # read the same timeout-free graph, read off the complete graph under r
     V.check_comm_safe_RF(g0, {sess}, tcp, graphs)
     V.check_tcp_safety(g0, {sess}, tcp, graphs)
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert graphs.built(r) is not None
+
+
+def _count_explores(monkeypatch) -> dict:
+    """Count the explorations of the verify checks and of the stats pass."""
+    calls = {}
+    for name, module in (("verify", V), ("cli", magpi.cli)):
+        calls[name] = 0
+
+        def counted(*args, _real=module.explore, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, "explore", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ("total", "tcp"))
+def test_mesh_run_explores_once(monkeypatch, tmp_path, mode):
+    # The verify benchmark's op: comm-rf reads its graph off the complete
+    # graph under the declared map, and the stats read that graph.
+    props = ",".join(bench_gen().MESH_PROPS)
+    for name, text in mesh_sources():
+        path = tmp_path / "mesh.magpi"
+        path.write_text(text, encoding="utf-8")
+        calls = _count_explores(monkeypatch)
+        main(["verify", str(path), "--props", props, "--mode", mode, "--json"],
+             io.StringIO())
+        assert calls == {"verify": 1, "cli": 0}, name
+
+
+def test_comm_rf_explores_when_the_graph_under_r_is_incomplete(monkeypatch):
+    # leader's graph under R stops at 400 states, so comm-rf explores its
+    # own graph, and the run reads as the two properties run alone.
+    def run(props):
+        out = io.StringIO()
+        main(["verify", fixture_file("leader"), "--props", props,
+              "--max-states", "400", "--json"], out)
+        return json.loads(out.getvalue())
+
+    alone = {p: run(p) for p in ("deadlock", "comm-rf")}
+    calls = _count_explores(monkeypatch)
+    both = run("deadlock,comm-rf")
+    assert calls == {"verify": 2, "cli": 0}
+    assert both == {"properties": {**alone["deadlock"]["properties"],
+                                   **alone["comm-rf"]["properties"]},
+                    "stats": alone["deadlock"]["stats"]}
+    assert both["properties"]["comm-rf"] == {"verdict": "holds"}
+    assert both["stats"] == {"exceeded": "maxStates", "limit": 400}
+
+
+# -- liveness ---------------------------------------------------------------------
+
+
+def _check_live_reference(g0, sigma, r, limits):
+    """Reference: liveness with its obligations found per (state, binding)
+    and each backward closure run to the end."""
+    graph = explore(g0, sigma, r, limits)
+    if isinstance(graph, Exceeded):
+        return V._inconclusive(graph)
+    waiting = [key if V._waits(sbt) else None for key, sbt in graph.states.bindings]
+    obligations: dict = {}
+    for sid, ids in enumerate(graph.states.ids):
+        for b in ids:
+            key = waiting[b]
+            if key is not None:
+                obligations.setdefault(key, []).append(sid)
+    receives: dict = {}
+    for f, a, _ in graph.edges:
+        if isinstance(a, ComAct):
+            receives.setdefault((a.session, a.to), set()).add(f)
+    for key in sorted(obligations):
+        session, role = key
+        closed = set(receives.get(key, ()))
+        work = list(closed)
+        while work:
+            u = work.pop()
+            for v in graph.pred[u]:
+                if v not in closed:
+                    closed.add(v)
+                    work.append(v)
+        for sid in obligations[key]:
+            if sid not in closed:
+                return V.Verdict(V.VIOLATED,
+                                 reason=f"Live: {session}[{role}] can never receive",
+                                 witness=graph.path_to(sid))
+    return V.Verdict(V.HOLDS)
+
+
+def _live_cases():
+    for name in ("ping", "dns", "leader"):
+        pf = parse(fixture_text(name))
+        g0, sess = initial_context(pf)
+        yield name, g0, {sess}, pf.reliability
+    for name, text in mesh_sources() + [
+            (f, (ROOT / "tests" / "golden" / f).read_text(encoding="utf-8"))
+            for f in ("mesh.magpi", "mesh_loop.magpi")]:
+        pf = parse(text)
+        g0, sess = initial_context(pf)
+        yield name, g0, {sess}, pf.reliability
+    for second in ("Y", "W"):
+        yield f"open item 1 ({second})", _probe(second), {"s"}, \
+            Reliability.fully_reliable(PROBE_ROLES)
+    rng = random.Random(20261018)
+    for i in range(300):
+        for g in (_random_context(rng), _random_branching_context(rng)):
+            yield f"random {i}", g, {"s"}, Reliability.fully_reliable({"p", "q"})
+
+
+def _random_branching_context(rng: random.Random):
+    """Two-role contexts whose receiver branches on one or two labels, so a
+    state may enable two receptions for it at once."""
+    def send(depth):
+        return "end" if depth == 0 else f"q!{rng.choice('abc')}(). {send(depth - 1)}"
+
+    def receive(depth):
+        if depth == 0:
+            return "end"
+        return "&{ " + ", ".join(f"p?{label}(). {receive(depth - 1)}"
+                                 for label in rng.sample("abc", rng.randint(1, 2))) + " }"
+    return ctx({("s", "p"): sbt(S(send(rng.randint(1, 4)))),
+                ("s", "q"): sbt(S(receive(rng.randint(1, 3))))})
+
+
+@pytest.mark.parametrize("mode", list(CongruenceMode))
+def test_live_matches_reference(mode):
+    limits = ExploreLimits(max_states=3000, mode=mode)
+    verdicts = set()
+    for name, g0, sigma, r in _live_cases():
+        got = V.check_live(g0, sigma, r, limits)
+        assert got == _check_live_reference(g0, sigma, r, limits), name
+        verdicts.add(got.status)
+    assert verdicts == {V.HOLDS, V.VIOLATED, V.INCONCLUSIVE}
 
 
 # -- termination at depth -----------------------------------------------------------
