@@ -160,7 +160,7 @@ def cmd_verify(args, out) -> int:
         stats_limits = ExploreLimits(min(limits.max_states, STATS_STATE_CAP),
                                      limits.max_buffer_len, limits.mode)
         graph = explore(g0, sigma, r, stats_limits)
-    stats = ({"states": len(graph.states), "edges": len(graph.edges)}
+    stats = ({"states": len(graph.states), "edges": sum(map(len, graph.succ))}
              if not isinstance(graph, Exceeded)
              else {"exceeded": graph.kind, "limit": graph.limit})
     if args.dot:

@@ -9,12 +9,17 @@ out.  Recursion nodes are unfolded transparently before matching.
 
 `explore` works over interned endpoint bindings.  Each distinct canonical
 binding gets an id, and is canonicalised, keyed and expanded by the rules
-once per exploration, however many states hold it.  A state is the tuple of
-its bindings' ids, a successor is its parent's tuple with one or two ids
-replaced, and the graph keeps those tuples: a state is built as a
-TypeContext only when it is read.  A state's key is one int, and a
-successor's key is its parent's plus the precomputed change of each
-replaced binding.
+once per exploration, however many states hold it: its expansion record,
+built once, holds its sends and timeout as ready successors and its branch
+arms grouped by the slot they read, with the receptions memoised per
+sender binding id.  A state is the tuple of its bindings' ids, a successor
+is its parent's tuple with one or two ids replaced, and the graph keeps
+those tuples: a state is built as a TypeContext only when it is read.  A
+state's key is one int, and a successor's key is its parent's plus the
+precomputed change of each replaced binding.  The graph is its successor
+lists, written once as states are expanded; the edge list and each state's
+occupancy are derived when read, and the buffer cap is checked on the
+bindings a step changes only.
 
 `without_timeouts` reads the graph under a map where no timeout fires off
 a complete graph under any map: a map only enables timeouts.
@@ -210,36 +215,54 @@ class States(Sequence):
 
 @dataclass
 class LtsGraph:
-    """An explored LTS.  `explore` records each state's occupancy, the
-    largest number of messages any sender buffer holds for one recipient,
-    as it finds the state.  The successor adjacency and the stuck states are
-    derived from `edges` once, when the graph is made, and the predecessor
-    adjacency when it is first read."""
+    """An explored LTS, kept as its successor adjacency: `explore` writes
+    each state's successors into `succ` as it expands the state.  The edge
+    list, the stuck states, the predecessor adjacency, each state's
+    occupancy and their maximum are derived when first read; `explore`
+    sets the last two of them as it places states.  A state's occupancy is
+    the largest number of messages any sender buffer of it holds for one
+    recipient."""
 
     states: Sequence        # state id -> TypeContext (canonical); States from explore
-    edges: list             # (from id, Action, to id)
+    succ: list              # id -> [(Action, to id)]
     initial: int = 0
     parents: dict = field(default_factory=dict)  # id -> (parent id, Action)
     classes: TypeClasses | None = None  # the type classes every state is keyed by
-    occupancy: list = field(default_factory=list)  # id -> buffer occupancy
-    succ: list = field(init=False, repr=False)   # id -> [(Action, to id)]
-    stuck_ids: list = field(init=False, repr=False)  # ids without successors, ascending
+    order: list | None = None  # ids in the order they were expanded; None: id order
 
-    def __post_init__(self):
-        # Sized by count: reading `states` would build every context.
-        n = len(self.states)
-        self.succ = [[] for _ in range(n)]
-        for f, a, t in self.edges:
-            self.succ[f].append((a, t))
-        self.stuck_ids = [sid for sid, out in enumerate(self.succ) if not out]
+    def _expanded(self):
+        return range(len(self.succ)) if self.order is None else self.order
+
+    @cached_property
+    def edges(self) -> list:
+        """(from id, Action, to id), in the order the states were expanded."""
+        succ = self.succ
+        return [(f, a, t) for f in self._expanded() for a, t in succ[f]]
+
+    @cached_property
+    def stuck_ids(self) -> list:
+        """The ids without successors, ascending."""
+        return [sid for sid, out in enumerate(self.succ) if not out]
 
     @cached_property
     def pred(self) -> list:
-        """id -> [from id]."""
-        pred = [[] for _ in self.succ]
-        for f, _, t in self.edges:
-            pred[t].append(f)
+        """id -> [from id], one per edge, in expansion order."""
+        succ = self.succ
+        pred = [[] for _ in succ]
+        for f in self._expanded():
+            for _, t in succ[f]:
+                pred[t].append(f)
         return pred
+
+    @cached_property
+    def occupancy(self) -> list:
+        """id -> buffer occupancy, from each binding's; reads States."""
+        occ = [_buffer_occupancy(sbt.buffer) for _, sbt in self.states.bindings]
+        return [max(map(occ.__getitem__, ids), default=0) for ids in self.states.ids]
+
+    @cached_property
+    def max_occupancy(self) -> int:
+        return max(self.occupancy, default=0)
 
     def path_to(self, sid: int) -> tuple:
         return _path(self.parents, sid)
@@ -263,7 +286,7 @@ def _buffer_occupancy(buffer: tuple) -> int:
     return best
 
 
-_NO_MOVES = ((), (), None)
+_NO_MOVES = ((), ())
 
 # The bit width of one binding's field in a state key.  A key part id counts
 # the distinct parts found so far, so it is below sys.maxsize and fits.
@@ -276,7 +299,16 @@ def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits,
     deduplication; returns LtsGraph or Exceeded.  A state is known by one
     int key, its bindings' key parts packed one field per endpoint slot.
     BFS by default, so state ids and Exceeded witnesses are minimal-length;
-    a DFS order is available for order-independence checks."""
+    a DFS order is available for order-independence checks.
+
+    Each binding id gets one expansion record, on first need: its sends and
+    timeout as ready successor entries, and its branch arms grouped by the
+    slot they read, each group with a memo from the sender's binding id to
+    its ready receptions.  A state is expanded by one `extend` per binding
+    and one lookup per group, and each edge is written once, into the
+    graph's `succ` and `pred`.  Only a step's changed bindings can bring a
+    state to the buffer cap, its parent being below it, so only they are
+    checked, and the largest occupancy is kept as states are placed."""
     # Every successor reuses nodes of g0's type graphs, so g0's table of
     # classes covers every reachable state.
     classes, mode, sigma = context_classes(g0), limits.mode, set(sigma)
@@ -284,14 +316,14 @@ def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits,
     # slot and one canonical binding, compared by content, so bisimilar
     # bindings written differently keep their own ids and spellings.  Per id
     # are kept the (endpoint key, binding) pair every state holding it
-    # shares, its key part, interned as an int, and its occupancy.  A state
-    # is a tuple of binding ids, and its key the int holding the part id of
-    # slot i in bits [i * _FIELD, (i + 1) * _FIELD).
+    # shares, its key part, interned as an int, its occupancy and its
+    # expansion record.  A state is a tuple of binding ids, and its key the
+    # int holding the part id of slot i in bits [i * _FIELD, (i + 1) * _FIELD).
     keys = [k for k, _ in g0.endpoints]
     slot = {k: i for i, k in enumerate(keys)}
     shift = [i * _FIELD for i in range(len(keys))]
     interned: dict = {}  # (slot, canonical binding) -> binding id
-    pairs, part, occ = [], [], []
+    pairs, part, occ, table = [], [], [], []
     part_ids: dict = {}
 
     def intern(i: int, sbt: SessionBufferType) -> int:
@@ -301,41 +333,44 @@ def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits,
             pairs.append((keys[i], sbt))
             part.append(part_ids.setdefault(p, len(part_ids)))
             occ.append(_buffer_occupancy(sbt.buffer))
+            table.append(None)
         return b
 
     def change(i: int, b: int, nb: int) -> tuple:
         """(slot, new binding id) and the key change of replacing b by nb."""
         return (i, nb), (part[nb] - part[b]) << shift[i]
 
-    # The rules run once per binding id, and once per (sender id, wanted
-    # message) for receptions, on first need.  A move is (rendered action,
-    # action, key change, changes), the changes being (slot, new binding id)
-    # pairs; an arm keeps the receiver's half of both, and a reception gives
-    # the sender's half.  An arm's wanted message (recipient, label,
-    # payload) is interned as an int, which is cheaper to hash.
-    moves: dict = {}  # binding id -> (sends, arms, timeout)
+    # A successor entry is (rendered action, action, key change, changes),
+    # the changes being (slot, new binding id) pairs.  An arm keeps the
+    # receiver's half of both, and the sender's half comes from `taken`,
+    # run once per (sender id, wanted message).  An arm's wanted message
+    # (recipient, label, payload) is interned as an int, cheaper to hash.
     coms: dict = {}   # sender id -> {wanted message id: sender halves}
     wants: dict = {}  # wanted message -> id
 
-    def own(b: int) -> tuple:
+    def record(b: int) -> tuple:
+        """(fixed entries, [(source slot, arms, memo)]) of binding b."""
         key, sbt = pairs[b]
-        i = slot[key]
         if key[0] not in sigma or sbt.session is None:
             return _NO_MOVES
+        i = slot[key]
         sends, arms, timeout = _own_moves(key, sbt, r)
 
         def move(a, n):
             c, d = change(i, b, intern(i, n))
             return a.render(), a, d, (c,)
-        recv = []  # (rendered, action, sender slot, want id, want, change, key change)
+        fixed = [move(a, n) for a, n in sends]
+        if timeout is not None:
+            fixed.append(move(*timeout))
+        groups: dict = {}  # source slot -> [(rendered, action, want id, want, change, key change)]
         for arm, a, n in arms:
             j = slot.get((key[0], arm.frm))
             if j is not None:
                 want = (key[1], arm.label, arm.payload)
-                recv.append((a.render(), a, j, wants.setdefault(want, len(wants)), want,
-                             *change(i, b, intern(i, n))))
-        return ([move(a, n) for a, n in sends], recv,
-                None if timeout is None else move(*timeout))
+                groups.setdefault(j, []).append(
+                    (a.render(), a, wants.setdefault(want, len(wants)), want,
+                     *change(i, b, intern(i, n))))
+        return fixed, [(j, group, {}) for j, group in groups.items()]
 
     def taken(sb: int, w: int, want: tuple) -> tuple:
         skey, sender = pairs[sb]
@@ -346,66 +381,75 @@ def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits,
             # A role taking from its own buffer: the receiver's half is
             # applied last and overwrites this one, so it changes no key.
             out = tuple((c, 0) for c, _ in out)
-        coms.setdefault(sb, {})[w] = out
+        coms[sb][w] = out
         return out
+
+    def receptions(group: list, sb: int) -> list:
+        """The successor entries of a group's arms while sb holds their slot."""
+        got = coms.setdefault(sb, {})
+        return [(text, action, d + ds, (theirs, mine))
+                for text, action, w, want, mine, d in group
+                for theirs, ds in (got[w] if w in got else taken(sb, w, want))]
 
     bids = [tuple(intern(i, sbt) for i, (_, sbt) in enumerate(g0.endpoints))]
     skeys = [sum(part[b] << shift[i] for i, b in enumerate(bids[0]))]
-    states, edges, parents = States(g0.vars, bids, pairs), [], {}
-    occupancy = [max(map(occ.__getitem__, bids[0]), default=0)]
+    states, succ, pred, parents = States(g0.vars, bids, pairs), [[]], [[]], {}
+    top = max(map(occ.__getitem__, bids[0]), default=0)
     ids = {skeys[0]: 0}
     cap = limits.max_buffer_len
-    if cap is not None and occupancy[0] >= cap:
+    if cap is not None and top >= cap:
         return Exceeded("bufferLen", cap, (), states[0])
+    expanded = None if order == "bfs" else []
     frontier = deque([0])
-    take = frontier.popleft if order == "bfs" else frontier.pop
+    take = frontier.popleft if expanded is None else frontier.pop
     while frontier:
         sid = take()
+        if expanded is not None:
+            expanded.append(sid)
         state = bids[sid]
-        succ = []
+        out = []
         for b in state:
-            rec = moves.get(b)
+            rec = table[b]
             if rec is None:
-                rec = moves[b] = own(b)
-            sends, arms, timeout = rec
-            succ += sends
-            for text, action, j, w, want, mine, d in arms:
+                rec = table[b] = record(b)
+            fixed, groups = rec
+            out += fixed
+            for j, group, memo in groups:
                 sb = state[j]
-                try:
-                    rest = coms[sb][w]
-                except KeyError:
-                    rest = taken(sb, w, want)
-                for theirs, ds in rest:
-                    succ.append((text, action, d + ds, (theirs, mine)))
-            if timeout is not None:
-                succ.append(timeout)
-        succ.sort(key=itemgetter(0))
-        known = skeys[sid]
-        for _, action, d, changes in succ:
+                got = memo.get(sb)
+                if got is None:
+                    got = memo[sb] = receptions(group, sb)
+                out += got
+        out.sort(key=itemgetter(0))
+        known, mine = skeys[sid], succ[sid]
+        for _, action, d, changes in out:
             key = known + d
             nid = ids.get(key)
-            if nid is not None:
-                edges.append((sid, action, nid))
-                continue
-            nxt = list(state)
-            for j, nb in changes:
-                nxt[j] = nb
-            nxt = tuple(nxt)
-            nid = len(bids)
-            if nid >= limits.max_states:
-                return Exceeded("maxStates", limits.max_states,
-                                _path(parents, sid) + (action,), states.context(nxt))
-            ids[key] = nid
-            bids.append(nxt)
-            skeys.append(key)
-            parents[nid] = (sid, action)
-            edges.append((sid, action, nid))
-            occupancy.append(max(map(occ.__getitem__, nxt)))
-            if cap is not None and occupancy[nid] >= cap:
-                return Exceeded("bufferLen", cap, _path(parents, nid), states[nid])
-            frontier.append(nid)
-    return LtsGraph(states, edges, parents=parents, classes=classes,
-                    occupancy=occupancy)
+            if nid is None:
+                nxt = list(state)
+                for j, nb in changes:
+                    nxt[j] = nb
+                    if occ[nb] > top:
+                        top = occ[nb]
+                nxt = tuple(nxt)
+                nid = len(bids)
+                if nid >= limits.max_states:
+                    return Exceeded("maxStates", limits.max_states,
+                                    _path(parents, sid) + (action,), states.context(nxt))
+                ids[key] = nid
+                bids.append(nxt)
+                skeys.append(key)
+                succ.append([])
+                pred.append([])
+                parents[nid] = (sid, action)
+                if cap is not None and top >= cap:
+                    return Exceeded("bufferLen", cap, _path(parents, nid), states[nid])
+                frontier.append(nid)
+            mine.append((action, nid))
+            pred[nid].append(sid)
+    graph = LtsGraph(states, succ, parents=parents, classes=classes, order=expanded)
+    graph.pred, graph.max_occupancy = pred, top
+    return graph
 
 
 def without_timeouts(graph: LtsGraph) -> LtsGraph:
@@ -413,11 +457,13 @@ def without_timeouts(graph: LtsGraph) -> LtsGraph:
     numbered in BFS visit order: the graph `explore` builds from the same
     initial state under a map where no timeout fires.  A map only enables
     timeouts, and each state's successors are in explore's order, so the
-    states, edges, parents and witnesses are explore's."""
+    states, edges, parents and witnesses are explore's.  Its occupancy is
+    left to be read off its states."""
     old = [graph.initial]  # new id -> old id
     new = {graph.initial: 0}
-    edges, parents = [], {}
+    succ, parents = [], {}
     for f, sid in enumerate(old):  # old grows as states are found
+        out = []
         for a, t in graph.succ[sid]:
             if isinstance(a, TimeoutAct):
                 continue
@@ -426,11 +472,11 @@ def without_timeouts(graph: LtsGraph) -> LtsGraph:
                 nid = new[t] = len(old)
                 old.append(t)
                 parents[nid] = (f, a)
-            edges.append((f, a, nid))
-    ids, occupancy = graph.states.ids, graph.occupancy
+            out.append((a, nid))
+        succ.append(out)
+    ids = graph.states.ids
     states = States(graph.states.vars, [ids[o] for o in old], graph.states.bindings)
-    return LtsGraph(states, edges, parents=parents, classes=graph.classes,
-                    occupancy=[occupancy[o] for o in old])
+    return LtsGraph(states, succ, parents=parents, classes=graph.classes)
 
 
 # ---------------------------------------------------------------------------

@@ -22,21 +22,15 @@ from .types import (BASIC_KINDS, Basic, BranchArm, END, Rec, RecRef,
 KEYWORDS = {"protocol", "roles", "reliability", "type", "def", "system",
             "new", "in", "rec", "end", "timeout", "true", "false"}
 
-# The last alternative takes any character no token starts with, so every
-# position matches and the matches tile the source.
+# One match per token: the skipped text before it (whitespace and comments),
+# then the token.  The token's last alternatives take any character no token
+# starts with, and the empty text at the end, so the matches tile the source
+# and the last one holds the trailing skipped text.
+_PUNCT = "{}()[]:,.!?&+|=@-"
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<lcomment>//[^\n]*)
-  | (?P<bcomment>/\*.*?\*/)
-  | (?P<REAL>\d+\.\d+)
-  | (?P<INT>\d+)
-  | (?P<STRING>"(?:[^"\\]|\\.)*")
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-  | (?P<punct>[{}()\[\]:,.!?&+|=@-])
-  | (?P<bad>.)
-""", re.VERBOSE | re.DOTALL)
-
-_SKIPPED = {"ws", "lcomment", "bcomment"}
+    ((?:\s+|//[^\n]*|/\*.*?\*/)*)
+    (\d+\.\d+|\d+|"(?:[^"\\]|\\.)*"|[A-Za-z_][A-Za-z0-9_']*|[%s]|.|\Z)
+""" % re.escape(_PUNCT), re.VERBOSE | re.DOTALL)
 
 
 class Token(NamedTuple):
@@ -50,26 +44,51 @@ class Token(NamedTuple):
         return Span(self.line, self.col, self.line, self.col + len(self.text))
 
 
+def _kind(text: str) -> str | None:
+    """The kind of a token's text; None for a character no token starts
+    with.  A lone '"' is an unterminated string."""
+    c = text[0]
+    if c.isdecimal():  # what \d matches
+        return "REAL" if "." in text else "INT"
+    if c == '"':
+        return "STRING" if len(text) > 1 else None
+    if c == "_" or (c.isascii() and c.isalpha()):
+        return "KW" if text in KEYWORDS else "IDENT"
+    return None
+
+
 def tokenize(source: str) -> list[Token]:
-    toks: list[Token] = []
-    line, line_start = 1, 0  # line_start: the offset of the line's first character
-    for m in _TOKEN_RE.finditer(source):
-        kind, text = m.lastgroup, m.group()
-        if kind == "ident":
-            kind = "KW" if text in KEYWORDS else "IDENT"
-        elif kind == "punct":
-            kind = text
-        elif kind == "bad":
-            col = m.start() - line_start + 1
-            raise MagpiError([Diagnostic("error", "LexError",
-                                         f"unexpected character {text!r}",
-                                         Span(line, col, line, col + 1))])
-        if kind not in _SKIPPED:
-            toks.append(Token(kind, text, line, m.start() - line_start + 1))
+    """The tokens of `source`, ending in an EOF token.  A token's line and
+    column are those of its first character, both counted from 1; a line
+    ends at each "\\n" (a "\\r" before it is a character of the line), and
+    each character, a tab too, is one column.  The EOF token sits after the
+    last character.  A character no token starts with is a LexError
+    spanning that one character."""
+    new, toks = tuple.__new__, []
+    kinds = {p: p for p in _PUNCT}  # token text -> kind, filled as texts are met
+    pos, line, line_start = 0, 1, 0  # line_start: the offset of the line's first character
+    for skip, text in _TOKEN_RE.findall(source):
+        if skip:
+            if "\n" in skip:
+                line += skip.count("\n")
+                line_start = pos + skip.rindex("\n") + 1
+            pos += len(skip)
+        kind = kinds.get(text)
+        if kind is None:
+            if not text:  # the end
+                break
+            kind = kinds[text] = _kind(text)
+            if kind is None:
+                col = pos - line_start + 1
+                raise MagpiError([Diagnostic("error", "LexError",
+                                             f"unexpected character {text!r}",
+                                             Span(line, col, line, col + 1))])
+        toks.append(new(Token, (kind, text, line, pos - line_start + 1)))
         if "\n" in text:
             line += text.count("\n")
-            line_start = m.start() + text.rindex("\n") + 1
-    toks.append(Token("EOF", "", line, len(source) - line_start + 1))
+            line_start = pos + text.rindex("\n") + 1
+        pos += len(text)
+    toks.append(new(Token, ("EOF", "", line, len(source) - line_start + 1)))
     return toks
 
 

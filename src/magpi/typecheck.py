@@ -130,6 +130,7 @@ class Checker:
         self.limits = limits or ExploreLimits()
         self.failures: list = []
         self.trace: list = []
+        self._demanded: dict = {}  # id(process) -> (process, its demands)
 
     def fail(self, code: str, msg: str, span: Span = Span()) -> bool:
         self.failures.append(Diagnostic("error", code, msg, span))
@@ -323,8 +324,23 @@ class Checker:
 
     # -- parallel splitting
 
+    def demands(self, p: P.Process) -> tuple:
+        """`_demands(p)`, computed once per subtree in a run: a Par's are
+        the union of its two sides', so each thread of a parallel
+        composition is walked once however many Pars enclose it."""
+        got = self._demanded.get(id(p))
+        if got is None:
+            if isinstance(p, P.Par):
+                left, right = self.demands(p.left), self.demands(p.right)
+                d = tuple(a | b for a, b in zip(left, right))
+            else:
+                d = _demands(p)
+            # the process is kept with its demands, so its id stays its own
+            got = self._demanded[id(p)] = (p, d)
+        return got[1]
+
     def check_par(self, theta: dict, g: TypeContext, sigma: set, p: P.Par) -> bool:
-        dl, dr = _demands(p.left), _demands(p.right)
+        dl, dr = self.demands(p.left), self.demands(p.right)
         gl_vars, gr_vars = {}, {}
         gl_eps, gr_eps = {}, {}
         ok = True

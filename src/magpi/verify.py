@@ -5,6 +5,7 @@ and buffer boundedness."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .context import TypeContext, split_end_gc
 from .lts import (ComAct, Exceeded, ExploreLimits, LtsGraph, action_to_json,
@@ -265,21 +266,23 @@ def _lasso(graph: LtsGraph) -> tuple | None:
     """The first back edge met by a depth-first search from the initial
     state, as the path to its source plus the edge; None when acyclic.
     Iterative, so the depth of the search is not bounded by the stack."""
-    color = [0] * len(graph.states)  # 0 unseen, 1 on the path, 2 done
+    succ = graph.succ
+    color = bytearray(len(succ))  # 0 unseen, 1 on the path, 2 done
     color[graph.initial] = 1
-    path = [(graph.initial, iter(graph.succ[graph.initial]))]
-    while path:
-        u, todo = path[-1]
-        for a, v in todo:
-            if color[v] == 1:
-                return graph.path_to(u) + (a,)
-            if color[v] == 0:
+    path, todo = [graph.initial], [iter(succ[graph.initial])]
+    while todo:
+        for a, v in todo[-1]:
+            seen = color[v]
+            if seen == 1:
+                return graph.path_to(path[-1]) + (a,)
+            if not seen:
                 color[v] = 1
-                path.append((v, iter(graph.succ[v])))
+                path.append(v)
+                todo.append(iter(succ[v]))
                 break
         else:
-            color[u] = 2
-            path.pop()
+            color[path.pop()] = 2
+            todo.pop()
     return None
 
 
@@ -333,17 +336,17 @@ def check_live(g0: TypeContext, sigma, r: Reliability,
     slot = {bindings[b][0]: i for i, b in enumerate(ids[graph.initial])}
     # states with an enabled communication, per waiting receiver
     receives: dict = {}
-    for f, a, _ in graph.edges:
-        if type(a) is ComAct and (a.session, a.to) in waiting:
-            receives.setdefault((a.session, a.to), []).append(f)
+    for f, out in enumerate(graph.succ):
+        for a, _ in out:
+            if type(a) is ComAct and (a.session, a.to) in waiting:
+                receives.setdefault((a.session, a.to), []).append(f)
     pred = graph.pred
     for key in sorted(waiting):
         session, role = key
-        mine, i = waiting[key], slot[key]
         # the states where key waits, and a backward closure from the
         # states that can take a communication for key, stopped once it
         # holds all of them
-        waits = bytearray(state[i] in mine for state in ids)
+        waits = bytearray(map(waiting[key].__contains__, map(itemgetter(slot[key]), ids)))
         closed = bytearray(len(ids))
         left = sum(waits)
         work = []
@@ -421,7 +424,7 @@ def check_bounded(g0: TypeContext, sigma, r: Reliability, k_max: int,
     is at most k_max, else Inconclusive."""
     graph = _bound_graph(g0, sigma, r, k_max, mode, graphs)
     if isinstance(graph, LtsGraph):
-        k = max(graph.occupancy) + 1
+        k = graph.max_occupancy + 1
         if k <= k_max:
             return Verdict(HOLDS), k
     elif graph.kind == "maxStates":

@@ -278,24 +278,57 @@ def _reference_cases():
             Reliability.fully_reliable(PROBE_ROLES)
 
 
+def _assert_matches_reference(graph, reference, mode, name):
+    states, edges, parents = reference
+    assert [render_context(s) for s in graph.states] == \
+        [render_context(s) for s in states], name
+    assert [(f, a.render(), t) for f, a, t in graph.edges] == \
+        [(f, a.render(), t) for f, a, t in edges], name
+    assert {n: (p, a.render()) for n, (p, a) in graph.parents.items()} == \
+        {n: (p, a.render()) for n, (p, a) in parents.items()}, name
+    key = lambda s: context_key(s, mode, graph.classes)
+    assert [key(s) for s in graph.states] == [key(s) for s in states], name
+    assert _adjacency(graph) == _reference_adjacency(states, edges), name
+
+
 @pytest.mark.parametrize("mode", list(CongruenceMode))
 @pytest.mark.parametrize("order", ("bfs", "dfs"))
 def test_explore_matches_from_scratch_reference(mode, order):
     # Keying only the bindings a transition changed must give the graph that
     # canonicalising and keying every successor in full gives: the same
-    # states in the same order, the same edges and the same parents.
+    # states in the same order, the same edges and the same parents, and
+    # the same successors, predecessors, stuck states and occupancies.
     limits = ExploreLimits(mode=mode)
-    for name, g0, sigma, r in _reference_cases():
+    for name, g0, sigma, r in list(_reference_cases()) + list(_mesh_cases()):
         graph = explore(g0, sigma, r, limits, order=order)
-        states, edges, parents = _reference_explore(g0, sigma, r, limits, order)
-        assert [render_context(s) for s in graph.states] == \
-            [render_context(s) for s in states], name
-        assert [(f, a.render(), t) for f, a, t in graph.edges] == \
-            [(f, a.render(), t) for f, a, t in edges], name
-        assert {n: (p, a.render()) for n, (p, a) in graph.parents.items()} == \
-            {n: (p, a.render()) for n, (p, a) in parents.items()}, name
-        key = lambda s: context_key(s, mode, graph.classes)
-        assert [key(s) for s in graph.states] == [key(s) for s in states], name
+        _assert_matches_reference(
+            graph, _reference_explore(g0, sigma, r, limits, order), mode, name)
+
+
+def _adjacency(graph):
+    """An explored graph's successors, edges, stuck ids, predecessors,
+    occupancies and largest occupancy in comparable form.  Each must equal
+    what a graph over the same states and `succ` derives on first read, so
+    what `explore` writes and sets is checked against the derivations."""
+    def form(g):
+        return ([[(_act(a), t) for a, t in out] for out in g.succ],
+                [(f, _act(a), t) for f, a, t in g.edges],
+                g.stuck_ids, g.pred, g.occupancy, g.max_occupancy)
+    got = form(graph)
+    assert got == form(LtsGraph(graph.states, graph.succ, order=graph.order))
+    return got
+
+
+def _reference_adjacency(states, edges):
+    """The same, recounted from a reference run's states and edge list."""
+    succ, pred = [[] for _ in states], [[] for _ in states]
+    for f, a, t in edges:
+        succ[f].append((_act(a), t))
+        pred[t].append(f)
+    occupancy = [_occupancy(s) for s in states]
+    return (succ, [(f, _act(a), t) for f, a, t in edges],
+            [sid for sid, out in enumerate(succ) if not out], pred,
+            occupancy, max(occupancy, default=0))
 
 
 def _capped(run, cap):
@@ -317,10 +350,14 @@ def _outcome(out):
     """An explore outcome or a reference one, in comparable form."""
     if isinstance(out, Exceeded):
         return out.kind, out.limit, [_act(a) for a in out.witness], out.state
-    states, edges, parents = (out.states, out.edges, out.parents) \
-        if isinstance(out, LtsGraph) else out
+    if isinstance(out, LtsGraph):
+        states, edges, parents = out.states, out.edges, out.parents
+        adjacency = _adjacency(out)
+    else:
+        states, edges, parents = out
+        adjacency = _reference_adjacency(states, edges)
     return (states, [(f, _act(a), t) for f, a, t in edges],
-            {n: (p, _act(a)) for n, (p, a) in parents.items()})
+            {n: (p, _act(a)) for n, (p, a) in parents.items()}, adjacency)
 
 
 def test_explore_matches_reference_under_every_limit():
@@ -436,6 +473,22 @@ def test_timeout_free_view_matches_on_random_contexts(seed, mode):
     _assert_view_is_exploration(g0, {"s"}, r, mode, seed, max_states=300)
     g0 = _random_context(rng)
     assert _assert_view_is_exploration(g0, {"s"}, R0, mode, seed) is not None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from(list(CongruenceMode)),
+       st.sampled_from(("bfs", "dfs")))
+def test_explore_matches_reference_on_random_contexts(seed, mode, order):
+    rng = random.Random(seed)
+    g0, r = _random_timeout_context(rng)
+    for g0, r in ((g0, r), (_random_context(rng), R0)):
+        limits = ExploreLimits(300, None, mode)
+        run = _reference_run(g0, {"s"}, r, limits, order)
+        got = explore(g0, {"s"}, r, limits, order)
+        if run[3] is not None:
+            assert _outcome(got) == _outcome(run[3]), seed
+        else:
+            _assert_matches_reference(got, run[:3], mode, seed)
 
 
 # -- export -------------------------------------------------------------------

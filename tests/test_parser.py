@@ -237,7 +237,32 @@ def _lexed(tokenizer, source):
         return [d.to_json() for d in err.diagnostics]
 
 
+# Inputs at the edges of the token rules, each with what the tokenizer must
+# give: the EOF token's (line, col), or the LexError's (line, col).
+_EDGE_CASES = {
+    "unterminated string": ('x "ab\n  c', ("LexError", 1, 3)),
+    "unterminated string at the end": ('x\n"', ("LexError", 2, 1)),
+    "unterminated block comment": ("x\n /* a\n b", ("LexError", 2, 2)),
+    "block comment closed at once": ("/*/ x */ y", ("EOF", 1, 11)),
+    "string spanning lines": ('a "one\ntwo\n  three" b', ("EOF", 3, 11)),
+    "escaped newline in a string": ('"a\\\nb" c', ("EOF", 2, 5)),
+    "CRLF line ends": ("protocol p\r\nroles p, q\r\n", ("EOF", 3, 1)),
+    "tabs": ("\tx\t\ty\n\t", ("EOF", 2, 2)),
+    "non-ASCII letter": ("x\n  y\u00e9z", ("LexError", 2, 4)),
+    "non-ASCII letter first": ("\u00e9", ("LexError", 1, 1)),
+    "non-ASCII digit": ("x \u0663", ("EOF", 1, 4)),
+    "ends in whitespace": ("x y \n\t ", ("EOF", 2, 3)),
+    "ends in a line comment": ("x // done", ("EOF", 1, 10)),
+    "ends in a line comment and newline": ("x // done\n", ("EOF", 2, 1)),
+    "ends in a block comment": ("x /* a\n done */", ("EOF", 2, 9)),
+    "only skipped text": (" /* a */ // b", ("EOF", 1, 14)),
+    "empty": ("", ("EOF", 1, 1)),
+}
+
+
 def _inputs():
+    for name, (source, _) in _EDGE_CASES.items():
+        yield name, source
     for path in sorted(FIXTURES.glob("*.magpi")) + sorted(GOLDEN.glob("mesh*.magpi")):
         yield path.name, path.read_text(encoding="utf-8")
     spec = importlib.util.spec_from_file_location("bench_gen", BENCH / "gen.py")
@@ -253,6 +278,20 @@ def test_tokenize_matches_reference_on_every_input():
         names.append(name)
         assert _lexed(_tokens, source) == _lexed(_reference_tokenize, source), name
     assert {"leader.magpi", "mesh.magpi", "mesh_loop.magpi"} <= set(names)
+
+
+@pytest.mark.parametrize("name", list(_EDGE_CASES))
+def test_tokenize_edge_case(name):
+    source, (kind, line, col) = _EDGE_CASES[name]
+    try:
+        toks = tokenize(source)
+    except MagpiError as err:
+        span = err.diagnostics[0].span
+        got = (err.diagnostics[0].code, span.line, span.col)
+        assert (span.end_line, span.end_col) == (span.line, span.col + 1)
+    else:
+        got = (toks[-1].kind, toks[-1].line, toks[-1].col)
+    assert got == (kind, line, col)
 
 
 _LEX_PIECES = st.sampled_from([

@@ -1,10 +1,15 @@
 """Typechecker: fixture acceptance, targeted rejections, linearity."""
+import sys
+
 import pytest
 
 from magpi import parse, typecheck, typecheck_file
+from magpi import proc as P
 from magpi.context import TypeContext
+from magpi.typecheck import Checker, _demands
 from magpi.types import Reliability
-from tests.conftest import fixture_text
+from tests.conftest import fixture_text, mesh_sources
+from tests.test_golden import FILES, ROOT
 
 
 def check_text(source: str):
@@ -158,3 +163,58 @@ def test_report_json_shape():
     assert doc["verdict"] == "accepted"
     assert doc["failures"] == []
     assert all({"rule", "span"} <= set(e) for e in doc["trace"])
+
+
+# -- demands of a parallel composition -----------------------------------------
+
+# A restriction and a definition under a Par: the restricted session's buffer
+# and the definition's parameters are bound there, and must not show in the
+# demands of the Pars above them.
+NESTED_BINDERS = HEADER + """
+type Sp @ p = q!a(int).end
+type Sq @ q = p?a(int).end
+system =
+  new s:{ p: Sp, q: Sq } in
+  ( (new u:{ p: Sp, q: Sq } in ( u[p]!q:a(1).0 | u[q]&{ p?a(x:int).0 } | u:[] ))
+  | (def X(c: Sp, n: int) = c!q:a(n).0 in X(s[p], 5))
+  | s[q]&{ p?a(y:int).0 }
+  | s:[] )
+"""
+
+
+def _typechecked_sources(monkeypatch) -> list:
+    """The sources the other tests of this module typecheck, rejected ones
+    included, recorded while running them."""
+    seen = []
+
+    def recording(source):
+        seen.append(source)
+        return typecheck_file(parse(source))
+
+    module = sys.modules[__name__]
+    monkeypatch.setattr(module, "check_text", recording)
+    for name, test in vars(module).copy().items():
+        if name.startswith("test_") and test.__code__.co_argcount == 0:
+            test()
+    return seen
+
+
+def test_par_demands_are_the_union_of_their_sides(monkeypatch):
+    sources = [(ROOT / f).read_text(encoding="utf-8") for f in FILES]
+    sources += [fixture_text("leader"), NESTED_BINDERS]
+    sources += [text for _, text in mesh_sources()]
+    sources += _typechecked_sources(monkeypatch)
+    pars = 0
+    for source in sources:
+        pf = parse(source)
+        checker = Checker(pf.reliability)
+        for top in [d.body for d in pf.proc_defs] + [pf.system]:
+            for q in P.subterms(top):
+                if isinstance(q, P.Par):
+                    pars += 1
+                    assert checker.demands(q) == _demands(q), source
+                    assert Checker(pf.reliability).demands(q) == _demands(q), source
+    assert pars > 50
+    _, bufs, free = _demands(parse(NESTED_BINDERS).system.body)
+    assert bufs == {"s"}
+    assert not free & {"c", "n", "x", "y"}

@@ -470,6 +470,14 @@ def _lasso_recursive(graph):
     return dfs(graph.initial)
 
 
+def _edge_graph(n, edges, parents):
+    """An LtsGraph over n placeholder states from an edge list."""
+    succ = [[] for _ in range(n)]
+    for f, a, t in edges:
+        succ[f].append((a, t))
+    return LtsGraph([None] * n, succ, parents=parents)
+
+
 def _bfs_graph(n, edges):
     """An LtsGraph over n placeholder states with BFS parents from 0."""
     parents, seen, order = {}, {0}, [0]
@@ -479,7 +487,7 @@ def _bfs_graph(n, edges):
                 seen.add(t)
                 parents[t] = (u, a)
                 order.append(t)
-    return LtsGraph([None] * n, edges, parents=parents)
+    return _edge_graph(n, edges, parents)
 
 
 def test_lasso_visits_in_recursive_order():
@@ -501,8 +509,7 @@ def test_terminating_on_deep_chain_at_default_recursion_limit(monkeypatch):
     monkeypatch.setattr(sys, "setrecursionlimit", forbidden)
     # 0 -> 1 -> ... -> n-1, which closes a cycle back to n-10
     edges = [(i, f"a{i}", i + 1) for i in range(n - 1)] + [(n - 1, "back", n - 10)]
-    graph = LtsGraph([None] * n, edges,
-                     parents={i + 1: (i, f"a{i}") for i in range(n - 1)})
+    graph = _edge_graph(n, edges, {i + 1: (i, f"a{i}") for i in range(n - 1)})
     monkeypatch.setattr(V, "explore", lambda *args, **kwargs: graph)
     v = V.check_terminating(ctx({}), {"s"}, rel(), LIM)
     assert v.status == V.VIOLATED and v.reason == "Cycle"
