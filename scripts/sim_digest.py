@@ -49,13 +49,15 @@ def scenarios(roles: list, reorder: str) -> list:
 
 def run_record(pf, doc: dict, policy: str, seed: int, configs: bool) -> bytes:
     """The bytes one run contributes to the digest."""
-    trace = run(Config(pf.system_with_defs()), pf.reliability, policy,
-                FailureScenario.from_json(doc), seed, STEPS)
+    scen = FailureScenario.from_json(doc)
+    trace = run(Config(pf.system_with_defs()), pf.reliability, policy, scen,
+                seed, STEPS)
     fields = {
         "events": len(trace.events),
         "stuck": trace.stuck,
         "inactive": is_inactive(trace.terminal.process),
-        "terminal": render_process(canonical_process(trace.terminal.process)),
+        "terminal": render_process(canonical_process(trace.terminal.process,
+                                                     scen.reorder)),
         "monitors": [v.to_json()
                      for v in monitor_corollaries(trace, pf.reliability)],
     }

@@ -7,14 +7,13 @@ from .types import (BASIC_KINDS, Basic, Branch, BranchArm, BufEntry,
                     CongruenceMode, END, Rec, RecRef, Reliability, Select,
                     SelectArm, SessionBufferType, SessionType, Type, UNIT,
                     buffer_type_congruent, canonical_buffer_type,
-                    format_session, format_type, session_equal, session_iso,
-                    type_classes, type_equal, type_iso, validate_session)
+                    format_session, format_type, type_classes, type_equal,
+                    validate_session)
 from .parser import (ProcDecl, ProtocolFile, parse, parse_process_text,
                      parse_session_text)
-from .pretty import ast_equal, pretty, protocol_equal
-from .context import (TypeContext, compose, context_key, end_predicate,
-                      gc_predicate, insert_message, render_context,
-                      split_end_gc)
+from .pretty import pretty
+from .context import (TypeContext, context_key, end_predicate, gc_predicate,
+                      render_context, split_end_gc)
 from .lts import (ComAct, Exceeded, ExploreLimits, LtsGraph, SendAct,
                   TimeoutAct, context_transitions, explore, export_lts)
 from .verify import (HOLDS, INCONCLUSIVE, VIOLATED, Verdict, check_bound_k,
@@ -24,7 +23,6 @@ from .verify import (HOLDS, INCONCLUSIVE, VIOLATED, Verdict, check_bound_k,
 from .typecheck import (TypingReport, check_restriction_safety, typecheck,
                         typecheck_file)
 from .sim import (Config, FailureScenario, MonitorViolation, Step, Trace,
-                  TraceEvent, enabled_steps, exhaustive_small_step_oracle,
-                  mirror_on_context, monitor_corollaries, run)
+                  TraceEvent, enabled_steps, monitor_corollaries, run)
 
 __version__ = "0.1.0"

@@ -220,7 +220,8 @@ def cmd_simulate(args, out) -> int:
         "events": len(trace.events),
         "stuck": trace.stuck,
         "inactive": P.is_inactive(trace.terminal.process),
-        "terminal": P.render_process(P.canonical_process(trace.terminal.process)),
+        "terminal": P.render_process(P.canonical_process(trace.terminal.process,
+                                                         scenario.reorder)),
         "monitors": [v.to_json() for v in violations],
     }
     if args.json:

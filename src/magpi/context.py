@@ -1,13 +1,13 @@
-"""Typing contexts: variable and endpoint bindings, composition, the end
-and gc predicates, and type-level message insertion."""
+"""Typing contexts: variable and endpoint bindings, the end and gc
+predicates, and the canonical form and state key of a context."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .types import (BufEntry, CongruenceMode, End, SessionBufferType, Type,
-                    TypeClasses, buffer_keys, buffer_order,
-                    canonical_buffer_type, format_session, format_type,
-                    is_basic, resolve, session_equal, type_classes)
+from .types import (CongruenceMode, End, SessionBufferType, Type, TypeClasses,
+                    buffer_keys, buffer_order, canonical_buffer_type,
+                    format_session, format_type, is_basic, resolve,
+                    type_classes, type_equal)
 
 
 @dataclass(frozen=True)
@@ -60,30 +60,6 @@ class TypeContext:
                            self.endpoints)
 
 
-def compose(a: TypeContext, b: TypeContext):
-    """Γ1 ∘ Γ2: disjoint union, except a shared endpoint may split as a pure
-    buffer on one side and a pure session on the other, merging to <M; S>.
-    Returns None when undefined."""
-    vs = dict(a.vars)
-    for n, t in b.vars:
-        if n in vs:
-            return None
-        vs[n] = t
-    es = dict(a.endpoints)
-    for k, sbt in b.endpoints:
-        if k not in es:
-            es[k] = sbt
-            continue
-        cur = es[k]
-        if cur.session is None and sbt.session is not None and sbt.buffer == ():
-            es[k] = SessionBufferType(cur.buffer, sbt.session)
-        elif sbt.session is None and cur.session is not None and cur.buffer == ():
-            es[k] = SessionBufferType(sbt.buffer, cur.session)
-        else:
-            return None
-    return TypeContext.of(vs, es)
-
-
 def end_predicate(g: TypeContext) -> bool:
     """Every variable binding basic or end-typed; every endpoint binding an
     end session with no buffered messages."""
@@ -115,23 +91,10 @@ def _gc_entries(entries: tuple, g: TypeContext) -> bool:
     for e in entries:
         if is_basic(e.payload):
             continue
-        if not any(o.session is not None and session_equal(o.session, e.payload)
+        if not any(o.session is not None and type_equal(o.session, e.payload)
                    for _, o in g.endpoints):
             return False
     return True
-
-
-def insert_message(key: tuple, entry: BufEntry, into: TypeContext):
-    """Append one in-transit message type to an endpoint's buffer binding,
-    creating a fresh singleton binding when absent.  Undefined (None) when
-    the endpoint is bound to a non-buffer."""
-    cur = into.endpoint(key)
-    if cur is None:
-        return into.with_endpoint(key, SessionBufferType((entry,), None))
-    if cur.session is not None:
-        # any binding with a session component is not a pure buffer
-        return None
-    return into.with_endpoint(key, SessionBufferType(cur.buffer + (entry,), None))
 
 
 def split_end_gc(g: TypeContext):

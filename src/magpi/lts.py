@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import sys
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -228,16 +227,11 @@ class LtsGraph:
     initial: int = 0
     parents: dict = field(default_factory=dict)  # id -> (parent id, Action)
     classes: TypeClasses | None = None  # the type classes every state is keyed by
-    order: list | None = None  # ids in the order they were expanded; None: id order
-
-    def _expanded(self):
-        return range(len(self.succ)) if self.order is None else self.order
 
     @cached_property
     def edges(self) -> list:
-        """(from id, Action, to id), in the order the states were expanded."""
-        succ = self.succ
-        return [(f, a, t) for f in self._expanded() for a, t in succ[f]]
+        """(from id, Action, to id), in id order."""
+        return [(f, a, t) for f, out in enumerate(self.succ) for a, t in out]
 
     @cached_property
     def stuck_ids(self) -> list:
@@ -246,11 +240,10 @@ class LtsGraph:
 
     @cached_property
     def pred(self) -> list:
-        """id -> [from id], one per edge, in expansion order."""
-        succ = self.succ
-        pred = [[] for _ in succ]
-        for f in self._expanded():
-            for _, t in succ[f]:
+        """id -> [from id], one per edge, in id order."""
+        pred = [[] for _ in self.succ]
+        for f, out in enumerate(self.succ):
+            for _, t in out:
                 pred[t].append(f)
         return pred
 
@@ -293,13 +286,13 @@ _NO_MOVES = ((), ())
 _FIELD = sys.maxsize.bit_length()
 
 
-def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits,
-            order: str = "bfs"):
+def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits):
     """Closure of context_transitions from g0 with canonical-state
     deduplication; returns LtsGraph or Exceeded.  A state is known by one
     int key, its bindings' key parts packed one field per endpoint slot.
-    BFS by default, so state ids and Exceeded witnesses are minimal-length;
-    a DFS order is available for order-independence checks.
+    The search is breadth-first, so state ids and Exceeded witnesses are
+    minimal-length.  Ids are given in discovery order, so the frontier is
+    the state list itself, walked by index.
 
     Each binding id gets one expansion record, on first need: its sends and
     timeout as ready successor entries, and its branch arms grouped by the
@@ -399,14 +392,7 @@ def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits,
     cap = limits.max_buffer_len
     if cap is not None and top >= cap:
         return Exceeded("bufferLen", cap, (), states[0])
-    expanded = None if order == "bfs" else []
-    frontier = deque([0])
-    take = frontier.popleft if expanded is None else frontier.pop
-    while frontier:
-        sid = take()
-        if expanded is not None:
-            expanded.append(sid)
-        state = bids[sid]
+    for sid, state in enumerate(bids):  # bids grows as states are found
         out = []
         for b in state:
             rec = table[b]
@@ -444,10 +430,9 @@ def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits,
                 parents[nid] = (sid, action)
                 if cap is not None and top >= cap:
                     return Exceeded("bufferLen", cap, _path(parents, nid), states[nid])
-                frontier.append(nid)
             mine.append((action, nid))
             pred[nid].append(sid)
-    graph = LtsGraph(states, succ, parents=parents, classes=classes, order=expanded)
+    graph = LtsGraph(states, succ, parents=parents, classes=classes)
     graph.pred, graph.max_occupancy = pred, top
     return graph
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .diagnostics import Diagnostic, Span
-from .types import (BASIC_KINDS, CongruenceMode, SessionType, Type,
-                    buffer_order, format_type)
+from .types import BASIC_KINDS, CongruenceMode, Type, buffer_order, format_type
 
 # ---------------------------------------------------------------------------
 # values

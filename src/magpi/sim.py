@@ -13,14 +13,11 @@ import hashlib
 import json
 import random
 import sys
-from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 from . import proc as P
-from .context import TypeContext
-from .types import (BufEntry, CongruenceMode, Reliability, SessionBufferType,
-                    buffer_heads, resolve)
+from .types import CongruenceMode, Reliability, buffer_heads
 
 RELIABLE = "reliable"
 UNRESTRICTED = "unrestricted"
@@ -358,31 +355,6 @@ def run(c0: Config, r: Reliability, policy: str, scenario: FailureScenario,
     return Trace(events, configs, cfg, stuck)
 
 
-def exhaustive_small_step_oracle(c0: Config, r: Reliability, policy: str,
-                                 scenario: FailureScenario, depth: int) -> set:
-    """Full nondeterministic expansion of positive-weight steps to a bounded
-    depth; returns the rendered canonical terminal processes."""
-    seen = set()
-    terminals = set()
-    frontier = deque([(c0.process, 0)])
-    while frontier:
-        proc, d = frontier.popleft()  # breadth-first: first visit is shallowest
-        key = P.render_process(P.canonical_process(proc, scenario.reorder))
-        if key in seen:
-            continue
-        seen.add(key)
-        steps = [s for s in enabled_steps(Config(proc, d), r, policy, scenario)
-                 if s.weight > 0.0]
-        if not steps:
-            terminals.add(key)
-            continue
-        if d >= depth:
-            continue
-        for s in steps:
-            frontier.append((s.process, d + 1))
-    return terminals
-
-
 # ---------------------------------------------------------------------------
 # monitors
 
@@ -410,46 +382,3 @@ def monitor_corollaries(t: Trace, r: Reliability) -> list:
             for _, q, _ in _collect(cfg.process)
             if isinstance(q, P.Branch) and isinstance(q.ch, P.Endpoint)
             and (q.timeout is not None) != r.needs_timeout(q.ch.role, q.arms)]
-
-
-# ---------------------------------------------------------------------------
-# mirroring process steps onto a typing context (subject-reduction harness)
-
-
-def mirror_on_context(g: TypeContext, event: TraceEvent) -> TypeContext:
-    """Apply the type-level image of one process reduction to a context."""
-    d = event.detail_dict()
-    rule = event.rule
-    if rule == RULE_SEND:
-        key = (d["session"], d["from"])
-        sbt = g.endpoint(key)
-        head = resolve(sbt.session)
-        arm = next(a for a in head.arms
-                   if a.to == d["to"] and a.label == d["label"])
-        return g.with_endpoint(key, SessionBufferType(
-            sbt.buffer + (BufEntry(arm.to, arm.label, arm.payload),), arm.cont))
-    if rule == RULE_RECV:
-        skey = (d["session"], d["from"])
-        rkey = (d["session"], d["to"])
-        ssbt, rsbt = g.endpoint(skey), g.endpoint(rkey)
-        idx = next(i for i, e in enumerate(ssbt.buffer)
-                   if e.to == d["to"] and e.label == d["label"])
-        head = resolve(rsbt.session)
-        arm = next(a for a in head.arms
-                   if a.frm == d["from"] and a.label == d["label"])
-        g = g.with_endpoint(skey, SessionBufferType(
-            ssbt.buffer[:idx] + ssbt.buffer[idx + 1:], ssbt.session))
-        return g.with_endpoint(rkey, SessionBufferType(rsbt.buffer, arm.cont))
-    if rule == RULE_TIMEOUT:
-        key = (d["session"], d["role"])
-        sbt = g.endpoint(key)
-        head = resolve(sbt.session)
-        return g.with_endpoint(key, SessionBufferType(sbt.buffer, head.timeout))
-    if rule == RULE_DROP:
-        key = (d["session"], d["from"])
-        sbt = g.endpoint(key)
-        idx = next(i for i, e in enumerate(sbt.buffer)
-                   if e.to == d["to"] and e.label == d["label"])
-        return g.with_endpoint(key, SessionBufferType(
-            sbt.buffer[:idx] + sbt.buffer[idx + 1:], sbt.session))
-    return g  # choice and call leave the context unchanged

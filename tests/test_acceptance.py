@@ -18,12 +18,12 @@ from magpi.cli import initial_context, main
 from magpi.context import TypeContext
 from magpi.lts import ExploreLimits, context_transitions
 from magpi.sim import (Config, FailureScenario, RELIABLE, Trace,
-                       enabled_steps, exhaustive_small_step_oracle,
-                       mirror_on_context, monitor_corollaries, run)
+                       enabled_steps, monitor_corollaries, run)
 from magpi.typecheck import typecheck
 from magpi.types import (CongruenceMode, END, Reliability,
                          SessionBufferType, UNIT)
 from tests.conftest import FIXTURES, fixture_text
+from tests.oracles import exhaustive_small_step_oracle, mirror_on_context
 from tests.test_verify import _random_context
 
 CALM = FailureScenario()

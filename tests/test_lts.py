@@ -136,12 +136,14 @@ def test_explored_states_are_reachable_and_deduplicated():
 
 
 def test_bfs_and_dfs_agree_on_state_set():
+    # explore is breadth-first; a depth-first reference run finds the same
+    # states in another order.
     pf = parse(fixture_text("ping"))
     g0, sess = initial_context(pf)
-    bfs = explore(g0, {sess}, pf.reliability, ExploreLimits(), order="bfs")
-    dfs = explore(g0, {sess}, pf.reliability, ExploreLimits(), order="dfs")
+    bfs = explore(g0, {sess}, pf.reliability, ExploreLimits())
+    dfs, _, _ = _reference_explore(g0, {sess}, pf.reliability, ExploreLimits(), "dfs")
     key = lambda s: context_key(s, CongruenceMode.TOTAL_REORDER)
-    assert {key(s) for s in bfs.states} == {key(s) for s in dfs.states}
+    assert {key(s) for s in bfs.states} == {key(s) for s in dfs}
 
 
 def test_max_states_limit_trips_with_witness_path():
@@ -291,18 +293,56 @@ def _assert_matches_reference(graph, reference, mode, name):
     assert _adjacency(graph) == _reference_adjacency(states, edges), name
 
 
+def _assert_matches_up_to_ids(graph, reference, mode, name):
+    """The same graph as a reference run in another order: the same initial
+    state, states, labelled edges, stuck states and occupancies, each state
+    named by its key instead of its id."""
+    states, edges, _ = reference
+    key = lambda s: context_key(s, mode, graph.classes)
+    ours, theirs = [key(s) for s in graph.states], [key(s) for s in states]
+    assert ours[0] == theirs[0] and sorted(ours) == sorted(theirs), name
+    assert Counter((ours[f], _act(a), ours[t]) for f, a, t in graph.edges) == \
+        Counter((theirs[f], _act(a), theirs[t]) for f, a, t in edges), name
+    _, _, stuck, _, occupancy, _ = _adjacency(graph)
+    _, _, ref_stuck, _, ref_occupancy, _ = _reference_adjacency(states, edges)
+    assert {ours[sid] for sid in stuck} == {theirs[sid] for sid in ref_stuck}, name
+    assert dict(zip(ours, occupancy)) == dict(zip(theirs, ref_occupancy)), name
+
+
 @pytest.mark.parametrize("mode", list(CongruenceMode))
 @pytest.mark.parametrize("order", ("bfs", "dfs"))
 def test_explore_matches_from_scratch_reference(mode, order):
     # Keying only the bindings a transition changed must give the graph that
-    # canonicalising and keying every successor in full gives: the same
-    # states in the same order, the same edges and the same parents, and
-    # the same successors, predecessors, stuck states and occupancies.
+    # canonicalising and keying every successor in full gives.  Against a
+    # breadth-first reference run: the same states in the same order, the
+    # same edges and the same parents, and the same successors,
+    # predecessors, stuck states and occupancies.  Against a depth-first
+    # one, which numbers the states in another order: the same graph up to
+    # those numbers.
     limits = ExploreLimits(mode=mode)
+    check = _assert_matches_reference if order == "bfs" else _assert_matches_up_to_ids
     for name, g0, sigma, r in list(_reference_cases()) + list(_mesh_cases()):
-        graph = explore(g0, sigma, r, limits, order=order)
-        _assert_matches_reference(
-            graph, _reference_explore(g0, sigma, r, limits, order), mode, name)
+        graph = explore(g0, sigma, r, limits)
+        check(graph, _reference_explore(g0, sigma, r, limits, order), mode, name)
+
+
+def test_explore_numbers_states_breadth_first():
+    # Ids are given in discovery order and the frontier is walked by id, so
+    # a state's parent has a smaller id, depth never falls as ids rise, and
+    # `edges` and every `pred` list are in id order.
+    for path in FILES:
+        pf = parse((ROOT / path).read_text(encoding="utf-8"))
+        g0, sess = initial_context(pf)
+        graph = explore(g0, {sess}, pf.reliability, ExploreLimits())
+        depth = [0]
+        for sid in range(1, len(graph.states)):
+            parent = graph.parents[sid][0]
+            assert parent < sid, (path, sid)
+            depth.append(depth[parent] + 1)
+        assert depth == sorted(depth), path
+        sources = [f for f, _, _ in graph.edges]
+        assert sources == sorted(sources), path
+        assert all(p == sorted(p) for p in graph.pred), path
 
 
 def _adjacency(graph):
@@ -315,7 +355,7 @@ def _adjacency(graph):
                 [(f, _act(a), t) for f, a, t in g.edges],
                 g.stuck_ids, g.pred, g.occupancy, g.max_occupancy)
     got = form(graph)
-    assert got == form(LtsGraph(graph.states, graph.succ, order=graph.order))
+    assert got == form(LtsGraph(graph.states, graph.succ))
     return got
 
 
@@ -362,21 +402,21 @@ def _outcome(out):
 
 def test_explore_matches_reference_under_every_limit():
     # Every state cap from 1 to the full size, with and without a buffer
-    # bound, under the input's map and the fully reliable one, BFS and DFS:
-    # the same graph, or the same Exceeded (kind, limit, witness and state).
+    # bound, under the input's map and the fully reliable one: the same
+    # graph, or the same Exceeded (kind, limit, witness and state).
     # The limits act alike under both congruences, and the sweep is
     # quadratic in the graph size, so it runs under the default one; the
     # test above compares the complete graphs under both.
     mode = CongruenceMode.TOTAL_REORDER
     for name, g0, sigma, r in _reference_cases():
         rf = Reliability.fully_reliable({k[1] for k, _ in g0.endpoints})
-        for rel, bound, order in itertools.product((r, rf), (None, 1, 2, 3), ("bfs", "dfs")):
+        for rel, bound in itertools.product((r, rf), (None, 1, 2, 3)):
             run = _reference_run(g0, sigma, rel, ExploreLimits(
-                10 ** 9, bound, mode), order)
+                10 ** 9, bound, mode), "bfs")
             for cap in range(1, len(run[0]) + 1):
-                got = explore(g0, sigma, rel, ExploreLimits(cap, bound, mode), order)
+                got = explore(g0, sigma, rel, ExploreLimits(cap, bound, mode))
                 assert _outcome(got) == _outcome(_capped(run, cap)), \
-                    (name, rel is rf, bound, order, cap)
+                    (name, rel is rf, bound, cap)
 
 
 def test_explore_keeps_a_self_reception_as_the_reference_does():
@@ -476,15 +516,14 @@ def test_timeout_free_view_matches_on_random_contexts(seed, mode):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2 ** 32), st.sampled_from(list(CongruenceMode)),
-       st.sampled_from(("bfs", "dfs")))
-def test_explore_matches_reference_on_random_contexts(seed, mode, order):
+@given(st.integers(0, 2 ** 32), st.sampled_from(list(CongruenceMode)))
+def test_explore_matches_reference_on_random_contexts(seed, mode):
     rng = random.Random(seed)
     g0, r = _random_timeout_context(rng)
     for g0, r in ((g0, r), (_random_context(rng), R0)):
         limits = ExploreLimits(300, None, mode)
-        run = _reference_run(g0, {"s"}, r, limits, order)
-        got = explore(g0, {"s"}, r, limits, order)
+        run = _reference_run(g0, {"s"}, r, limits, "bfs")
+        got = explore(g0, {"s"}, r, limits)
         if run[3] is not None:
             assert _outcome(got) == _outcome(run[3]), seed
         else:

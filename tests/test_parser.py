@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from magpi import (MagpiError, parse, parse_process_text, parse_session_text,
-                   pretty, protocol_equal)
+                   pretty)
 from magpi.diagnostics import Diagnostic, Span
 from magpi.parser import KEYWORDS, tokenize
-from magpi.pretty import ast_equal
-from magpi.types import session_equal, type_iso
+from magpi.types import type_equal
 from tests.conftest import FIXTURES, fixture_text
+from tests.oracles import ast_equal, protocol_equal, type_iso
 from tests.test_golden import ROOT
 
 GOLDEN = ROOT / "tests" / "golden"
@@ -69,7 +69,7 @@ def test_session_round_trip(text):
     t1 = parse_session_text(text, roles=set(ROLES))
     rendered = pretty(t1)
     t2 = parse_session_text(rendered, roles=set(ROLES))
-    assert session_equal(t1, t2)
+    assert type_equal(t1, t2)
     assert type_iso(t1, t2)
     assert pretty(t2) == rendered  # rendering is a normal form
 
@@ -84,7 +84,7 @@ def test_recursive_session_round_trip_examples():
         t1 = parse_session_text(text, roles=set(ROLES))
         rendered = pretty(t1)
         t2 = parse_session_text(rendered, roles=set(ROLES))
-        assert session_equal(t1, t2), text
+        assert type_equal(t1, t2), text
         assert pretty(t2) == rendered, text
 
 

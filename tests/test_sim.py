@@ -4,6 +4,7 @@ import io
 import json
 import pathlib
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -15,11 +16,11 @@ from magpi.proc import (Branch, Buffer, Endpoint, Inaction, Par, Process,
                         RecvArm, Restriction, canonical_process, is_inactive,
                         render_process)
 from magpi.sim import (Config, FailureScenario, RELIABLE, Trace, TraceEvent,
-                       UNRESTRICTED, enabled_steps,
-                       exhaustive_small_step_oracle, mirror_on_context,
-                       monitor_corollaries, run)
+                       UNRESTRICTED, enabled_steps, monitor_corollaries, run)
 from magpi.types import END, Reliability, UNIT, buffer_heads
-from tests.conftest import fixture_text
+from tests.conftest import fixture_file, fixture_text
+from tests.oracles import exhaustive_small_step_oracle
+from tests.test_golden import scenario as golden_scenario
 
 CALM = FailureScenario()
 
@@ -275,6 +276,42 @@ def test_trace_json_lines_stable():
     for line in lines.splitlines():
         doc = json.loads(line)
         assert {"step", "rule", "detail", "buffers"} <= set(doc)
+
+
+def _channels(entries) -> dict:
+    """(sender, recipient) -> the rendered entries of that channel, in order."""
+    out = {}
+    for e in entries:
+        out.setdefault((e.frm, e.to), []).append(
+            f"{e.label}({P.render_value(e.value)})")
+    return out
+
+
+def test_tcp_terminal_keeps_each_channel_in_order(tmp_path):
+    # Under TcpFifo a channel's order is observable, so `simulate` prints
+    # the terminal's buffers in that order.  The golden crash scenario of
+    # leader, at seed 42, leaves q->p holding rv and hb interleaved.
+    pf = parse(fixture_text("leader"))
+    doc = golden_scenario("crash", sorted(pf.roles), "tcp")
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = io.StringIO()
+    main(["simulate", fixture_file("leader"), "--scenario", str(path),
+          "--policy", "reliable", "--seed", "42", "--steps", "300", "--json"],
+         out=out)
+    printed = json.loads(out.getvalue())["terminal"]
+    trace = run(cfg(pf), pf.reliability, RELIABLE, FailureScenario.from_json(doc),
+                seed=42, max_steps=300)
+    buffers = [q for q in P.subterms(trace.terminal.process) if isinstance(q, Buffer)]
+    assert len(buffers) == 1
+    text = printed[printed.index(f"{buffers[0].session}:[") + 3:]
+    shown = {}
+    for entry in text[:text.index("]")].split(", "):  # leader sends only ()
+        frm, to, message = re.fullmatch(r"\((\w+),(\w+)\)!(.*)", entry).groups()
+        shown.setdefault((frm, to), []).append(message)
+    kept = _channels(buffers[0].entries)
+    assert shown == kept
+    assert kept[("q", "p")] != sorted(kept[("q", "p")])  # the order matters
 
 
 # -- finished runs ------------------------------------------------------------------

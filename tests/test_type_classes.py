@@ -1,5 +1,5 @@
 """One identity for type positions: the bisimilarity classes of
-`types.type_classes` agree with `session_equal`, do not depend on object
+`types.type_classes` agree with `type_equal`, do not depend on object
 identity or on how a type is spelled, and so the verifier's verdicts and
 graph sizes do not change when recursion variables or roles are renamed or
 arms are reordered."""
@@ -14,8 +14,8 @@ from magpi.context import TypeContext, canonical_context, split_end_gc
 from magpi.lts import ExploreLimits, action_to_json, context_transitions
 from magpi.types import (Basic, Branch, BranchArm, BufEntry, END, End, Rec,
                          RecRef, Reliability, Select, SelectArm,
-                         SessionBufferType, resolve, session_equal,
-                         type_classes)
+                         SessionBufferType, resolve, type_classes,
+                         type_equal)
 from magpi import verify as V
 from tests.test_golden import FILES, ROOT
 
@@ -94,7 +94,7 @@ def test_classes_are_bisimilarity(nodes):
     classes = type_classes(nodes)
     for x in nodes:
         for y in nodes:
-            assert (classes.of[x] == classes.of[y]) == session_equal(x, y)
+            assert (classes.of[x] == classes.of[y]) == type_equal(x, y)
 
 
 @settings(max_examples=100, deadline=None)
@@ -103,7 +103,7 @@ def test_classes_across_graphs_are_bisimilarity(xs, ys):
     classes = type_classes(xs + ys)
     for x in xs:
         for y in ys:
-            assert (classes.of[x] == classes.of[y]) == session_equal(x, y)
+            assert (classes.of[x] == classes.of[y]) == type_equal(x, y)
 
 
 @settings(max_examples=100, deadline=None)

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from magpi.types import (BranchArm, BufEntry, CongruenceMode, END, Basic, Rec,
                          RecRef, Select, SelectArm, Branch, UNIT,
                          buffer_type_congruent, canonical_buffer_type,
-                         format_session, session_equal, session_iso,
-                         validate_session)
+                         format_session, type_equal, validate_session)
+from tests.oracles import session_iso
 
 ROLES = ("p", "q", "r")
 LABELS = ("a", "b")
@@ -59,20 +59,40 @@ def test_unfolding_is_equal():
     # q!a().rec t. q!a().t: both denote the same infinite tree.
     t1 = rec(lambda t: sel("q", "a", t))
     t2 = sel("q", "a", rec(lambda t: sel("q", "a", t)))
-    assert session_equal(t1, t2)
+    assert type_equal(t1, t2)
     assert not session_iso(t1, t2)  # but they are not the same shape
 
 
 def test_distinct_labels_not_equal():
     t1 = rec(lambda t: sel("q", "a", t))
     t2 = rec(lambda t: sel("q", "b", t))
-    assert not session_equal(t1, t2)
+    assert not type_equal(t1, t2)
 
 
 def test_arm_order_irrelevant():
     x = Select((SelectArm("q", "a", UNIT, END), SelectArm("q", "b", UNIT, END)))
     y = Select((SelectArm("q", "b", UNIT, END), SelectArm("q", "a", UNIT, END)))
-    assert session_equal(x, y)
+    assert type_equal(x, y)
+
+
+def test_type_equal_decides_basic_payloads():
+    # One name for both kinds of payload: a Basic equals only the same
+    # Basic, never a session type.
+    assert type_equal(Basic("int"), Basic("int"))
+    assert not type_equal(Basic("int"), Basic("bool"))
+    assert not type_equal(Basic("unit"), END)
+    assert not type_equal(END, Basic("unit"))
+
+
+def test_type_equal_compares_session_payloads_up_to_unfolding():
+    # A delegated payload is compared by bisimilarity too: sending
+    # rec t. r!a().t equals sending its unfolding, not a finite prefix.
+    def carrying(payload):
+        return Select((SelectArm("q", "a", payload, END),))
+    loop = rec(lambda t: sel("r", "a", t))
+    assert type_equal(carrying(loop), carrying(sel("r", "a", loop)))
+    assert not type_equal(carrying(loop), carrying(sel("r", "a", END)))
+    assert not type_equal(carrying(loop), carrying(Basic("int")))
 
 
 def _type_strategy():
@@ -89,12 +109,12 @@ def _type_strategy():
 
 @settings(max_examples=200, deadline=None)
 @given(_type_strategy(), _type_strategy(), _type_strategy())
-def test_session_equal_is_an_equivalence(x, y, z):
+def test_type_equal_is_an_equivalence(x, y, z):
     # [DERIVED] reflexive, symmetric, and transitive on random finite types.
-    assert session_equal(x, x)
-    assert session_equal(x, y) == session_equal(y, x)
-    if session_equal(x, y) and session_equal(y, z):
-        assert session_equal(x, z)
+    assert type_equal(x, x)
+    assert type_equal(x, y) == type_equal(y, x)
+    if type_equal(x, y) and type_equal(y, z):
+        assert type_equal(x, z)
 
 
 @settings(max_examples=200, deadline=None)
@@ -103,7 +123,7 @@ def test_render_is_sound_for_equality(x, y):
     # [DERIVED] rendering is a complete invariant on the recursion-free
     # fragment: two finite types render identically iff they are bisimilar
     # (arms are rendered in sorted order, so ordering cannot distinguish).
-    assert (format_session(x) == format_session(y)) == session_equal(x, y)
+    assert (format_session(x) == format_session(y)) == type_equal(x, y)
 
 
 # -- buffer congruence --------------------------------------------------------
