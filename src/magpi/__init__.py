@@ -20,8 +20,9 @@ from .verify import (HOLDS, INCONCLUSIVE, VIOLATED, Verdict, check_bound_k,
                      check_bounded, check_comm_safe_RF, check_deadlock_free,
                      check_live, check_never_terminating, check_safety,
                      check_tcp_safety, check_terminating)
-from .typecheck import (TypingReport, check_restriction_safety, typecheck,
-                        typecheck_file)
+# The function `typecheck` is not re-exported: `magpi.typecheck` is the
+# submodule.
+from .typecheck import TypingReport, check_restriction_safety, typecheck_file
 from .sim import (Config, FailureScenario, MonitorViolation, Step, Trace,
                   TraceEvent, enabled_steps, monitor_corollaries, run)
 

@@ -17,9 +17,9 @@ is its parent's tuple with one or two ids replaced, and the graph keeps
 those tuples: a state is built as a TypeContext only when it is read.  A
 state's key is one int, and a successor's key is its parent's plus the
 precomputed change of each replaced binding.  The graph is its successor
-lists, written once as states are expanded; the edge list and each state's
-occupancy are derived when read, and the buffer cap is checked on the
-bindings a step changes only.
+lists, written once as states are expanded; the edge list, the predecessor
+lists and each state's occupancy are derived when read, and the buffer cap
+is checked on the bindings a step changes only.
 
 `without_timeouts` reads the graph under a map where no timeout fires off
 a complete graph under any map: a map only enables timeouts.
@@ -218,9 +218,10 @@ class LtsGraph:
     each state's successors into `succ` as it expands the state.  The edge
     list, the stuck states, the predecessor adjacency, each state's
     occupancy and their maximum are derived when first read; `explore`
-    sets the last two of them as it places states.  A state's occupancy is
-    the largest number of messages any sender buffer of it holds for one
-    recipient."""
+    sets the maximum as it places states.  A state's occupancy is the
+    largest number of messages any sender buffer of it holds for one
+    recipient.  Only `verify.check_live`'s backward closure reads `pred`,
+    and only on a graph that may have a cycle."""
 
     states: Sequence        # state id -> TypeContext (canonical); States from explore
     succ: list              # id -> [(Action, to id)]
@@ -299,9 +300,9 @@ def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits):
     slot they read, each group with a memo from the sender's binding id to
     its ready receptions.  A state is expanded by one `extend` per binding
     and one lookup per group, and each edge is written once, into the
-    graph's `succ` and `pred`.  Only a step's changed bindings can bring a
-    state to the buffer cap, its parent being below it, so only they are
-    checked, and the largest occupancy is kept as states are placed."""
+    graph's `succ`.  Only a step's changed bindings can bring a state to
+    the buffer cap, its parent being below it, so only they are checked,
+    and the largest occupancy is kept as states are placed."""
     # Every successor reuses nodes of g0's type graphs, so g0's table of
     # classes covers every reachable state.
     classes, mode, sigma = context_classes(g0), limits.mode, set(sigma)
@@ -386,7 +387,7 @@ def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits):
 
     bids = [tuple(intern(i, sbt) for i, (_, sbt) in enumerate(g0.endpoints))]
     skeys = [sum(part[b] << shift[i] for i, b in enumerate(bids[0]))]
-    states, succ, pred, parents = States(g0.vars, bids, pairs), [[]], [[]], {}
+    states, succ, parents = States(g0.vars, bids, pairs), [[]], {}
     top = max(map(occ.__getitem__, bids[0]), default=0)
     ids = {skeys[0]: 0}
     cap = limits.max_buffer_len
@@ -426,14 +427,12 @@ def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits):
                 bids.append(nxt)
                 skeys.append(key)
                 succ.append([])
-                pred.append([])
                 parents[nid] = (sid, action)
                 if cap is not None and top >= cap:
                     return Exceeded("bufferLen", cap, _path(parents, nid), states[nid])
             mine.append((action, nid))
-            pred[nid].append(sid)
     graph = LtsGraph(states, succ, parents=parents, classes=classes)
-    graph.pred, graph.max_occupancy = pred, top
+    graph.max_occupancy = top
     return graph
 
 

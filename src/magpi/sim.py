@@ -157,9 +157,6 @@ class TraceEvent:
     detail: tuple
     buffers: str  # digest of the running session buffers after the step
 
-    def detail_dict(self) -> dict:
-        return dict(self.detail)
-
     def to_json(self) -> dict:
         return {"step": self.step, "rule": self.rule,
                 "detail": dict(self.detail), "buffers": self.buffers}

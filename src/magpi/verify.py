@@ -5,14 +5,15 @@ and buffer boundedness."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 
 from .context import TypeContext, split_end_gc
 from .lts import (ComAct, Exceeded, ExploreLimits, LtsGraph, action_to_json,
                   explore, without_timeouts)
-from .types import (Branch, CongruenceMode, Reliability, Select, TypeClasses,
-                    buffer_heads, buffer_keys, resolve, session_nodes,
-                    type_equal)
+from .types import (Branch, CongruenceMode, RecRef, Reliability, Select,
+                    TypeClasses, buffer_heads, buffer_keys, resolve,
+                    session_nodes, type_equal)
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -82,12 +83,18 @@ class Graphs:
     the map: under the fully reliable map, comm-rf and tcp read one graph.
     When a complete graph of the mode is already built, the timeout-free
     graph is read off it (`lts.without_timeouts`) instead of explored, so a
-    run that asks for the declared map first explores once per mode."""
+    run that asks for the declared map first explores once per mode.
+
+    Per graph it also keeps the deadlock verdict, scanned once, which
+    `deadlock`, `terminating` and `live` all read, and per run whether no
+    endpoint type of g0 recurses (`static_acyclic`); `live` reads both
+    here, never by calling another check."""
 
     def __init__(self, g0: TypeContext, sigma, limits: ExploreLimits):
         self.g0, self.sigma, self.limits = g0, sigma, limits
         self._built: dict = {}
         self._times_out: dict = {}  # map -> _may_time_out(g0, map)
+        self._deadlock: dict = {}   # graph key -> deadlock Verdict
 
     def _key(self, r: Reliability, mode) -> tuple:
         if r not in self._times_out:
@@ -110,6 +117,18 @@ class Graphs:
     def built(self, r: Reliability, mode: CongruenceMode | None = None):
         """The graph under r if a property has already built it, else None."""
         return self._built.get(self._key(r, mode))
+
+    def deadlock(self, r: Reliability) -> Verdict:
+        """The deadlock verdict of the graph under r, scanned once."""
+        key = self._key(r, None)
+        if key not in self._deadlock:
+            self._deadlock[key] = _deadlock_scan(self.get(r))
+        return self._deadlock[key]
+
+    @cached_property
+    def static_acyclic(self) -> bool:
+        """`_static_acyclic(g0)`: every graph of the run is acyclic."""
+        return _static_acyclic(self.g0)
 
 
 def _graphs(graphs: Graphs | None, g0, sigma, limits) -> Graphs:
@@ -215,6 +234,19 @@ def _static_safety_holds(g0: TypeContext, r: Reliability) -> bool:
     return True
 
 
+def _static_acyclic(g0: TypeContext) -> bool:
+    """Sound check that every graph explored from g0 is acyclic: no
+    endpoint type graph holds a `RecRef`, its only back edge.  Each step
+    then moves one endpoint from a type node to a strict descendant in a
+    finite DAG (a send or a timeout moves the sender, a reception the
+    receiver, and a sender's buffer change keeps its type), so the longest
+    run left from each endpoint's node, which bisimilar nodes share, falls
+    at every step."""
+    return not any(isinstance(n, RecRef)
+                   for _, sbt in g0.endpoints if sbt.session is not None
+                   for n in session_nodes(sbt.session))
+
+
 def check_safety(g0: TypeContext, sigma, r: Reliability,
                  limits: ExploreLimits, graphs: Graphs | None = None) -> Verdict:
     """`graphs`, when given, holds the run's shared graphs, built from the
@@ -251,15 +283,19 @@ def check_tcp_safety(g0: TypeContext, sigma, limits: ExploreLimits,
 # progress properties
 
 
-def check_deadlock_free(g0: TypeContext, sigma, r: Reliability,
-                        limits: ExploreLimits,
-                        graphs: Graphs | None = None) -> Verdict:
-    graph = _graphs(graphs, g0, sigma, limits).get(r)
-
+def _deadlock_scan(graph) -> Verdict:
+    """The deadlock verdict of one graph: every stuck state splits into
+    end-typed sessions and collectable buffers."""
     def failure(sid):
         ok, reason = split_end_gc(graph.states[sid])
         return None if ok else f"Deadlock: {reason}"
     return _scan(graph, failure, stuck_only=True)
+
+
+def check_deadlock_free(g0: TypeContext, sigma, r: Reliability,
+                        limits: ExploreLimits,
+                        graphs: Graphs | None = None) -> Verdict:
+    return _graphs(graphs, g0, sigma, limits).deadlock(r)
 
 
 def _lasso(graph: LtsGraph) -> tuple | None:
@@ -289,9 +325,13 @@ def _lasso(graph: LtsGraph) -> tuple | None:
 def check_terminating(g0: TypeContext, sigma, r: Reliability,
                       limits: ExploreLimits,
                       graphs: Graphs | None = None) -> Verdict:
+    """Deadlock-free, and no reachable cycle: the deadlock verdict when it
+    does not hold, else a lasso to the first back edge a depth-first search
+    meets.  When no endpoint type recurses (`_static_acyclic`) the graph
+    has no cycle, and the search is skipped."""
     graphs = _graphs(graphs, g0, sigma, limits)
-    df = check_deadlock_free(g0, sigma, r, limits, graphs)
-    if not df.holds:
+    df = graphs.deadlock(r)
+    if not df.holds or graphs.static_acyclic:
         return df
     # a reachable cycle is a non-terminating lasso
     lasso = _lasso(graphs.get(r))
@@ -320,10 +360,19 @@ def check_live(g0: TypeContext, sigma, r: Reliability,
     """A timeout-less branching endpoint must always be able to eventually
     take one of its arms: from every state where it waits, some state with
     an enabled communication for that endpoint is reachable.  Branches with
-    timeouts are exempt (their timeout arm is always available)."""
-    graph = _graphs(graphs, g0, sigma, limits).get(r)
+    timeouts are exempt (their timeout arm is always available).
+
+    Holds without a search on a complete graph that is deadlock-free when
+    no endpoint type recurses (`_static_acyclic`): the graph then has no
+    cycle, so every run from a waiting state ends in a stuck state, where every session is at `end`, and only
+    a communication to the waiting endpoint moves it off its branching.
+    Otherwise one backward closure per waiting endpoint decides it."""
+    graphs = _graphs(graphs, g0, sigma, limits)
+    graph = graphs.get(r)
     if isinstance(graph, Exceeded):
         return _inconclusive(graph)
+    if graphs.static_acyclic and graphs.deadlock(r).holds:
+        return Verdict(HOLDS)
     ids, bindings = graph.states.ids, graph.states.bindings
     # the binding ids that wait without a timeout, per endpoint key, each
     # binding id decided once

@@ -1,7 +1,8 @@
 """Reference oracles for the tests: exhaustive small-step expansion of a
 process, the type-level image of a process step (the subject-reduction
-harness), and exact graph-shape equality of types, processes and protocol
-files (the round-trip law of the printer).  No command runs them."""
+harness) and a trace event's detail as a dict, and exact graph-shape
+equality of types, processes and protocol files (the round-trip law of the
+printer).  No command runs them."""
 from collections import deque
 
 from magpi import proc as P
@@ -47,9 +48,14 @@ def exhaustive_small_step_oracle(c0: Config, r: Reliability, policy: str,
 # mirroring process steps onto a typing context (subject-reduction harness)
 
 
+def detail_dict(event: TraceEvent) -> dict:
+    """A trace event's detail as a dict."""
+    return dict(event.detail)
+
+
 def mirror_on_context(g: TypeContext, event: TraceEvent) -> TypeContext:
     """Apply the type-level image of one process reduction to a context."""
-    d = event.detail_dict()
+    d = detail_dict(event)
     rule = event.rule
     if rule == RULE_SEND:
         key = (d["session"], d["from"])

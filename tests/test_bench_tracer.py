@@ -1,9 +1,12 @@
 """Smoke test of the benchmark's tracer: `bench/run.py --trace 1` wraps
 magpi's module attributes by name, so every name it wraps must exist,
 `restore` must put the originals back, and the wrapped functions must be
-looked up when they are called."""
+looked up when they are called.  Also a smoke test of
+`scripts/ab_verify.py`, which reads the verify benchmark's op mix off
+`bench/`."""
 import importlib.util
 import io
+import subprocess
 import sys
 
 import magpi.cli
@@ -57,3 +60,13 @@ def test_tracer_sees_every_check_and_exploration(monkeypatch):
     for name in [f"verify.{c}" for c in run.CHECKS] + ["verify.explore",
                                                          "cli.stats_explore"]:
         assert calls[name] > 0, name
+
+
+def test_ab_verify_runs_one_round():
+    # The A/B script against itself: it finds the op mix in bench/ and
+    # every output of the two sides is the same.
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "ab_verify.py"),
+                           "src", "src", "--rounds", "1"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "outputs identical" in done.stdout

@@ -19,7 +19,7 @@ from magpi.sim import (Config, FailureScenario, RELIABLE, Trace, TraceEvent,
                        UNRESTRICTED, enabled_steps, monitor_corollaries, run)
 from magpi.types import END, Reliability, UNIT, buffer_heads
 from tests.conftest import fixture_file, fixture_text
-from tests.oracles import exhaustive_small_step_oracle
+from tests.oracles import detail_dict, exhaustive_small_step_oracle
 from tests.test_golden import scenario as golden_scenario
 
 CALM = FailureScenario()
@@ -64,7 +64,7 @@ def test_reliable_policy_never_drops_on_reliable_channel():
         tr = run(cfg(pf), pf.reliability, RELIABLE, hostile, seed, 500)
         for e in tr.events:
             if e.rule == "R-drop":
-                d = e.detail_dict()
+                d = detail_dict(e)
                 assert (d["from"], d["to"]) != ("p", "r"), seed
 
 
@@ -76,7 +76,7 @@ def test_unrestricted_policy_may_drop_anywhere():
         tr = run(cfg(pf), pf.reliability, UNRESTRICTED, hostile, seed, 500)
         for e in tr.events:
             if e.rule == "R-drop":
-                d = e.detail_dict()
+                d = detail_dict(e)
                 dropped.add((d["from"], d["to"]))
     assert ("p", "r") in dropped
 
@@ -89,7 +89,7 @@ def test_crash_freezes_role():
         tr = run(cfg(pf), pf.reliability, RELIABLE, scen, seed, 500)
         for e in tr.events:
             if e.rule in ("R-send", "R-recv"):
-                d = e.detail_dict()
+                d = detail_dict(e)
                 actor = d["from"] if e.rule == "R-send" else d["to"]
                 assert actor != "q", (seed, e.to_json())
 
@@ -100,7 +100,7 @@ def test_crashed_ping_reaches_ko():
     scen = FailureScenario.from_json({"crash": [{"role": "q", "at": 0}]})
     for seed in range(10):
         tr = run(cfg(pf), pf.reliability, RELIABLE, scen, seed, 500)
-        labels = [e.detail_dict().get("label") for e in tr.events]
+        labels = [detail_dict(e).get("label") for e in tr.events]
         assert "ko" in labels and "ok" not in labels
 
 

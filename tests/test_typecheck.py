@@ -3,10 +3,10 @@ import sys
 
 import pytest
 
-from magpi import parse, typecheck, typecheck_file
+from magpi import parse, typecheck_file
 from magpi import proc as P
 from magpi.context import TypeContext
-from magpi.typecheck import Checker, _demands
+from magpi.typecheck import Checker, _demands, typecheck
 from magpi.types import Reliability
 from tests.conftest import fixture_text, mesh_sources
 from tests.test_golden import FILES, ROOT
@@ -29,6 +29,15 @@ system =
   new s:{ p: Sp, q: Sq } in
   ( s[p]!q:a(7).0 | s[q]&{ p?a(x:int).0 } | s:[] )
 """
+
+
+def test_package_attribute_typecheck_is_the_submodule():
+    # The package re-exports no function named `typecheck`, which would
+    # shadow the submodule of that name.
+    import magpi
+    import magpi.typecheck as tc
+    assert tc is sys.modules["magpi.typecheck"] is magpi.typecheck
+    assert tc.typecheck_file is typecheck_file and tc.typecheck is typecheck
 
 
 @pytest.mark.parametrize("name", ["ping", "dns", "leader"])

@@ -5,6 +5,7 @@ import json
 import random
 import sys
 import time
+from functools import cached_property
 
 import pytest
 
@@ -147,6 +148,19 @@ def test_live_violated_when_message_never_arrives():
              ("s", "q"): sbt(S("p?a().end"))})
     v = V.check_live(g, {"s"}, rel(p={"q"}, q={"p"}), LIM)
     assert v.status == V.VIOLATED
+
+
+def test_recursion_free_deadlock_with_a_waiting_receiver():
+    # No type recurses, so the graph is acyclic, but its stuck state has p
+    # waiting: live may skip its closure only on a deadlock-free graph.
+    g = ctx({("s", "p"): sbt(S("&{ q?a().end }")),
+             ("s", "q"): sbt(END)})
+    assert V._static_acyclic(g)
+    graphs = V.Graphs(g, {"s"}, LIM)
+    for check in (V.check_terminating, V.check_deadlock_free, V.check_live):
+        v = check(g, {"s"}, rel(), LIM, graphs)
+        assert v.status == V.VIOLATED and v.witness == (), check
+    assert V.check_live(g, {"s"}, rel(), LIM).status == V.VIOLATED
 
 
 def test_fixtures_live():
@@ -329,18 +343,43 @@ def _count_explores(monkeypatch) -> dict:
     return calls
 
 
+def _count_work(monkeypatch) -> dict:
+    """Count the deadlock scans, the cycle searches and the predecessor
+    lists derived (which only live's closure reads)."""
+    calls = {"deadlock": 0, "lasso": 0, "pred": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(V, "_deadlock_scan", counted("deadlock", V._deadlock_scan))
+    monkeypatch.setattr(V, "_lasso", counted("lasso", V._lasso))
+    pred = cached_property(counted("pred", LtsGraph.pred.func))
+    pred.__set_name__(LtsGraph, "pred")
+    monkeypatch.setattr(LtsGraph, "pred", pred)
+    return calls
+
+
 @pytest.mark.parametrize("mode", ("total", "tcp"))
 def test_mesh_run_explores_once(monkeypatch, tmp_path, mode):
     # The verify benchmark's op: comm-rf reads its graph off the complete
-    # graph under the declared map, and the stats read that graph.
+    # graph under the declared map, and the stats read that graph.  The
+    # deadlock scan runs once.  Where no endpoint type recurses, neither
+    # the cycle search nor live's closure runs; with a looping q_0 each
+    # runs once.
     props = ",".join(bench_gen().MESH_PROPS)
     for name, text in mesh_sources():
         path = tmp_path / "mesh.magpi"
         path.write_text(text, encoding="utf-8")
-        calls = _count_explores(monkeypatch)
-        main(["verify", str(path), "--props", props, "--mode", mode, "--json"],
-             io.StringIO())
+        with monkeypatch.context() as patch:
+            calls = _count_explores(patch)
+            work = _count_work(patch)
+            main(["verify", str(path), "--props", props, "--mode", mode, "--json"],
+                 io.StringIO())
+        looping = int("loop=True" in name)
         assert calls == {"verify": 1, "cli": 0}, name
+        assert work == {"deadlock": 1, "lasso": looping, "pred": looping}, name
 
 
 def test_comm_rf_explores_when_the_graph_under_r_is_incomplete(monkeypatch):
@@ -447,6 +486,37 @@ def test_live_matches_reference(mode):
     assert verdicts == {V.HOLDS, V.VIOLATED, V.INCONCLUSIVE}
 
 
+@pytest.mark.parametrize("mode", list(CongruenceMode))
+def test_termination_and_liveness_shortcuts_match_the_searches(mode):
+    # [DERIVED] on every complete graph of the liveness cases: a context
+    # whose endpoint types do not recurse has an acyclic graph, and a
+    # terminating graph is live.  So terminating and live, which skip the
+    # cycle search and the liveness closure where these facts decide them,
+    # agree with both searches run in full, alone and in one run in
+    # verify's order.
+    limits = ExploreLimits(max_states=3000, mode=mode)
+    static = 0
+    for name, g0, sigma, r in _live_cases():
+        graph = explore(g0, sigma, r, limits)
+        if isinstance(graph, Exceeded):
+            continue
+        lasso = _lasso_recursive(graph)
+        if V._static_acyclic(g0):
+            assert lasso is None, name
+            static += 1
+        terminating = V.check_deadlock_free(g0, sigma, r, limits)
+        if terminating.holds and lasso is not None:
+            terminating = V.Verdict(V.VIOLATED, reason="Cycle", witness=lasso)
+        live = _check_live_reference(g0, sigma, r, limits)
+        assert live.holds or not terminating.holds, name
+        graphs = V.Graphs(g0, sigma, limits)
+        assert V.check_terminating(g0, sigma, r, limits, graphs) == terminating, name
+        assert V.check_live(g0, sigma, r, limits, graphs) == live, name
+        assert V.check_terminating(g0, sigma, r, limits) == terminating, name
+        assert V.check_live(g0, sigma, r, limits) == live, name
+    assert static > 600
+
+
 # -- termination at depth -----------------------------------------------------------
 
 
@@ -511,7 +581,9 @@ def test_terminating_on_deep_chain_at_default_recursion_limit(monkeypatch):
     edges = [(i, f"a{i}", i + 1) for i in range(n - 1)] + [(n - 1, "back", n - 10)]
     graph = _edge_graph(n, edges, {i + 1: (i, f"a{i}") for i in range(n - 1)})
     monkeypatch.setattr(V, "explore", lambda *args, **kwargs: graph)
-    v = V.check_terminating(ctx({}), {"s"}, rel(), LIM)
+    # a recursive endpoint type, so the cycle search decides termination
+    looping = ctx({("s", "p"): sbt(S("rec t. q!m().t"))})
+    v = V.check_terminating(looping, {"s"}, rel(), LIM)
     assert v.status == V.VIOLATED and v.reason == "Cycle"
     assert v.witness == tuple(f"a{i}" for i in range(n - 1)) + ("back",)
 
