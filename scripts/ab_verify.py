@@ -7,7 +7,9 @@ checkout's `src`) are loaded under their own package names.  Each cycle runs
 the five verify-mesh inputs that `bench/workloads.py` draws from
 `bench/gen.py` for the seed, as in-process `verify ... --json` calls, on both
 sides; the side that goes first alternates from cycle to cycle.  Every output
-(exit code and text) must be the same on both sides.
+(exit code and text) must be the same on both sides.  Before the cycles,
+`check ... --json` runs once per input on both sides, and its output (the
+typecheck verdict and rule trace) must be the same too.
 
 Prints the median milliseconds per op kind and per cycle on each side, the
 median speed-up and the cycles the change won.  Exits 1 when an output
@@ -88,6 +90,11 @@ def main(argv=None) -> int:
             path = pathlib.Path(tmp) / f"{kind}.magpi"
             path.write_text(text, encoding="utf-8")
             ops.append((kind, ["verify", str(path), *tail]))
+            checked = {side: run_op(cli, ["check", str(path), "--json"])[1]
+                       for side, cli in sides.items()}
+            if checked["parent"] != checked["change"]:
+                print(f"check output differs: {kind}")
+                return 1
         for c in range(WARMUP + args.rounds):
             order = list(sides) if c % 2 == 0 else list(reversed(sides))
             total = dict.fromkeys(sides, 0.0)
@@ -113,7 +120,7 @@ def main(argv=None) -> int:
     p, ch = statistics.median(cycles["parent"]), statistics.median(cycles["change"])
     won = sum(a > b for a, b in zip(cycles["parent"], cycles["change"]))
     print(f"{'cycle':<12} {p * 1e3:>10.2f} {ch * 1e3:>10.2f} {p / ch:>8.3f}x")
-    print(f"change faster in {won}/{args.rounds} cycles; outputs identical")
+    print(f"change faster in {won}/{args.rounds} cycles; check and verify outputs identical")
     return 0
 
 

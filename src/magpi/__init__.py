@@ -22,7 +22,7 @@ from .verify import (HOLDS, INCONCLUSIVE, VIOLATED, Verdict, check_bound_k,
                      check_tcp_safety, check_terminating)
 # The function `typecheck` is not re-exported: `magpi.typecheck` is the
 # submodule.
-from .typecheck import TypingReport, check_restriction_safety, typecheck_file
+from .typecheck import TypingReport, typecheck_file
 from .sim import (Config, FailureScenario, MonitorViolation, Step, Trace,
                   TraceEvent, enabled_steps, monitor_corollaries, run)
 

@@ -223,9 +223,8 @@ class LtsGraph:
     recipient.  Only `verify.check_live`'s backward closure reads `pred`,
     and only on a graph that may have a cycle."""
 
-    states: Sequence        # state id -> TypeContext (canonical); States from explore
+    states: Sequence        # state id -> TypeContext (canonical), 0 initial; States from explore
     succ: list              # id -> [(Action, to id)]
-    initial: int = 0
     parents: dict = field(default_factory=dict)  # id -> (parent id, Action)
     classes: TypeClasses | None = None  # the type classes every state is keyed by
 
@@ -443,8 +442,8 @@ def without_timeouts(graph: LtsGraph) -> LtsGraph:
     timeouts, and each state's successors are in explore's order, so the
     states, edges, parents and witnesses are explore's.  Its occupancy is
     left to be read off its states."""
-    old = [graph.initial]  # new id -> old id
-    new = {graph.initial: 0}
+    old = [0]  # new id -> old id
+    new = {0: 0}
     succ, parents = [], {}
     for f, sid in enumerate(old):  # old grows as states are found
         out = []
@@ -480,7 +479,7 @@ def action_to_json(a: Action) -> dict:
 def export_lts(g: LtsGraph, fmt: str = "json") -> str:
     if fmt == "json":
         doc = {
-            "initial": g.initial,
+            "initial": 0,
             "states": [{"id": i, "ctx": render_context(s), "stuck": not g.succ[i]}
                        for i, s in enumerate(g.states)],
             "edges": [{"from": f, "action": action_to_json(a), "to": t}

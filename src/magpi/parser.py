@@ -128,6 +128,7 @@ class Parser:
         self.diags: list[Diagnostic] = []
         self.roles: tuple = ()
         self.type_defs: dict = {}
+        self.named: set = set()  # the root node of every named type
 
     # -- token plumbing
     #
@@ -161,6 +162,12 @@ class Parser:
 
     def error(self, code: str, msg: str, span: Span):
         self.diags.append(Diagnostic("error", code, msg, span))
+
+    def validate(self, ty: SessionType, span: Span):
+        """Validates ty's graph up to the named types in it: each of those
+        was validated, and its faults reported, at its definition."""
+        if ty not in self.named:
+            self.diags.extend(validate_session(ty, span, self.named))
 
     def check_role(self, tok: Token) -> str:
         if self.roles and tok.text not in self.roles:
@@ -214,16 +221,17 @@ class Parser:
         while not self.at("EOF"):
             if self.at("KW", "type"):
                 self.next()
-                tname = self.expect("IDENT").text
+                nt = self.expect("IDENT")
                 self.expect("@")
                 trole = self.check_role(self.expect("IDENT"))
                 self.expect("=")
                 ty = self.parse_type({})
-                if tname in self.type_defs:
-                    self.error("DuplicateTypeDef", f"type {tname} defined twice",
-                               self.peek().span)
-                self.diags.extend(validate_session(ty, self.peek().span))
-                self.type_defs[tname] = (trole, ty)
+                if nt.text in self.type_defs:
+                    self.error("DuplicateTypeDef", f"type {nt.text} defined twice",
+                               nt.span)
+                self.validate(ty, nt.span)
+                self.named.add(ty)
+                self.type_defs[nt.text] = (trole, ty)
             elif self.at("KW", "def"):
                 proc_defs.append(self.parse_proc_decl())
             elif self.at("KW", "system"):
@@ -435,7 +443,7 @@ class Parser:
                 role = self.check_role(self.expect("IDENT"))
                 self.expect(":")
                 ty = self.parse_type({})
-                self.diags.extend(validate_session(ty, st.span))
+                self.validate(ty, st.span)
                 anns.append((role, ty))
                 if self.at(","):
                     self.next()

@@ -20,7 +20,7 @@ from .types import (Basic, Branch as TBranch, End, Select, SessionBufferType,
                     Reliability, buffer_type_congruent, BufEntry,
                     CongruenceMode, format_type, is_basic, resolve,
                     type_equal)
-from .verify import INCONCLUSIVE, Verdict, VIOLATED, check_safety
+from .verify import INCONCLUSIVE, VIOLATED, check_safety
 
 
 @dataclass
@@ -40,18 +40,6 @@ class TypingReport:
             "trace": [{"rule": r, "span": {"line": s.line, "col": s.col}}
                       for r, s in self.trace],
         }
-
-
-def check_restriction_safety(session: str, binding: dict, r: Reliability,
-                             limits: ExploreLimits | None = None) -> Verdict:
-    """The restriction premise: the annotated context for one session must
-    satisfy the safety property under the protocol's reliability map."""
-    eps = {}
-    for role, ty in binding.items():
-        sbt = ty if isinstance(ty, SessionBufferType) else SessionBufferType((), ty)
-        eps[(session, role)] = sbt
-    g = TypeContext.of({}, eps)
-    return check_safety(g, {session}, r, limits or ExploreLimits())
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +261,9 @@ class Checker:
             # messages so both the safety premise and the buffer rule see
             # the matching buffer components.
             g2 = restriction_context(p, g)
-            binding = {k[1]: sbt for k, sbt in g2.endpoints if k[0] == p.session}
-            verdict = check_restriction_safety(p.session, binding, self.r, self.limits)
+            verdict = check_safety(
+                TypeContext((), tuple(e for e in g2.endpoints if e[0][0] == p.session)),
+                {p.session}, self.r, self.limits)
             if verdict.status == VIOLATED:
                 return self.fail(f"SafetyUndetermined-{verdict.reason}",
                                  f"session {p.session} annotation violates the safety "

@@ -109,16 +109,17 @@ def resolve(s: SessionType) -> SessionType:
             return s
 
 
-def session_nodes(root: SessionType) -> list[SessionType]:
-    """All graph nodes reachable from root, in deterministic DFS order."""
-    seen: dict[int, SessionType] = {}
+def session_nodes(root: SessionType, skip=frozenset()) -> list[SessionType]:
+    """All graph nodes reachable from root without entering a node of
+    `skip`, in deterministic DFS order."""
+    seen: set = set()
     stack = [root]
     order = []
     while stack:
         n = stack.pop()
-        if id(n) in seen:
+        if n in seen or n in skip:
             continue
-        seen[id(n)] = n
+        seen.add(n)
         order.append(n)
         if isinstance(n, Rec):
             stack.append(n.body)
@@ -133,20 +134,24 @@ def session_nodes(root: SessionType) -> list[SessionType]:
     return order
 
 
-def validate_session(root: SessionType, span: Span = Span()) -> list[Diagnostic]:
-    """Construction-time checks: nonempty and pairwise-distinct arms,
-    unguarded recursion, unresolved back-edges."""
+def validate_session(root: SessionType, span: Span = Span(),
+                     skip=frozenset()) -> list[Diagnostic]:
+    """Construction-time checks on the nodes `session_nodes(root, skip)`
+    walks: nonempty and pairwise-distinct arms, unguarded recursion,
+    unresolved back-edges."""
     diags: list[Diagnostic] = []
-    for node in session_nodes(root):
+    for node in session_nodes(root, skip):
         if isinstance(node, (Select, Branch)):
             arms = node.arms
             if not arms:
                 diags.append(Diagnostic("error", "EmptyArms",
                                         "branching/selection requires at least one arm", span))
-            keys = [(a.to if isinstance(a, SelectArm) else a.frm, a.label) for a in arms]
+            select = isinstance(node, Select)
+            keys = [(a.to if select else a.frm, a.label) for a in arms]
             for k in sorted(set(k for k in keys if keys.count(k) > 1)):
                 diags.append(Diagnostic("error", "DuplicateArm",
-                                        f"duplicate (role, label) arm {k[0]}!{k[1]}", span))
+                                        f"duplicate (role, label) arm "
+                                        f"{k[0]}{'!' if select else '?'}{k[1]}", span))
         elif isinstance(node, RecRef) and node.target is None:
             diags.append(Diagnostic("error", "UnboundRecVar",
                                     f"unbound recursion variable {node.var!r}", span))

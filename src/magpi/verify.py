@@ -64,13 +64,55 @@ def _scan(graph, reason, stuck_only: bool = False) -> Verdict:
 # the graphs of one run
 
 
-def _may_time_out(g0: TypeContext, r: Reliability) -> bool:
-    """Whether some branching with a timeout in g0's type graphs waits on a
-    peer outside its reliability set, i.e. could ever time out under r."""
-    return any(isinstance(n, Branch) and n.timeout is not None
-               and r.needs_timeout(role, n.arms)
-               for (_, role), sbt in g0.endpoints if sbt.session is not None
-               for n in session_nodes(sbt.session))
+class _StaticFacts:
+    """What the static checks read of g0's endpoint type graphs, each
+    walked once: every branching node (its role, arms and whether it has a
+    timeout), whether every selection arm or initial buffer entry agrees on
+    its payload type with each branch arm that may receive it, and whether
+    every graph explored from g0 is acyclic.
+
+    `acyclic` is a sound check: no endpoint type graph holds a `RecRef`,
+    its only back edge.  Each step then moves one endpoint from a type node
+    to a strict descendant in a finite DAG (a send or a timeout moves the
+    sender, a reception the receiver, and a sender's buffer change keeps
+    its type), so the longest run left from each endpoint's node, which
+    bisimilar nodes share, falls at every step."""
+
+    def __init__(self, g0: TypeContext):
+        self.branches = []  # (role, arms, has a timeout) per branching node
+        # (session, sender, recipient, label) -> the payloads the sender's
+        # selection arms and initial entries carry (a binding may be
+        # buffer-only); and each reception a branch arm waits for from a peer
+        sent, receptions = {}, []
+        self.acyclic = True
+        for (session, role), sbt in g0.endpoints:
+            for e in sbt.buffer:
+                sent.setdefault((session, role, e.to, e.label), []).append(e.payload)
+            for n in () if sbt.session is None else session_nodes(sbt.session):
+                if isinstance(n, Branch):
+                    self.branches.append((role, n.arms, n.timeout is not None))
+                    receptions += [((session, a.frm, role, a.label), a.payload)
+                                   for a in n.arms if a.frm != role]
+                elif isinstance(n, Select):
+                    for a in n.arms:
+                        sent.setdefault((session, role, a.to, a.label), []).append(a.payload)
+                elif isinstance(n, RecRef):
+                    self.acyclic = False
+        self.payloads_agree = all(type_equal(p, payload) for key, payload in receptions
+                                  for p in sent.get(key, ()))
+
+    def safety_holds(self, r: Reliability) -> bool:
+        """Sound over-approximation of safety: every branching node
+        satisfies SP1/SP2 under r, and payloads agree.  Passing certifies
+        safety of all reachable contexts."""
+        return self.payloads_agree and all(
+            timed == r.needs_timeout(role, arms) for role, arms, timed in self.branches)
+
+    def may_time_out(self, r: Reliability) -> bool:
+        """Whether some branching with a timeout waits on a peer outside its
+        reliability set, i.e. could ever time out under r."""
+        return any(timed and r.needs_timeout(role, arms)
+                   for role, arms, timed in self.branches)
 
 
 class Graphs:
@@ -86,19 +128,20 @@ class Graphs:
     run that asks for the declared map first explores once per mode.
 
     Per graph it also keeps the deadlock verdict, scanned once, which
-    `deadlock`, `terminating` and `live` all read, and per run whether no
-    endpoint type of g0 recurses (`static_acyclic`); `live` reads both
-    here, never by calling another check."""
+    `deadlock`, `terminating` and `live` all read; `live` reads it here,
+    never by calling another check.  g0's endpoint type graphs are walked
+    once per run, on first need (`static`): the timeout question of each
+    map, static safety and acyclicity all read that walk."""
 
     def __init__(self, g0: TypeContext, sigma, limits: ExploreLimits):
         self.g0, self.sigma, self.limits = g0, sigma, limits
         self._built: dict = {}
-        self._times_out: dict = {}  # map -> _may_time_out(g0, map)
+        self._times_out: dict = {}  # map -> static.may_time_out(map)
         self._deadlock: dict = {}   # graph key -> deadlock Verdict
 
     def _key(self, r: Reliability, mode) -> tuple:
         if r not in self._times_out:
-            self._times_out[r] = _may_time_out(self.g0, r)
+            self._times_out[r] = self.static.may_time_out(r)
         return (self.limits.mode if mode is None else mode,
                 r if self._times_out[r] else None)
 
@@ -126,9 +169,9 @@ class Graphs:
         return self._deadlock[key]
 
     @cached_property
-    def static_acyclic(self) -> bool:
-        """`_static_acyclic(g0)`: every graph of the run is acyclic."""
-        return _static_acyclic(self.g0)
+    def static(self) -> _StaticFacts:
+        """The static facts of g0's endpoint type graphs."""
+        return _StaticFacts(self.g0)
 
 
 def _graphs(graphs: Graphs | None, g0, sigma, limits) -> Graphs:
@@ -197,56 +240,6 @@ def _fifo_head_failure(g: TypeContext, classes: TypeClasses | None) -> str | Non
     return None
 
 
-def _static_safety_holds(g0: TypeContext, r: Reliability) -> bool:
-    """Sound over-approximation used when exploration trips a limit: every
-    branching node anywhere in any endpoint's type graph must satisfy
-    SP1/SP2, and every (selection arm, matching branch arm) pair across
-    endpoint graphs — plus initial buffer entries — must agree on payload
-    types.  Passing certifies safety of all reachable contexts."""
-    # each endpoint's type graph, walked once
-    graphs = {key: session_nodes(sbt.session)
-              for key, sbt in g0.endpoints if sbt.session is not None}
-    for (session, role), nodes in graphs.items():
-        for node in nodes:
-            if (isinstance(node, Branch)
-                    and (node.timeout is not None) != r.needs_timeout(role, node.arms)):
-                return False
-    # all message sources a receiver may observe, per (sender, recipient):
-    # selection arms anywhere in the sender's type graph plus any initial
-    # in-transit entries (the sender binding may be buffer-only).
-    for key, sbt in g0.endpoints:
-        session, sender = key
-        sources = [a for n in graphs.get(key, ())
-                   if isinstance(n, Select) for a in n.arms] + list(sbt.buffer)
-        for (s2, recv), nodes in graphs.items():
-            if s2 != session or recv == sender:
-                continue
-            for node in nodes:
-                if not isinstance(node, Branch):
-                    continue
-                for arm in node.arms:
-                    if arm.frm != sender:
-                        continue
-                    for e in sources:
-                        if (e.to == recv and e.label == arm.label
-                                and not type_equal(e.payload, arm.payload)):
-                            return False
-    return True
-
-
-def _static_acyclic(g0: TypeContext) -> bool:
-    """Sound check that every graph explored from g0 is acyclic: no
-    endpoint type graph holds a `RecRef`, its only back edge.  Each step
-    then moves one endpoint from a type node to a strict descendant in a
-    finite DAG (a send or a timeout moves the sender, a reception the
-    receiver, and a sender's buffer change keeps its type), so the longest
-    run left from each endpoint's node, which bisimilar nodes share, falls
-    at every step."""
-    return not any(isinstance(n, RecRef)
-                   for _, sbt in g0.endpoints if sbt.session is not None
-                   for n in session_nodes(sbt.session))
-
-
 def check_safety(g0: TypeContext, sigma, r: Reliability,
                  limits: ExploreLimits, graphs: Graphs | None = None) -> Verdict:
     """`graphs`, when given, holds the run's shared graphs, built from the
@@ -255,9 +248,10 @@ def check_safety(g0: TypeContext, sigma, r: Reliability,
     # endpoint's type graph satisfies the reliability side conditions and
     # all label-compatible send/receive pairs agree on payload types, the
     # property holds in every reachable state without exploring any.
-    if _static_safety_holds(g0, r):
+    graphs = _graphs(graphs, g0, sigma, limits)
+    if graphs.static.safety_holds(r):
         return Verdict(HOLDS, reason="static")
-    graph = _graphs(graphs, g0, sigma, limits).get(r)
+    graph = graphs.get(r)
     return _scan(graph, lambda sid: _state_safety_failure(
         graph.states[sid], r, limits.mode, graph.classes))
 
@@ -300,12 +294,12 @@ def check_deadlock_free(g0: TypeContext, sigma, r: Reliability,
 
 def _lasso(graph: LtsGraph) -> tuple | None:
     """The first back edge met by a depth-first search from the initial
-    state, as the path to its source plus the edge; None when acyclic.
+    state (id 0), as the path to its source plus the edge; None when acyclic.
     Iterative, so the depth of the search is not bounded by the stack."""
     succ = graph.succ
     color = bytearray(len(succ))  # 0 unseen, 1 on the path, 2 done
-    color[graph.initial] = 1
-    path, todo = [graph.initial], [iter(succ[graph.initial])]
+    color[0] = 1
+    path, todo = [0], [iter(succ[0])]
     while todo:
         for a, v in todo[-1]:
             seen = color[v]
@@ -327,11 +321,11 @@ def check_terminating(g0: TypeContext, sigma, r: Reliability,
                       graphs: Graphs | None = None) -> Verdict:
     """Deadlock-free, and no reachable cycle: the deadlock verdict when it
     does not hold, else a lasso to the first back edge a depth-first search
-    meets.  When no endpoint type recurses (`_static_acyclic`) the graph
-    has no cycle, and the search is skipped."""
+    meets.  When no endpoint type recurses (`_StaticFacts.acyclic`) the
+    graph has no cycle, and the search is skipped."""
     graphs = _graphs(graphs, g0, sigma, limits)
     df = graphs.deadlock(r)
-    if not df.holds or graphs.static_acyclic:
+    if not df.holds or graphs.static.acyclic:
         return df
     # a reachable cycle is a non-terminating lasso
     lasso = _lasso(graphs.get(r))
@@ -363,7 +357,7 @@ def check_live(g0: TypeContext, sigma, r: Reliability,
     timeouts are exempt (their timeout arm is always available).
 
     Holds without a search on a complete graph that is deadlock-free when
-    no endpoint type recurses (`_static_acyclic`): the graph then has no
+    no endpoint type recurses (`_StaticFacts.acyclic`): the graph then has no
     cycle, so every run from a waiting state ends in a stuck state, where every session is at `end`, and only
     a communication to the waiting endpoint moves it off its branching.
     Otherwise one backward closure per waiting endpoint decides it."""
@@ -371,7 +365,7 @@ def check_live(g0: TypeContext, sigma, r: Reliability,
     graph = graphs.get(r)
     if isinstance(graph, Exceeded):
         return _inconclusive(graph)
-    if graphs.static_acyclic and graphs.deadlock(r).holds:
+    if graphs.static.acyclic and graphs.deadlock(r).holds:
         return Verdict(HOLDS)
     ids, bindings = graph.states.ids, graph.states.bindings
     # the binding ids that wait without a timeout, per endpoint key, each
@@ -382,7 +376,7 @@ def check_live(g0: TypeContext, sigma, r: Reliability,
             waiting.setdefault(key, set()).add(b)
     if not waiting:
         return Verdict(HOLDS)
-    slot = {bindings[b][0]: i for i, b in enumerate(ids[graph.initial])}
+    slot = {bindings[b][0]: i for i, b in enumerate(ids[0])}
     # states with an enabled communication, per waiting receiver
     receives: dict = {}
     for f, out in enumerate(graph.succ):

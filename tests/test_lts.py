@@ -107,7 +107,7 @@ def test_total_reorder_reaches_deeper_entries():
 
 def _recount(graph):
     """Oracle: recompute the reachable set by a fresh traversal of edges."""
-    seen, todo = {graph.initial}, [graph.initial]
+    seen, todo = {0}, [0]
     succ = {}
     for f, _, t in graph.edges:
         succ.setdefault(f, []).append(t)

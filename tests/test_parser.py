@@ -172,6 +172,28 @@ def test_reject_duplicate_receive_arm():
         "DuplicateArm")
 
 
+def test_named_type_fault_is_reported_once_at_its_definition():
+    # S is validated where it is defined, not again where the annotation
+    # names it, and its fault is placed at its name, not at the next token.
+    source = (HEADER
+              + "type S @ p = &{ q?b().end, q?b().end }\n"
+              + "type T @ q = p!b().end\n"
+              + "system = new s:{ p: S, q: T } in ( s[q]!p:b().0 | s:[] )\n")
+    with pytest.raises(MagpiError) as err:
+        parse(source)
+    dups = [d for d in err.value.diagnostics if d.code == "DuplicateArm"]
+    assert [(d.span.line, d.span.col, d.message) for d in dups] == [
+        (3, 6, "duplicate (role, label) arm q?b")]
+
+
+def test_duplicate_type_definition_is_reported_at_its_name():
+    with pytest.raises(MagpiError) as err:
+        parse(HEADER + "type S @ p = end\ntype S @ q = end\ntype T @ p = end\n"
+              "system = 0\n")
+    assert [(d.code, d.span.line, d.span.col) for d in err.value.diagnostics] == [
+        ("DuplicateTypeDef", 4, 6)]
+
+
 def test_syntax_error_has_position():
     with pytest.raises(MagpiError) as err:
         parse("protocol t\nroles p q\nsystem = 0\n")

@@ -51,6 +51,12 @@ def test_validate_rejects_duplicate_arms():
     assert any(d.code == "DuplicateArm" for d in validate_session(t))
 
 
+def test_validate_names_a_duplicate_receive_arm_with_a_query():
+    t = Branch((BranchArm("q", "a", UNIT, END), BranchArm("q", "a", UNIT, END)))
+    assert [(d.code, d.message) for d in validate_session(t)] == [
+        ("DuplicateArm", "duplicate (role, label) arm q?a")]
+
+
 # -- equality up to unfolding -------------------------------------------------
 
 

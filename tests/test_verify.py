@@ -16,8 +16,9 @@ from magpi.context import TypeContext
 from magpi.lts import (ComAct, Exceeded, ExploreLimits, LtsGraph, SendAct,
                        TimeoutAct, context_transitions, explore)
 from magpi.types import (Basic, BranchArm, BufEntry, CongruenceMode, END,
-                         Reliability, Select, SelectArm, SessionBufferType,
-                         Branch, UNIT)
+                         Rec, RecRef, Reliability, Select, SelectArm,
+                         SessionBufferType, Branch, UNIT, session_nodes,
+                         type_equal)
 from magpi import verify as V
 from tests.conftest import bench_gen, fixture_file, fixture_text, mesh_sources
 from tests.test_golden import ROOT
@@ -155,7 +156,7 @@ def test_recursion_free_deadlock_with_a_waiting_receiver():
     # waiting: live may skip its closure only on a deadlock-free graph.
     g = ctx({("s", "p"): sbt(S("&{ q?a().end }")),
              ("s", "q"): sbt(END)})
-    assert V._static_acyclic(g)
+    assert V._StaticFacts(g).acyclic
     graphs = V.Graphs(g, {"s"}, LIM)
     for check in (V.check_terminating, V.check_deadlock_free, V.check_live):
         v = check(g, {"s"}, rel(), LIM, graphs)
@@ -265,6 +266,115 @@ def test_tcp_safety_contained_in_base_safety():
         checked += 1
         assert V.check_safety(g, {"s"}, rf, fifo).holds, g
     assert checked == 500
+
+
+# -- the static checks' one walk ---------------------------------------------------
+
+
+def _static_safety_reference(g0, r):
+    """Reference: the nested scan (sender x receiver x node x arm x source)
+    that `_StaticFacts.safety_holds` replaces with one index."""
+    graphs = {key: session_nodes(sbt.session)
+              for key, sbt in g0.endpoints if sbt.session is not None}
+    for (session, role), nodes in graphs.items():
+        for node in nodes:
+            if (isinstance(node, Branch)
+                    and (node.timeout is not None) != r.needs_timeout(role, node.arms)):
+                return False
+    for key, sbt in g0.endpoints:
+        session, sender = key
+        sources = [a for n in graphs.get(key, ())
+                   if isinstance(n, Select) for a in n.arms] + list(sbt.buffer)
+        for (s2, recv), nodes in graphs.items():
+            if s2 != session or recv == sender:
+                continue
+            for node in nodes:
+                if not isinstance(node, Branch):
+                    continue
+                for arm in node.arms:
+                    if arm.frm != sender:
+                        continue
+                    for e in sources:
+                        if (e.to == recv and e.label == arm.label
+                                and not type_equal(e.payload, arm.payload)):
+                            return False
+    return True
+
+
+def _nodes(g0):
+    return [(role, n) for (_, role), sbt in g0.endpoints if sbt.session is not None
+            for n in session_nodes(sbt.session)]
+
+
+def _random_entries(rng: random.Random, roles="pqr"):
+    return tuple(BufEntry(rng.choice(roles), rng.choice("ab"),
+                          rng.choice([UNIT, Basic("int"), END]))
+                 for _ in range(rng.randint(0, 2)))
+
+
+def _random_static_context(rng: random.Random):
+    """Three-role contexts mixing sends and receptions to any role, the
+    role itself too, with timeouts, recursion, initial buffer entries and
+    maybe a buffer-only binding."""
+    def chain(top, depth):
+        if depth == 0:
+            return RecRef("t", top) if rng.random() < 0.3 else END
+        peer, label = rng.choice("pqr"), rng.choice("ab")
+        payload = rng.choice([UNIT, Basic("int"), END])
+        cont = chain(top, depth - 1)
+        if rng.random() < 0.5:
+            return Select((SelectArm(peer, label, payload, cont),))
+        return Branch((BranchArm(peer, label, payload, cont),),
+                      chain(top, depth - 1) if rng.random() < 0.4 else None)
+
+    def session():
+        top = Rec("t")
+        top.body = chain(top, rng.randint(1, 3))
+        return top
+
+    eps = {("s", role): sbt(session(), *_random_entries(rng)) for role in "pq"}
+    if rng.random() < 0.5:
+        eps[("s", "r")] = sbt(None, *_random_entries(rng))
+    return ctx(eps)
+
+
+def _random_map(rng: random.Random, roles):
+    return Reliability.of({x: {y for y in roles if y != x and rng.random() < 0.5}
+                           for x in roles})
+
+
+def test_static_facts_match_the_nested_scans():
+    # [DERIVED] the one walk answers static safety, the timeout question
+    # and acyclicity exactly as one scan each did before.
+    cases = []
+    for text in [fixture_text(n) for n in ("ping", "dns", "leader")] + [
+            t for _, t in mesh_sources() + mesh_sources(3)] + [
+            (ROOT / "tests" / "golden" / f).read_text(encoding="utf-8")
+            for f in ("mesh.magpi", "mesh_loop.magpi")]:
+        pf = parse(text)
+        g0, _ = initial_context(pf)
+        roles = {k[1] for k, _ in g0.endpoints}
+        cases += [(g0, r) for r in (pf.reliability, Reliability.fully_reliable(roles),
+                                    Reliability.of({x: () for x in roles}))]
+    rng = random.Random(20261019)
+    for _ in range(300):
+        g = _random_context(rng)
+        g = ctx({key: sbt(b.session, *_random_entries(rng, "pq")) for key, b in g.endpoints}
+                | ({("s", "r"): sbt(None, *_random_entries(rng))} if rng.random() < 0.5 else {}))
+        cases.append((g, _random_map(rng, "pqr")))
+        cases.append((_random_static_context(rng), _random_map(rng, "pqr")))
+    outcomes = set()
+    for g0, r in cases:
+        facts = V._StaticFacts(g0)
+        nodes = _nodes(g0)
+        safe = _static_safety_reference(g0, r)
+        assert facts.safety_holds(r) == safe, g0
+        assert facts.may_time_out(r) == any(
+            isinstance(n, Branch) and n.timeout is not None
+            and r.needs_timeout(role, n.arms) for role, n in nodes), g0
+        assert facts.acyclic == (not any(isinstance(n, RecRef) for _, n in nodes)), g0
+        outcomes.add((safe, facts.acyclic))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def _bound_sweep(g0, sigma, r, k_max, mode):
@@ -380,6 +490,30 @@ def test_mesh_run_explores_once(monkeypatch, tmp_path, mode):
         looping = int("loop=True" in name)
         assert calls == {"verify": 1, "cli": 0}, name
         assert work == {"deadlock": 1, "lasso": looping, "pred": looping}, name
+
+
+@pytest.mark.parametrize("mode", ("total", "tcp"))
+def test_mesh_run_walks_each_type_graph_four_times(monkeypatch, tmp_path, mode):
+    # Each of the six endpoint type graphs is walked once by the parser's
+    # validation, once by the typecheck gate's static safety check, once by
+    # the run's static facts and once by `type_classes` in explore.
+    props = ",".join(bench_gen().MESH_PROPS)
+    modules = [m for name, m in sys.modules.items()
+               if (name == "magpi" or name.startswith("magpi."))
+               and hasattr(m, "session_nodes")]
+    for name, text in mesh_sources():
+        path = tmp_path / "mesh.magpi"
+        path.write_text(text, encoding="utf-8")
+        walks = []
+        with monkeypatch.context() as patch:
+            def counted(*args, _real=session_nodes, **kwargs):
+                walks.append(args[0])
+                return _real(*args, **kwargs)
+            for module in modules:
+                patch.setattr(module, "session_nodes", counted)
+            main(["verify", str(path), "--props", props, "--mode", mode, "--json"],
+                 io.StringIO())
+        assert len(walks) <= 24, name
 
 
 def test_comm_rf_explores_when_the_graph_under_r_is_incomplete(monkeypatch):
@@ -501,7 +635,7 @@ def test_termination_and_liveness_shortcuts_match_the_searches(mode):
         if isinstance(graph, Exceeded):
             continue
         lasso = _lasso_recursive(graph)
-        if V._static_acyclic(g0):
+        if V._StaticFacts(g0).acyclic:
             assert lasso is None, name
             static += 1
         terminating = V.check_deadlock_free(g0, sigma, r, limits)
@@ -537,7 +671,7 @@ def _lasso_recursive(graph):
         color[u] = 2
         return None
 
-    return dfs(graph.initial)
+    return dfs(0)
 
 
 def _edge_graph(n, edges, parents):
