@@ -9,7 +9,9 @@ the five verify-mesh inputs that `bench/workloads.py` draws from
 sides; the side that goes first alternates from cycle to cycle.  Every output
 (exit code and text) must be the same on both sides.  Before the cycles,
 `check ... --json` runs once per input on both sides, and its output (the
-typecheck verdict and rule trace) must be the same too.
+typecheck verdict and rule trace) must be the same too.  So must `check`
+and three `verify` runs on each of `EXTRA`'s inputs, which cover the
+typecheck gate's explored safety decision and the fixtures.
 
 Prints the median milliseconds per op kind and per cycle on each side, the
 median speed-up and the cycles the change won.  Exits 1 when an output
@@ -33,6 +35,13 @@ from time import perf_counter
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
 WARMUP = 2
+# Inputs outside the mesh mix, with their extra options: the probe whose
+# static safety fails, so that the typecheck gate explores, the fixtures,
+# and leader under a state limit that its graph exceeds.
+EXTRA = [("tests/golden/explored_safety.magpi", []), ("fixtures/ping.magpi", []),
+         ("fixtures/dns.magpi", []), ("fixtures/leader.magpi", ["--max-states", "400"])]
+EXTRA_RUNS = (["--json"], ["--props", "safety", "--json"],
+              ["--props", "safety,deadlock", "--mode", "tcp", "--json"])
 
 
 def _load_module(name: str, path: pathlib.Path, package: pathlib.Path | None = None):
@@ -73,6 +82,12 @@ def run_op(cli, argv: list) -> tuple:
     return perf_counter() - t0, (rc, out.getvalue())
 
 
+def same_output(sides: dict, argv: list) -> bool:
+    """Whether one untimed run of argv prints the same on both sides."""
+    outs = [run_op(cli, argv)[1] for cli in sides.values()]
+    return outs[0] == outs[1]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent_src", type=pathlib.Path)
@@ -90,11 +105,16 @@ def main(argv=None) -> int:
             path = pathlib.Path(tmp) / f"{kind}.magpi"
             path.write_text(text, encoding="utf-8")
             ops.append((kind, ["verify", str(path), *tail]))
-            checked = {side: run_op(cli, ["check", str(path), "--json"])[1]
-                       for side, cli in sides.items()}
-            if checked["parent"] != checked["change"]:
+            if not same_output(sides, ["check", str(path), "--json"]):
                 print(f"check output differs: {kind}")
                 return 1
+        for name, tail in EXTRA:
+            path = str(ROOT / name)
+            for argv in (["check", path, "--json", *tail],
+                         *(["verify", path, *run, *tail] for run in EXTRA_RUNS)):
+                if not same_output(sides, argv):
+                    print(f"output differs: {' '.join(argv)}")
+                    return 1
         for c in range(WARMUP + args.rounds):
             order = list(sides) if c % 2 == 0 else list(reversed(sides))
             total = dict.fromkeys(sides, 0.0)

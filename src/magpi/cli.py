@@ -73,10 +73,10 @@ def initial_context(pf: ProtocolFile):
     return restriction_context(p, TypeContext()), p.session
 
 
-def _gate_typecheck(pf: ProtocolFile, args, out) -> int | None:
+def _gate_typecheck(pf: ProtocolFile, args, out, graphs=None) -> int | None:
     if getattr(args, "unsafe_skip_typecheck", False):
         return None
-    report = typecheck_file(pf, ExploreLimits(max_states=args.max_states))
+    report = typecheck_file(pf, ExploreLimits(max_states=args.max_states), graphs)
     if not report.accepted:
         for d in report.failures:
             print(d.render(), file=out)
@@ -105,21 +105,23 @@ def cmd_verify(args, out) -> int:
     pf = _load(args.file)
     if args.dot:
         _check_writable(args.dot)
-    gate = _gate_typecheck(pf, args, out)
-    if gate is not None:
-        return gate
     g0, session = initial_context(pf)
-    if g0 is None:
-        print("error: system has no top-level session restriction", file=out)
-        return EXIT_USAGE
     sigma = {session}
     r = pf.reliability
     mode = (CongruenceMode.TCP_FIFO if args.mode == "tcp"
             else CongruenceMode.TOTAL_REORDER)
     limits = ExploreLimits(max_states=args.max_states, mode=mode)
+    # The typecheck gate decides the top-level restriction's safety on the
+    # run's graphs, so `verify` reads that decision and the gate's graph.
+    graphs = None if g0 is None else V.Graphs(g0, sigma, limits)
+    gate = _gate_typecheck(pf, args, out, graphs)
+    if gate is not None:
+        return gate
+    if g0 is None:
+        print("error: system has no top-level session restriction", file=out)
+        return EXIT_USAGE
     props = [p.strip() for p in args.props.split(",")] if args.props else \
         ["safety", "comm-rf", "deadlock", "terminating", "live"]
-    graphs = V.Graphs(g0, sigma, limits)
     # The checks are looked up when called, so that wrappers installed on
     # the verify module see every call.
     checks = {
@@ -152,9 +154,9 @@ def cmd_verify(args, out) -> int:
         results[f"bound_{args.bound}"] = V.check_bound_k(
             g0, sigma, r, args.bound, mode, graphs=graphs)
     # Stats describe the graph under the reliability map that the verdicts
-    # used.  When no property built it (a safety check that settled
-    # statically, say), it is counted under a small cap so that unbounded
-    # systems stay fast.
+    # used.  When neither the gate nor a property built it (a safety check
+    # that settled statically, say), it is counted under a small cap so that
+    # unbounded systems stay fast.
     graph = graphs.built(r)
     if graph is None:
         stats_limits = ExploreLimits(min(limits.max_states, STATS_STATE_CAP),

@@ -17,7 +17,7 @@ from .proc import (Branch, BufMsg, Buffer, Call, Choice, Def, Endpoint,
                    UNIT_VAL, Value, Var, well_formed)
 from .types import (BASIC_KINDS, Basic, BranchArm, END, Rec, RecRef,
                     Reliability, Select, SelectArm, SessionType, Branch as TBranch,
-                    Type, UNIT, validate_session)
+                    Type, UNIT, is_basic, validate_session)
 
 KEYWORDS = {"protocol", "roles", "reliability", "type", "def", "system",
             "new", "in", "rec", "end", "timeout", "true", "false"}
@@ -268,7 +268,7 @@ class Parser:
         while not self.at(")"):
             pn = self.expect("IDENT").text
             self.expect(":")
-            params.append((pn, self.parse_payload_type({})))
+            params.append((pn, self.parse_binder_type()))
             if self.at(","):
                 self.next()
         self.expect(")")
@@ -296,36 +296,26 @@ class Parser:
             inner[vt.text] = node
             node.body = self.parse_type(inner)
             return node
-        if self.at("&"):
-            self.next()
+        if self.at("&") or self.at("+"):
+            sep = "?" if self.next().text == "&" else "!"
             self.expect("{")
             arms, timeout = [], None
             while not self.at("}"):
-                if self.at("KW", "timeout"):
+                if sep == "?" and self.at("KW", "timeout"):
                     self.next()
                     self.expect(".")
                     timeout = self.parse_type(recs)
                 else:
-                    arms.append(self.parse_branch_arm_type(recs))
+                    arms.append(self.parse_arm_type(recs, sep))
                 if self.at(","):
                     self.next()
             self.expect("}")
-            return TBranch(tuple(arms), timeout)
-        if self.at("+"):
-            self.next()
-            self.expect("{")
-            arms = []
-            while not self.at("}"):
-                arms.append(self.parse_select_arm_type(recs))
-                if self.at(","):
-                    self.next()
-            self.expect("}")
-            return Select(tuple(arms))
+            return TBranch(tuple(arms), timeout) if sep == "?" else Select(tuple(arms))
         if t.kind == "IDENT":
             if self.at("!", ahead=1):
-                return Select((self.parse_select_arm_type(recs),))
+                return Select((self.parse_arm_type(recs, "!"),))
             if self.at("?", ahead=1):
-                return TBranch((self.parse_branch_arm_type(recs),), None)
+                return TBranch((self.parse_arm_type(recs, "?"),), None)
             self.next()
             if t.text in recs:
                 return RecRef(t.text, recs[t.text])
@@ -336,25 +326,18 @@ class Parser:
         raise MagpiError([Diagnostic("error", "SyntaxError",
                                      f"expected a session type, found {t.text!r}", t.span)])
 
-    def parse_select_arm_type(self, recs: dict) -> SelectArm:
-        to = self.check_role(self.expect("IDENT"))
-        self.expect("!")
+    def parse_arm_type(self, recs: dict, sep: str) -> SelectArm | BranchArm:
+        """A selection arm `q!l(T).S` (sep "!") or a branching arm
+        `q?l(T).S` (sep "?")."""
+        role = self.check_role(self.expect("IDENT"))
+        self.expect(sep)
         label = self.expect("IDENT").text
         self.expect("(")
         payload = UNIT if self.at(")") else self.parse_payload_type(recs)
         self.expect(")")
         self.expect(".")
-        return SelectArm(to, label, payload, self.parse_type(recs))
-
-    def parse_branch_arm_type(self, recs: dict) -> BranchArm:
-        frm = self.check_role(self.expect("IDENT"))
-        self.expect("?")
-        label = self.expect("IDENT").text
-        self.expect("(")
-        payload = UNIT if self.at(")") else self.parse_payload_type(recs)
-        self.expect(")")
-        self.expect(".")
-        return BranchArm(frm, label, payload, self.parse_type(recs))
+        arm = SelectArm if sep == "!" else BranchArm
+        return arm(role, label, payload, self.parse_type(recs))
 
     def parse_payload_type(self, recs: dict) -> Type:
         t = self.peek()
@@ -363,6 +346,13 @@ class Parser:
             self.next()
             return Basic(t.text)
         return self.parse_type(recs)
+
+    def parse_binder_type(self) -> Type:
+        """A `def` parameter's or a received variable's type, validated."""
+        t, ty = self.peek(), self.parse_payload_type({})
+        if not is_basic(ty):
+            self.validate(ty, t.span)
+        return ty
 
     # -- values
 
@@ -509,7 +499,7 @@ class Parser:
                         else:
                             var = self.expect("IDENT").text
                             self.expect(":")
-                            vty = self.parse_payload_type({})
+                            vty = self.parse_binder_type()
                         self.expect(")")
                         self.expect(".")
                         arms.append(RecvArm(frm, label, var, vty,

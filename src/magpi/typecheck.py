@@ -20,7 +20,7 @@ from .types import (Basic, Branch as TBranch, End, Select, SessionBufferType,
                     Reliability, buffer_type_congruent, BufEntry,
                     CongruenceMode, format_type, is_basic, resolve,
                     type_equal)
-from .verify import INCONCLUSIVE, VIOLATED, check_safety
+from .verify import INCONCLUSIVE, VIOLATED, Graphs, check_safety
 
 
 @dataclass
@@ -113,9 +113,11 @@ def _buffer_only(p: P.Process) -> bool:
 
 
 class Checker:
-    def __init__(self, r: Reliability, limits: ExploreLimits | None = None):
+    def __init__(self, r: Reliability, limits: ExploreLimits | None = None,
+                 graphs: Graphs | None = None):
         self.r = r
         self.limits = limits or ExploreLimits()
+        self.graphs = graphs
         self.failures: list = []
         self.trace: list = []
         self._demanded: dict = {}  # id(process) -> (process, its demands)
@@ -134,20 +136,24 @@ class Checker:
         sbt = g.endpoint((v.session, v.role))
         return sbt.session if sbt is not None else None
 
-    def channel_binding(self, ch: P.Value, g: TypeContext):
-        """(session type, rebind function) for a channel value."""
-        if isinstance(ch, P.Var):
-            t = g.var(ch.name)
-            if t is None or is_basic(t):
-                return None, None
-            return t, lambda g2, s2: g2.with_var(ch.name, s2)
-        if isinstance(ch, P.Endpoint):
-            key = (ch.session, ch.role)
-            sbt = g.endpoint(key)
-            if sbt is None or sbt.session is None:
-                return None, None
-            return sbt.session, (lambda g2, s2, key=key, sbt=sbt:
-                                 g2.with_endpoint(key, SessionBufferType(sbt.buffer, s2)))
+    def channel_head(self, p, g: TypeContext, kind, what: str):
+        """(head, rebind function) of p's channel when its session type is
+        at a `kind` node; (None, None) after reporting why it is not."""
+        s = self.value_type(p.ch, g)
+        head = None if s is None or is_basic(s) else resolve(s)
+        if head is None:
+            self.fail("UnknownChannel",
+                      f"channel {P.render_value(p.ch)} has no session type", p.span)
+        elif not isinstance(head, kind):
+            self.fail("ChannelTypeMismatch",
+                      f"channel {P.render_value(p.ch)} is not at a {what} "
+                      f"(type {format_type(head)})", p.span)
+        elif isinstance(p.ch, P.Var):
+            return head, lambda g2, s2: g2.with_var(p.ch.name, s2)
+        else:
+            key = (p.ch.session, p.ch.role)
+            buf = g.endpoint(key).buffer
+            return head, lambda g2, s2: g2.with_endpoint(key, SessionBufferType(buf, s2))
         return None, None
 
     def consume_payload(self, v: P.Value, expected, g: TypeContext, span: Span):
@@ -184,16 +190,9 @@ class Checker:
 
         if isinstance(p, P.Send):
             self.trace.append(("selection", p.span))
-            s, rebind = self.channel_binding(p.ch, g)
-            if s is None:
-                return self.fail("UnknownChannel",
-                                 f"channel {P.render_value(p.ch)} has no session type",
-                                 p.span)
-            head = resolve(s)
-            if not isinstance(head, Select):
-                return self.fail("ChannelTypeMismatch",
-                                 f"channel {P.render_value(p.ch)} is not at a selection "
-                                 f"(type {format_type(head)})", p.span)
+            head, rebind = self.channel_head(p, g, Select, "selection")
+            if head is None:
+                return False
             arm = next((a for a in head.arms
                         if a.to == p.to and a.label == p.label), None)
             if arm is None:
@@ -207,16 +206,9 @@ class Checker:
 
         if isinstance(p, P.Branch):
             self.trace.append(("branching", p.span))
-            s, rebind = self.channel_binding(p.ch, g)
-            if s is None:
-                return self.fail("UnknownChannel",
-                                 f"channel {P.render_value(p.ch)} has no session type",
-                                 p.span)
-            head = resolve(s)
-            if not isinstance(head, TBranch):
-                return self.fail("ChannelTypeMismatch",
-                                 f"channel {P.render_value(p.ch)} is not at a branching "
-                                 f"(type {format_type(head)})", p.span)
+            head, rebind = self.channel_head(p, g, TBranch, "branching")
+            if head is None:
+                return False
             tarms = {(a.frm, a.label): a for a in head.arms}
             parms = {(a.frm, a.label): a for a in p.arms}
             if set(tarms) != set(parms):
@@ -261,9 +253,9 @@ class Checker:
             # messages so both the safety premise and the buffer rule see
             # the matching buffer components.
             g2 = restriction_context(p, g)
-            verdict = check_safety(
-                TypeContext((), tuple(e for e in g2.endpoints if e[0][0] == p.session)),
-                {p.session}, self.r, self.limits)
+            gs = TypeContext((), tuple(e for e in g2.endpoints if e[0][0] == p.session))
+            graphs = self.graphs if self.graphs is not None and gs == self.graphs.g0 else None
+            verdict = check_safety(gs, {p.session}, self.r, self.limits, graphs)
             if verdict.status == VIOLATED:
                 return self.fail(f"SafetyUndetermined-{verdict.reason}",
                                  f"session {p.session} annotation violates the safety "
@@ -448,12 +440,15 @@ def typecheck(theta: dict, g: TypeContext, sigma, p: P.Process,
     return TypingReport("accepted" if ok else "rejected", c.failures, c.trace)
 
 
-def typecheck_file(pf, limits: ExploreLimits | None = None) -> TypingReport:
+def typecheck_file(pf, limits: ExploreLimits | None = None,
+                   graphs: Graphs | None = None) -> TypingReport:
     """Typecheck a parsed protocol file's system under empty contexts.
     Top-level definitions are mutually recursive, so every definition body
-    is checked under an environment containing all of them."""
+    is checked under an environment containing all of them.  `graphs`, when
+    given, holds a verify run's graphs: a restriction whose safety context
+    is their g0 decides safety on them, and the run reads that decision."""
     theta = {d.name: [t for _, t in d.params] for d in pf.proc_defs}
-    c = Checker(pf.reliability, limits)
+    c = Checker(pf.reliability, limits, graphs)
     ok = True
     for d in pf.proc_defs:
         c.trace.append(("definition", d.span))

@@ -137,32 +137,38 @@ def session_nodes(root: SessionType, skip=frozenset()) -> list[SessionType]:
 def validate_session(root: SessionType, span: Span = Span(),
                      skip=frozenset()) -> list[Diagnostic]:
     """Construction-time checks on the nodes `session_nodes(root, skip)`
-    walks: nonempty and pairwise-distinct arms, unguarded recursion,
-    unresolved back-edges."""
+    walks, and on those of each session-typed arm payload met on the way:
+    nonempty and pairwise-distinct arms, unguarded recursion, unresolved
+    back-edges."""
     diags: list[Diagnostic] = []
-    for node in session_nodes(root, skip):
-        if isinstance(node, (Select, Branch)):
-            arms = node.arms
-            if not arms:
-                diags.append(Diagnostic("error", "EmptyArms",
-                                        "branching/selection requires at least one arm", span))
-            select = isinstance(node, Select)
-            keys = [(a.to if select else a.frm, a.label) for a in arms]
-            for k in sorted(set(k for k in keys if keys.count(k) > 1)):
-                diags.append(Diagnostic("error", "DuplicateArm",
-                                        f"duplicate (role, label) arm "
-                                        f"{k[0]}{'!' if select else '?'}{k[1]}", span))
-        elif isinstance(node, RecRef) and node.target is None:
-            diags.append(Diagnostic("error", "UnboundRecVar",
-                                    f"unbound recursion variable {node.var!r}", span))
-        elif isinstance(node, Rec):
-            if node.body is None:
+    skip, todo = set(skip), [root]
+    for top in todo:  # grows by the payloads met
+        nodes = session_nodes(top, skip)
+        skip.update(nodes)
+        for node in nodes:
+            if isinstance(node, (Select, Branch)):
+                arms = node.arms
+                todo += [a.payload for a in arms if not is_basic(a.payload)]
+                if not arms:
+                    diags.append(Diagnostic("error", "EmptyArms", "branching/selection "
+                                            "requires at least one arm", span))
+                select = isinstance(node, Select)
+                keys = [(a.to if select else a.frm, a.label) for a in arms]
+                for k in sorted(set(k for k in keys if keys.count(k) > 1)):
+                    diags.append(Diagnostic("error", "DuplicateArm",
+                                            f"duplicate (role, label) arm "
+                                            f"{k[0]}{'!' if select else '?'}{k[1]}", span))
+            elif isinstance(node, RecRef) and node.target is None:
                 diags.append(Diagnostic("error", "UnboundRecVar",
-                                        f"recursion {node.var!r} has no body", span))
-            elif _unguarded_ref(node):
-                diags.append(Diagnostic("error", "UnguardedRecursion",
-                                        f"recursion variable {node.var!r} is not guarded "
-                                        "by a branching or selection", span))
+                                        f"unbound recursion variable {node.var!r}", span))
+            elif isinstance(node, Rec):
+                if node.body is None:
+                    diags.append(Diagnostic("error", "UnboundRecVar",
+                                            f"recursion {node.var!r} has no body", span))
+                elif _unguarded_ref(node):
+                    diags.append(Diagnostic("error", "UnguardedRecursion",
+                                            f"recursion variable {node.var!r} is not "
+                                            "guarded by a branching or selection", span))
     return diags
 
 

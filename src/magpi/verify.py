@@ -243,7 +243,8 @@ def _fifo_head_failure(g: TypeContext, classes: TypeClasses | None) -> str | Non
 def check_safety(g0: TypeContext, sigma, r: Reliability,
                  limits: ExploreLimits, graphs: Graphs | None = None) -> Verdict:
     """`graphs`, when given, holds the run's shared graphs, built from the
-    same g0, sigma and limits; the same holds for every check below."""
+    same g0, sigma and limits; the same holds for every check below.  Here
+    the mode may differ: the typecheck gate decides on a FIFO run's graphs."""
     # Cheap sound over-approximation first: if every branch node in every
     # endpoint's type graph satisfies the reliability side conditions and
     # all label-compatible send/receive pairs agree on payload types, the
@@ -251,7 +252,7 @@ def check_safety(g0: TypeContext, sigma, r: Reliability,
     graphs = _graphs(graphs, g0, sigma, limits)
     if graphs.static.safety_holds(r):
         return Verdict(HOLDS, reason="static")
-    graph = graphs.get(r)
+    graph = graphs.get(r, limits.mode)
     return _scan(graph, lambda sid: _state_safety_failure(
         graph.states[sid], r, limits.mode, graph.classes))
 

@@ -4,11 +4,15 @@ properties are refused with exit code 3 and an error message, without a
 traceback."""
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from magpi.cli import EXIT_OK, EXIT_USAGE, build_parser, main
 from tests.conftest import fixture_file
+from tests.test_golden import ROOT
 
 
 @pytest.mark.parametrize("argv", [
@@ -137,3 +141,21 @@ def test_parser_is_shared_without_carrying_options_over(monkeypatch):
     assert main(["verify", path, "--no-such-option"]) == EXIT_USAGE
     assert main(["verify", path]) == 0
     assert seen[2] == seen[1]
+
+
+def test_unguarded_payload_type_is_refused_at_once(tmp_path):
+    # `resolve` never returns on an unguarded type, so a `rec t. t` payload
+    # that reached the typechecker would hang it; the parser refuses it.
+    path = tmp_path / "payload.magpi"
+    path.write_text("protocol t\nroles p, q\nreliability { p: {q}, q: {p} }\n"
+                    "type Sp @ p = q!a(rec t. t).end\n"
+                    "type Sq @ q = p?a(rec t. t).end\n"
+                    "system = new s:{ p: Sp, q: Sq } in\n"
+                    "  ( s[p]!q:a(s[q]).0 | s[q]&{ p?a(y: rec t. t).0 } | s:[] )\n",
+                    encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "magpi.cli", "check", str(path)],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert done.returncode == EXIT_USAGE, done.stdout + done.stderr
+    assert done.stdout.count("[UnguardedRecursion]") == 3

@@ -6,7 +6,10 @@ JSONL trace, and the `lts-export` JSON of each input must be the recorded
 text (graphs, scenario runs and traces are recorded by SHA-256).  The
 verify records were made with the verifier that explored a fresh graph for
 every property, so they pin the verdicts, witnesses, `minimalK` and stats
-of the shared-graph verifier to the old ones.  The simulate records were
+of the shared-graph verifier to the old ones.  The `explored_safety`
+records, the one input whose static safety fails so that the typecheck gate
+explores, were made while the gate still explored its own graph, so they
+pin the gate and `verify` sharing one graph to that.  The simulate records were
 made with the simulator that rewrote the process tree for every enabled
 step, so they pin the seeded runs of the one that rewrites only the step
 it takes.
@@ -34,7 +37,8 @@ GOLDEN_SIM = ROOT / "tests" / "golden" / "simulate.json"
 ALL = "safety,comm-rf,deadlock,terminating,live,never,tcp,bounded"
 NO_BOUNDED = "safety,comm-rf,deadlock,terminating,live,never,tcp"
 FILES = ("fixtures/ping.magpi", "fixtures/dns.magpi",
-         "tests/golden/mesh.magpi", "tests/golden/mesh_loop.magpi")
+         "tests/golden/mesh.magpi", "tests/golden/mesh_loop.magpi",
+         "tests/golden/explored_safety.magpi")
 SIM_FILES = ("fixtures/ping.magpi", "fixtures/dns.magpi",
              "fixtures/leader.magpi", "tests/golden/mesh.magpi",
              "tests/golden/mesh_loop.magpi")

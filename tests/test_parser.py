@@ -194,6 +194,29 @@ def test_duplicate_type_definition_is_reported_at_its_name():
         ("DuplicateTypeDef", 4, 6)]
 
 
+@pytest.mark.parametrize("payload, code", [("rec t. t", "UnguardedRecursion"),
+                                           ("+{ }", "EmptyArms")])
+def test_session_payload_is_validated_where_it_is_written(payload, code):
+    # A session type written as a payload, a received variable's type or a
+    # def parameter's type is validated like any other type.
+    with pytest.raises(MagpiError) as err:
+        parse_session_text(f"q!a({payload}).end", roles=ROLES)
+    assert [d.code for d in err.value.diagnostics] == [code]
+    cases = [
+        (f"type T @ p = q!a({payload}).end\nsystem = 0\n", (3, 6)),
+        (f"type T @ q = p?a({payload}).end\nsystem = 0\n", (3, 6)),
+        (f"system = new s:{{ p: q!a({payload}).end, q: end }} in s:[]\n", (3, 14)),
+        (f"system = new s:{{ p: end, q: end }} in\n"
+         f"  ( s[q]&{{ p?a(y: {payload}).0 }} | s:[] )\n", (4, 19)),
+        (f"def X(x: {payload}) = 0\nsystem = 0\n", (3, 10)),
+    ]
+    for source, (line, col) in cases:
+        with pytest.raises(MagpiError) as err:
+            parse(HEADER + source)
+        assert [(d.code, d.span.line, d.span.col) for d in err.value.diagnostics] \
+            == [(code, line, col)], source
+
+
 def test_syntax_error_has_position():
     with pytest.raises(MagpiError) as err:
         parse("protocol t\nroles p q\nsystem = 0\n")

@@ -3,11 +3,12 @@ import sys
 
 import pytest
 
-from magpi import parse, typecheck_file
+from magpi import parse, parse_process_text, parse_session_text, typecheck_file
 from magpi import proc as P
 from magpi.context import TypeContext
 from magpi.typecheck import Checker, _demands, typecheck
-from magpi.types import Reliability
+from magpi.types import (Basic, BufEntry, Reliability, SessionBufferType,
+                         UNIT)
 from tests.conftest import fixture_text, mesh_sources
 from tests.test_golden import FILES, ROOT
 
@@ -227,3 +228,50 @@ def test_par_demands_are_the_union_of_their_sides(monkeypatch):
     _, bufs, free = _demands(parse(NESTED_BINDERS).system.body)
     assert bufs == {"s"}
     assert not free & {"c", "n", "x", "y"}
+
+
+def _channel_case(var=None, endpoint=None):
+    """A context binding x to `var` and s[p] to `endpoint`, each a session
+    type text, a Basic or a SessionBufferType."""
+    def bind(v):
+        return parse_session_text(v, roles={"p", "q"}) if isinstance(v, str) else v
+    return TypeContext.of({} if var is None else {"x": bind(var)},
+                          {} if endpoint is None else {("s", "p"): endpoint})
+
+
+_BUFFER_ONLY = SessionBufferType((BufEntry("q", "a", UNIT),), None)
+_AT_BRANCH = SessionBufferType((), parse_session_text("&{ q?a().end }", roles={"p", "q"}))
+_AT_SELECT = SessionBufferType((), parse_session_text("q!a().end", roles={"p", "q"}))
+_SEND, _RECV = "x!q:a().0", "x&{ q?a().0 }"
+
+
+@pytest.mark.parametrize("source, g, diagnostic", [
+    (_SEND, _channel_case(), "[UnknownChannel] at 1:1: channel x has no session type"),
+    (_SEND, _channel_case(var=Basic("int")),
+     "[UnknownChannel] at 1:1: channel x has no session type"),
+    (_SEND.replace("x", "s[p]"), _channel_case(),
+     "[UnknownChannel] at 1:1: channel s[p] has no session type"),
+    (_SEND.replace("x", "s[p]"), _channel_case(endpoint=_BUFFER_ONLY),
+     "[UnknownChannel] at 1:1: channel s[p] has no session type"),
+    (_SEND.replace("x", "s[p]"), _channel_case(endpoint=_AT_BRANCH),
+     "[ChannelTypeMismatch] at 1:1: channel s[p] is not at a selection "
+     "(type &{ q?a(unit). end })"),
+    (_SEND, _channel_case(var="&{ q?a().end }"),
+     "[ChannelTypeMismatch] at 1:1: channel x is not at a selection "
+     "(type &{ q?a(unit). end })"),
+    (_RECV, _channel_case(), "[UnknownChannel] at 1:1: channel x has no session type"),
+    (_RECV, _channel_case(var="q!a().end"),
+     "[ChannelTypeMismatch] at 1:1: channel x is not at a branching "
+     "(type q!a(unit). end)"),
+    (_RECV.replace("x", "s[p]"), _channel_case(endpoint=_AT_SELECT),
+     "[ChannelTypeMismatch] at 1:1: channel s[p] is not at a branching "
+     "(type q!a(unit). end)"),
+    (_RECV.replace("x", "s[p]"), _channel_case(var=Basic("int")),
+     "[UnknownChannel] at 1:1: channel s[p] has no session type"),
+])
+def test_channel_head_diagnostics(source, g, diagnostic):
+    # Selection and branching report a channel without a session type, or
+    # at the other kind of node, with the same two diagnostics.
+    checker = Checker(Reliability.of({"p": {"q"}, "q": {"p"}}))
+    assert not checker.check({}, g, set(), parse_process_text(source, roles={"p", "q"}))
+    assert [d.render() for d in checker.failures] == ["error " + diagnostic]

@@ -493,10 +493,11 @@ def test_mesh_run_explores_once(monkeypatch, tmp_path, mode):
 
 
 @pytest.mark.parametrize("mode", ("total", "tcp"))
-def test_mesh_run_walks_each_type_graph_four_times(monkeypatch, tmp_path, mode):
+def test_mesh_run_walks_each_type_graph_three_times(monkeypatch, tmp_path, mode):
     # Each of the six endpoint type graphs is walked once by the parser's
-    # validation, once by the typecheck gate's static safety check, once by
-    # the run's static facts and once by `type_classes` in explore.
+    # validation, once by the run's static facts, which the typecheck
+    # gate's static safety check reads too, and once by `type_classes` in
+    # explore.
     props = ",".join(bench_gen().MESH_PROPS)
     modules = [m for name, m in sys.modules.items()
                if (name == "magpi" or name.startswith("magpi."))
@@ -513,7 +514,37 @@ def test_mesh_run_walks_each_type_graph_four_times(monkeypatch, tmp_path, mode):
                 patch.setattr(module, "session_nodes", counted)
             main(["verify", str(path), "--props", props, "--mode", mode, "--json"],
                  io.StringIO())
-        assert len(walks) <= 24, name
+        assert len(walks) <= 18, name
+
+
+PROBE_SAFETY = "safety: holds\nstates: 3 edges: 2\n"
+PROBE_DEFAULT = ("comm-rf: holds\ndeadlock: holds\nlive: holds\nsafety: holds\n"
+                 "terminating: holds\nstates: 3 edges: 2\n")
+
+
+PROBE_RUNS = [
+    (["verify", "--props", "safety"], 1, PROBE_SAFETY),
+    (["verify"], 1, PROBE_DEFAULT),
+    (["verify", "--mode", "tcp", "--props", "safety"], 2, PROBE_SAFETY),
+    (["verify", "--unsafe-skip-typecheck"], 1, PROBE_DEFAULT),
+    (["check"], 1, "typecheck: accepted\n"),
+]
+
+
+@pytest.mark.parametrize("argv, explores, stdout", PROBE_RUNS,
+                         ids=[" ".join(argv) for argv, _, _ in PROBE_RUNS])
+def test_gate_and_verify_share_the_explored_safety_graph(monkeypatch, argv,
+                                                         explores, stdout):
+    # The probe's static safety fails (an unreachable branching breaks
+    # SP2), so the typecheck gate explores.  `verify` reads the gate's
+    # graph for its own safety and every other property of the mode; a tcp
+    # run explores its FIFO graph as well.
+    calls = _count_explores(monkeypatch)
+    out = io.StringIO()
+    code = main([argv[0], str(ROOT / "tests" / "golden" / "explored_safety.magpi"),
+                 *argv[1:]], out)
+    assert (code, out.getvalue()) == (0, stdout)
+    assert calls == {"verify": explores, "cli": 0}
 
 
 def test_comm_rf_explores_when_the_graph_under_r_is_incomplete(monkeypatch):
