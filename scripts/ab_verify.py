@@ -10,8 +10,9 @@ sides; the side that goes first alternates from cycle to cycle.  Every output
 (exit code and text) must be the same on both sides.  Before the cycles,
 `check ... --json` runs once per input on both sides, and its output (the
 typecheck verdict and rule trace) must be the same too.  So must `check`
-and three `verify` runs on each of `EXTRA`'s inputs, which cover the
-typecheck gate's explored safety decision and the fixtures.
+and five `verify` runs on each of `EXTRA`'s inputs, which cover the
+typecheck gate's explored safety decision, every property and `--bound`,
+and the fixtures.
 
 Prints the median milliseconds per op kind and per cycle on each side, the
 median speed-up and the cycles the change won.  Exits 1 when an output
@@ -41,7 +42,9 @@ WARMUP = 2
 EXTRA = [("tests/golden/explored_safety.magpi", []), ("fixtures/ping.magpi", []),
          ("fixtures/dns.magpi", []), ("fixtures/leader.magpi", ["--max-states", "400"])]
 EXTRA_RUNS = (["--json"], ["--props", "safety", "--json"],
-              ["--props", "safety,deadlock", "--mode", "tcp", "--json"])
+              ["--props", "safety,deadlock", "--mode", "tcp", "--json"],
+              ["--props", "never,tcp,bounded", "--json"],
+              ["--props", "comm-rf", "--bound", "2", "--mode", "tcp", "--json"])
 
 
 def _load_module(name: str, path: pathlib.Path, package: pathlib.Path | None = None):

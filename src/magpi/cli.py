@@ -108,9 +108,8 @@ def cmd_verify(args, out) -> int:
     g0, session = initial_context(pf)
     sigma = {session}
     r = pf.reliability
-    mode = (CongruenceMode.TCP_FIFO if args.mode == "tcp"
-            else CongruenceMode.TOTAL_REORDER)
-    limits = ExploreLimits(max_states=args.max_states, mode=mode)
+    limits = ExploreLimits(max_states=args.max_states, mode=CongruenceMode.TCP_FIFO
+                           if args.mode == "tcp" else CongruenceMode.TOTAL_REORDER)
     # The typecheck gate decides the top-level restriction's safety on the
     # run's graphs, so `verify` reads that decision and the gate's graph.
     graphs = None if g0 is None else V.Graphs(g0, sigma, limits)
@@ -133,7 +132,7 @@ def cmd_verify(args, out) -> int:
         "never": lambda: V.check_never_terminating(g0, sigma, r, limits, graphs=graphs),
         "tcp": lambda: V.check_tcp_safety(g0, sigma, limits, graphs=graphs),
         "bounded": lambda: V.check_bounded(g0, sigma, r, args.bound or DEFAULT_BOUND_PROBE,
-                                           mode, graphs=graphs),
+                                           limits, graphs=graphs),
     }
     unknown = [name for name in props if name not in checks]
     if unknown:
@@ -147,12 +146,9 @@ def cmd_verify(args, out) -> int:
     late = {"comm-rf": 1, "tcp": 1, "bounded": 2}
     results = {name: checks[name]()
                for name in sorted(props, key=lambda name: late.get(name, 0))}
-    minimal_k = None
-    if "bounded" in results:
-        results["bounded"], minimal_k = results["bounded"]
     if args.bound and "bounded" not in props:
         results[f"bound_{args.bound}"] = V.check_bound_k(
-            g0, sigma, r, args.bound, mode, graphs=graphs)
+            g0, sigma, r, args.bound, limits, graphs=graphs)
     # Stats describe the graph under the reliability map that the verdicts
     # used.  When neither the gate nor a property built it (a safety check
     # that settled statically, say), it is counted under a small cap so that
@@ -173,8 +169,6 @@ def cmd_verify(args, out) -> int:
             _write(args.dot, export_lts(graph, "dot"))
     doc = {"properties": {k: v.to_json() for k, v in results.items()},
            "stats": stats}
-    if minimal_k is not None:
-        doc["properties"]["bounded"]["minimalK"] = minimal_k
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True), file=out)
     else:

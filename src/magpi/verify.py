@@ -26,6 +26,7 @@ class Verdict:
     reason: str = ""
     witness: tuple = ()  # replayable action path from the initial context
     limit: int | None = None
+    minimal_k: int | None = None  # boundedness: largest channel occupancy + 1
 
     @property
     def holds(self) -> bool:
@@ -39,6 +40,8 @@ class Verdict:
             out["witness"] = [action_to_json(a) for a in self.witness]
         if self.limit is not None:
             out["limit"] = self.limit
+        if self.minimal_k is not None:
+            out["minimalK"] = self.minimal_k
         return out
 
 
@@ -46,15 +49,15 @@ def _inconclusive(exc: Exceeded) -> Verdict:
     return Verdict(INCONCLUSIVE, reason=exc.kind, limit=exc.limit)
 
 
-def _scan(graph, reason, stuck_only: bool = False) -> Verdict:
+def _scan(graph, rule, stuck_only: bool = False) -> Verdict:
     """The verdict of a per-state property on `graph` (or Exceeded):
     violated at the lowest state id, among the stuck ones when `stuck_only`,
-    for which `reason(sid)` gives a reason, with the path to that state;
-    holds when no id does."""
+    for which `rule(graph, sid)` gives a reason, with the path to that
+    state; holds when no id does."""
     if isinstance(graph, Exceeded):
         return _inconclusive(graph)
     for sid in graph.stuck_ids if stuck_only else range(len(graph.states)):
-        fail = reason(sid)
+        fail = rule(graph, sid)
         if fail is not None:
             return Verdict(VIOLATED, reason=fail, witness=graph.path_to(sid))
     return Verdict(HOLDS)
@@ -127,23 +130,21 @@ class Graphs:
     graph is read off it (`lts.without_timeouts`) instead of explored, so a
     run that asks for the declared map first explores once per mode.
 
-    Per graph it also keeps the deadlock verdict, scanned once, which
-    `deadlock`, `terminating` and `live` all read; `live` reads it here,
-    never by calling another check.  g0's endpoint type graphs are walked
-    once per run, on first need (`static`): the timeout question of each
-    map, static safety and acyclicity all read that walk."""
+    It also keeps the verdict of each per-state property it has scanned
+    (`verdict`), so the typecheck gate's safety premise and `verify`'s
+    `safety` are one scan, and `deadlock`, `terminating` and `live` read
+    one deadlock verdict.  g0's endpoint type graphs are walked once per
+    run, on first need (`static`): the timeout question of each map,
+    static safety and acyclicity all read that walk."""
 
     def __init__(self, g0: TypeContext, sigma, limits: ExploreLimits):
         self.g0, self.sigma, self.limits = g0, sigma, limits
         self._built: dict = {}
-        self._times_out: dict = {}  # map -> static.may_time_out(map)
-        self._deadlock: dict = {}   # graph key -> deadlock Verdict
+        self._verdicts: dict = {}  # (property, map, graph key) -> Verdict
 
     def _key(self, r: Reliability, mode) -> tuple:
-        if r not in self._times_out:
-            self._times_out[r] = self.static.may_time_out(r)
         return (self.limits.mode if mode is None else mode,
-                r if self._times_out[r] else None)
+                r if self.static.may_time_out(r) else None)
 
     def get(self, r: Reliability, mode: CongruenceMode | None = None):
         """The LtsGraph (or Exceeded) under r; mode defaults to the run's."""
@@ -161,12 +162,16 @@ class Graphs:
         """The graph under r if a property has already built it, else None."""
         return self._built.get(self._key(r, mode))
 
-    def deadlock(self, r: Reliability) -> Verdict:
-        """The deadlock verdict of the graph under r, scanned once."""
-        key = self._key(r, None)
-        if key not in self._deadlock:
-            self._deadlock[key] = _deadlock_scan(self.get(r))
-        return self._deadlock[key]
+    def verdict(self, prop: str, r: Reliability, mode: CongruenceMode | None,
+                rule, stuck_only: bool = False) -> Verdict:
+        """The verdict of the per-state property `prop` on the graph under r
+        and mode, decided by `rule` (see `_scan`) on first need.  The key
+        holds the map as well as the graph's: a rule may read the map where
+        the graph does not (SP1/SP2 on a timeout-free graph)."""
+        key = (prop, r, self._key(r, mode))
+        if key not in self._verdicts:
+            self._verdicts[key] = _scan(self.get(r, mode), rule, stuck_only)
+        return self._verdicts[key]
 
     @cached_property
     def static(self) -> _StaticFacts:
@@ -252,8 +257,7 @@ def check_safety(g0: TypeContext, sigma, r: Reliability,
     graphs = _graphs(graphs, g0, sigma, limits)
     if graphs.static.safety_holds(r):
         return Verdict(HOLDS, reason="static")
-    graph = graphs.get(r, limits.mode)
-    return _scan(graph, lambda sid: _state_safety_failure(
+    return graphs.verdict("safety", r, limits.mode, lambda graph, sid: _state_safety_failure(
         graph.states[sid], r, limits.mode, graph.classes))
 
 
@@ -265,32 +269,36 @@ def check_tcp_safety(g0: TypeContext, sigma, limits: ExploreLimits,
     base safety conditions are included, evaluated under the FIFO congruence,
     so this property is strictly stronger than the reordering one."""
     r = _fully_reliable(g0)
-    graph = _graphs(graphs, g0, sigma, limits).get(r, CongruenceMode.TCP_FIFO)
 
-    def failure(sid):
+    def failure(graph, sid):
         state = graph.states[sid]
         return (_state_safety_failure(state, r, CongruenceMode.TCP_FIFO, graph.classes)
                 or _fifo_head_failure(state, graph.classes))
-    return _scan(graph, failure)
+    return _graphs(graphs, g0, sigma, limits).verdict(
+        "tcp", r, CongruenceMode.TCP_FIFO, failure)
 
 
 # ---------------------------------------------------------------------------
 # progress properties
 
 
-def _deadlock_scan(graph) -> Verdict:
-    """The deadlock verdict of one graph: every stuck state splits into
-    end-typed sessions and collectable buffers."""
-    def failure(sid):
-        ok, reason = split_end_gc(graph.states[sid])
-        return None if ok else f"Deadlock: {reason}"
-    return _scan(graph, failure, stuck_only=True)
+def _deadlock_failure(graph, sid) -> str | None:
+    """Deadlock at a stuck state that does not split into end-typed
+    sessions and collectable buffers; None when it does."""
+    ok, reason = split_end_gc(graph.states[sid])
+    return None if ok else f"Deadlock: {reason}"
+
+
+def _deadlock(graphs: Graphs, r: Reliability) -> Verdict:
+    """The deadlock verdict of the graph under r, which `deadlock`,
+    `terminating` and `live` all read, never by calling another check."""
+    return graphs.verdict("deadlock", r, None, _deadlock_failure, stuck_only=True)
 
 
 def check_deadlock_free(g0: TypeContext, sigma, r: Reliability,
                         limits: ExploreLimits,
                         graphs: Graphs | None = None) -> Verdict:
-    return _graphs(graphs, g0, sigma, limits).deadlock(r)
+    return _deadlock(_graphs(graphs, g0, sigma, limits), r)
 
 
 def _lasso(graph: LtsGraph) -> tuple | None:
@@ -325,7 +333,7 @@ def check_terminating(g0: TypeContext, sigma, r: Reliability,
     meets.  When no endpoint type recurses (`_StaticFacts.acyclic`) the
     graph has no cycle, and the search is skipped."""
     graphs = _graphs(graphs, g0, sigma, limits)
-    df = graphs.deadlock(r)
+    df = _deadlock(graphs, r)
     if not df.holds or graphs.static.acyclic:
         return df
     # a reachable cycle is a non-terminating lasso
@@ -338,8 +346,8 @@ def check_terminating(g0: TypeContext, sigma, r: Reliability,
 def check_never_terminating(g0: TypeContext, sigma, r: Reliability,
                             limits: ExploreLimits,
                             graphs: Graphs | None = None) -> Verdict:
-    graph = _graphs(graphs, g0, sigma, limits).get(r)
-    return _scan(graph, lambda sid: "Terminal", stuck_only=True)
+    return _graphs(graphs, g0, sigma, limits).verdict(
+        "never", r, None, lambda graph, sid: "Terminal", stuck_only=True)
 
 
 def _waits(sbt) -> bool:
@@ -366,7 +374,7 @@ def check_live(g0: TypeContext, sigma, r: Reliability,
     graph = graphs.get(r)
     if isinstance(graph, Exceeded):
         return _inconclusive(graph)
-    if graphs.static.acyclic and graphs.deadlock(r).holds:
+    if graphs.static.acyclic and _deadlock(graphs, r).holds:
         return Verdict(HOLDS)
     ids, bindings = graph.states.ids, graph.states.bindings
     # the binding ids that wait without a timeout, per endpoint key, each
@@ -417,11 +425,11 @@ def check_comm_safe_RF(g0: TypeContext, sigma, limits: ExploreLimits,
                        graphs: Graphs | None = None) -> Verdict:
     """Under the fully reliable map (no timeout is ever enabled), every
     stuck state must have all buffers drained."""
-    graph = _graphs(graphs, g0, sigma, limits).get(_fully_reliable(g0))
-    return _scan(graph, lambda sid: next(
-        (f"CommRF: orphan message in {session}[{role}]"
-         for (session, role), sbt in graph.states[sid].endpoints if sbt.buffer),
-        None), stuck_only=True)
+    return _graphs(graphs, g0, sigma, limits).verdict(
+        "comm-rf", _fully_reliable(g0), None, lambda graph, sid: next(
+            (f"CommRF: orphan message in {session}[{role}]"
+             for (session, role), sbt in graph.states[sid].endpoints if sbt.buffer),
+            None), stuck_only=True)
 
 
 # ---------------------------------------------------------------------------
@@ -434,43 +442,40 @@ def check_comm_safe_RF(g0: TypeContext, sigma, limits: ExploreLimits,
 # than the run's state limit: a trip of that limit is inconclusive.
 
 
-def _bound_graph(g0, sigma, r, k, mode, graphs: Graphs | None):
-    """The run's graph under r and mode if a property has built it
-    completely, else one exploration with the buffer bound k."""
-    graph = None if graphs is None else graphs.built(r, mode)
+def _bound_graph(g0, sigma, r, k, limits: ExploreLimits, graphs: Graphs | None):
+    """The run's graph under r if a property has built it completely, else
+    one exploration with the buffer bound k."""
+    graph = None if graphs is None else graphs.built(r, limits.mode)
     if isinstance(graph, LtsGraph):
         return graph
-    limits = ExploreLimits() if graphs is None else graphs.limits
-    return explore(g0, sigma, r, ExploreLimits(limits.max_states, k, mode))
+    return explore(g0, sigma, r, ExploreLimits(limits.max_states, k, limits.mode))
 
 
 def check_bound_k(g0: TypeContext, sigma, r: Reliability, k: int,
-                  mode: CongruenceMode = CongruenceMode.TOTAL_REORDER,
-                  graphs: Graphs | None = None) -> Verdict:
+                  limits: ExploreLimits, graphs: Graphs | None = None) -> Verdict:
     """All reachable per-recipient channel buffers stay strictly below k.
     The witness leads to the first context, in BFS order, that reaches k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    graph = _bound_graph(g0, sigma, r, k, mode, graphs)
+    graph = _bound_graph(g0, sigma, r, k, limits, graphs)
     if isinstance(graph, Exceeded) and graph.kind == "bufferLen":
         return Verdict(VIOLATED, reason=f"bound_{k}", witness=graph.witness)
     # state ids are BFS discovery order, so on the shared graph the lowest id
     # reaching k is the context a buffer-bounded BFS stops at; a
     # buffer-bounded graph that did not stop has none
-    return _scan(graph, lambda sid:
+    return _scan(graph, lambda graph, sid:
                  f"bound_{k}" if graph.occupancy[sid] >= k else None)
 
 
 def check_bounded(g0: TypeContext, sigma, r: Reliability, k_max: int,
-                  mode: CongruenceMode = CongruenceMode.TOTAL_REORDER,
-                  graphs: Graphs | None = None):
+                  limits: ExploreLimits, graphs: Graphs | None = None) -> Verdict:
     """Holds with the minimal k (largest channel occupancy + 1) when that k
     is at most k_max, else Inconclusive."""
-    graph = _bound_graph(g0, sigma, r, k_max, mode, graphs)
+    graph = _bound_graph(g0, sigma, r, k_max, limits, graphs)
     if isinstance(graph, LtsGraph):
         k = graph.max_occupancy + 1
         if k <= k_max:
-            return Verdict(HOLDS), k
+            return Verdict(HOLDS, minimal_k=k)
     elif graph.kind == "maxStates":
-        return _inconclusive(graph), None
-    return Verdict(INCONCLUSIVE, reason="unbounded up to probe", limit=k_max), None
+        return _inconclusive(graph)
+    return Verdict(INCONCLUSIVE, reason="unbounded up to probe", limit=k_max)

@@ -121,8 +121,7 @@ def test_criterion_2_ping_verify_and_bound_witness():
     # Replay the witness path against the transition relation.
     pf = parse(fixture_text("ping"))
     g0, sess = initial_context(pf)
-    v = V.check_bound_k(g0, {sess}, pf.reliability, 1,
-                        CongruenceMode.TOTAL_REORDER)
+    v = V.check_bound_k(g0, {sess}, pf.reliability, 1, ExploreLimits())
     assert v.status == V.VIOLATED
     g = g0
     lim = ExploreLimits()

@@ -193,10 +193,10 @@ def _verdicts(g0, sigma, r) -> tuple:
         V.check_live(g0, sigma, r, limits, graphs_).status,
         V.check_never_terminating(g0, sigma, r, limits, graphs_).status,
     )
-    bounded, k = V.check_bounded(g0, sigma, r, 16, limits.mode, graphs_)
+    bounded = V.check_bounded(g0, sigma, r, 16, limits, graphs_)
     graph = graphs_.get(r)
-    return dict(zip(PROPS, statuses)), (bounded.status, k), (len(graph.states),
-                                                            len(graph.edges))
+    return (dict(zip(PROPS, statuses)), (bounded.status, bounded.minimal_k),
+            (len(graph.states), len(graph.edges)))
 
 
 @functools.lru_cache(maxsize=None)

@@ -177,7 +177,7 @@ def test_fixtures_live():
 def test_unbounded_producer_violates_every_bound():
     g = ctx({("s", "p"): sbt(S("rec t. q!m().t"))})
     for k in (1, 2, 3):
-        v = V.check_bound_k(g, {"s"}, rel(), k, CongruenceMode.TOTAL_REORDER)
+        v = V.check_bound_k(g, {"s"}, rel(), k, LIM)
         assert v.status == V.VIOLATED
         assert len(v.witness) == k  # k sends reach the bound
 
@@ -188,8 +188,7 @@ def test_bound_is_monotone():
     g0, sess = initial_context(pf)
     held = False
     for k in range(1, 8):
-        v = V.check_bound_k(g0, {sess}, pf.reliability, k,
-                            CongruenceMode.TOTAL_REORDER)
+        v = V.check_bound_k(g0, {sess}, pf.reliability, k, LIM)
         if held:
             assert v.holds, f"bound_{k} regressed after a smaller bound held"
         held = held or v.holds
@@ -198,11 +197,10 @@ def test_bound_is_monotone():
 
 def test_bounded_reports_minimal_k(ping):
     g0, sess = initial_context(ping)
-    v, k = V.check_bounded(g0, {sess}, ping.reliability, 8,
-                           CongruenceMode.TOTAL_REORDER)
-    assert v.holds and k == 4
-    prev = V.check_bound_k(g0, {sess}, ping.reliability, k - 1,
-                           CongruenceMode.TOTAL_REORDER)
+    v = V.check_bounded(g0, {sess}, ping.reliability, 8, LIM)
+    assert v.holds and v.minimal_k == 4
+    assert v.to_json() == {"verdict": "holds", "minimalK": 4}
+    prev = V.check_bound_k(g0, {sess}, ping.reliability, v.minimal_k - 1, LIM)
     assert prev.status == V.VIOLATED
 
 
@@ -377,11 +375,11 @@ def test_static_facts_match_the_nested_scans():
     assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
 
-def _bound_sweep(g0, sigma, r, k_max, mode):
+def _bound_sweep(g0, sigma, r, k_max, limits):
     """Reference: the smallest k <= k_max whose bound holds, by one
     buffer-bounded exploration per k."""
     for k in range(1, k_max + 1):
-        if V.check_bound_k(g0, sigma, r, k, mode).holds:
+        if V.check_bound_k(g0, sigma, r, k, limits).holds:
             return k
     return None
 
@@ -392,23 +390,24 @@ def test_bounded_single_exploration_matches_sweep(name, mode):
     pf = parse(fixture_text(name))
     g0, sess = initial_context(pf)
     r = pf.reliability
-    graphs = V.Graphs(g0, {sess}, ExploreLimits(mode=mode))
+    limits = ExploreLimits(mode=mode)
+    graphs = V.Graphs(g0, {sess}, limits)
     graphs.get(r)  # the graph a property of the run would have built
     for k_max in range(1, 6):
-        want = _bound_sweep(g0, {sess}, r, k_max, mode)
+        want = _bound_sweep(g0, {sess}, r, k_max, limits)
         status = V.HOLDS if want is not None else V.INCONCLUSIVE
         for shared in (None, graphs):
-            v, k = V.check_bounded(g0, {sess}, r, k_max, mode, graphs=shared)
-            assert (v.status, k) == (status, want), (k_max, shared)
+            v = V.check_bounded(g0, {sess}, r, k_max, limits, graphs=shared)
+            assert (v.status, v.minimal_k) == (status, want), (k_max, shared)
         # bound_k read off the shared graph gives the BFS witness
-        assert (V.check_bound_k(g0, {sess}, r, k_max, mode, graphs=graphs)
-                == V.check_bound_k(g0, {sess}, r, k_max, mode))
+        assert (V.check_bound_k(g0, {sess}, r, k_max, limits, graphs=graphs)
+                == V.check_bound_k(g0, {sess}, r, k_max, limits))
 
 
 def test_bounded_inconclusive_on_unbounded_producer():
     g = ctx({("s", "p"): sbt(S("rec t. q!m().t"))})
-    v, k = V.check_bounded(g, {"s"}, rel(), 4)
-    assert (v.status, v.limit, k) == (V.INCONCLUSIVE, 4, None)
+    v = V.check_bounded(g, {"s"}, rel(), 4, LIM)
+    assert (v.status, v.limit, v.minimal_k) == (V.INCONCLUSIVE, 4, None)
 
 
 # -- one graph per run ------------------------------------------------------------
@@ -430,8 +429,8 @@ def test_run_explores_each_distinct_graph_once(monkeypatch):
     for check in (V.check_deadlock_free, V.check_terminating, V.check_live,
                   V.check_never_terminating, V.check_safety):
         check(g0, {sess}, r, tcp, graphs)
-    V.check_bounded(g0, {sess}, r, 8, tcp.mode, graphs=graphs)
-    V.check_bound_k(g0, {sess}, r, 2, tcp.mode, graphs=graphs)
+    V.check_bounded(g0, {sess}, r, 8, tcp, graphs=graphs)
+    V.check_bound_k(g0, {sess}, r, 2, tcp, graphs=graphs)
     # no timeout fires under the fully reliable map, so comm-rf and tcp
     # read the same timeout-free graph, read off the complete graph under r
     V.check_comm_safe_RF(g0, {sess}, tcp, graphs)
@@ -454,8 +453,9 @@ def _count_explores(monkeypatch) -> dict:
 
 
 def _count_work(monkeypatch) -> dict:
-    """Count the deadlock scans, the cycle searches and the predecessor
-    lists derived (which only live's closure reads)."""
+    """Count the deadlock scans (the scans `Graphs.verdict` runs with the
+    deadlock rule), the cycle searches and the predecessor lists derived
+    (which only live's closure reads)."""
     calls = {"deadlock": 0, "lasso": 0, "pred": 0}
 
     def counted(name, real):
@@ -463,7 +463,11 @@ def _count_work(monkeypatch) -> dict:
             calls[name] += 1
             return real(*args, **kwargs)
         return wrapper
-    monkeypatch.setattr(V, "_deadlock_scan", counted("deadlock", V._deadlock_scan))
+
+    def scan(graph, rule, *args, _real=V._scan):
+        calls["deadlock"] += rule is V._deadlock_failure
+        return _real(graph, rule, *args)
+    monkeypatch.setattr(V, "_scan", scan)
     monkeypatch.setattr(V, "_lasso", counted("lasso", V._lasso))
     pred = cached_property(counted("pred", LtsGraph.pred.func))
     pred.__set_name__(LtsGraph, "pred")
@@ -522,29 +526,43 @@ PROBE_DEFAULT = ("comm-rf: holds\ndeadlock: holds\nlive: holds\nsafety: holds\n"
                  "terminating: holds\nstates: 3 edges: 2\n")
 
 
+# (argv, explorations, calls of the per-state safety rule, stdout)
 PROBE_RUNS = [
-    (["verify", "--props", "safety"], 1, PROBE_SAFETY),
-    (["verify"], 1, PROBE_DEFAULT),
-    (["verify", "--mode", "tcp", "--props", "safety"], 2, PROBE_SAFETY),
-    (["verify", "--unsafe-skip-typecheck"], 1, PROBE_DEFAULT),
-    (["check"], 1, "typecheck: accepted\n"),
+    (["verify", "--props", "safety"], 1, 3, PROBE_SAFETY),
+    (["verify"], 1, 3, PROBE_DEFAULT),
+    (["verify", "--mode", "tcp", "--props", "safety"], 2, 6, PROBE_SAFETY),
+    (["verify", "--mode", "tcp", "--props", "safety,tcp"], 2, 9,
+     "safety: holds\ntcp: holds\nstates: 3 edges: 2\n"),
+    (["verify", "--unsafe-skip-typecheck"], 1, 3, PROBE_DEFAULT),
+    (["check"], 1, 3, "typecheck: accepted\n"),
 ]
 
 
-@pytest.mark.parametrize("argv, explores, stdout", PROBE_RUNS,
-                         ids=[" ".join(argv) for argv, _, _ in PROBE_RUNS])
-def test_gate_and_verify_share_the_explored_safety_graph(monkeypatch, argv,
-                                                         explores, stdout):
+@pytest.mark.parametrize("argv, explores, rule_calls, stdout", PROBE_RUNS,
+                         ids=[" ".join(argv) for argv, *_ in PROBE_RUNS])
+def test_gate_and_verify_share_the_explored_safety_graph(monkeypatch, argv, explores,
+                                                         rule_calls, stdout):
     # The probe's static safety fails (an unreachable branching breaks
     # SP2), so the typecheck gate explores.  `verify` reads the gate's
     # graph for its own safety and every other property of the mode; a tcp
-    # run explores its FIFO graph as well.
+    # run explores its FIFO graph as well.  The gate's premise and
+    # `verify`'s safety read one kept verdict, so the safety rule runs once
+    # per state of each 3-state graph scanned: a tcp run scans the gate's,
+    # the FIFO graph under the declared map and, for `tcp`, the FIFO graph
+    # under the fully reliable map.
     calls = _count_explores(monkeypatch)
+    rule = []
+
+    def counted(*args, _real=V._state_safety_failure):
+        rule.append(args[0])
+        return _real(*args)
+    monkeypatch.setattr(V, "_state_safety_failure", counted)
     out = io.StringIO()
     code = main([argv[0], str(ROOT / "tests" / "golden" / "explored_safety.magpi"),
                  *argv[1:]], out)
     assert (code, out.getvalue()) == (0, stdout)
-    assert calls == {"verify": explores, "cli": 0}
+    assert (calls, len(rule)) == ({"verify": explores, "cli": 0}, rule_calls)
+
 
 
 def test_comm_rf_explores_when_the_graph_under_r_is_incomplete(monkeypatch):
@@ -761,13 +779,14 @@ def test_bound_fallback_trips_the_state_limit_as_inconclusive():
     # one buffer-bounded exploration stops at the limit, which decides
     # nothing either way.
     g = ctx({("s", "p"): sbt(S("rec t. q!m().t"))})
-    graphs = V.Graphs(g, {"s"}, ExploreLimits(max_states=3))
-    v = V.check_bound_k(g, {"s"}, rel(), 5, graphs=graphs)
+    limits = ExploreLimits(max_states=3)
+    graphs = V.Graphs(g, {"s"}, limits)
+    v = V.check_bound_k(g, {"s"}, rel(), 5, limits, graphs=graphs)
     assert (v.status, v.reason, v.limit) == (V.INCONCLUSIVE, "maxStates", 3)
-    v, k = V.check_bounded(g, {"s"}, rel(), 5, graphs=graphs)
-    assert (v.status, v.reason, v.limit, k) == (V.INCONCLUSIVE, "maxStates", 3, None)
+    v = V.check_bounded(g, {"s"}, rel(), 5, limits, graphs=graphs)
+    assert (v.status, v.reason, v.limit, v.minimal_k) == (V.INCONCLUSIVE, "maxStates", 3, None)
     # within the limit the bound is still found violated
-    v = V.check_bound_k(g, {"s"}, rel(), 2, graphs=graphs)
+    v = V.check_bound_k(g, {"s"}, rel(), 2, limits, graphs=graphs)
     assert v.status == V.VIOLATED and len(v.witness) == 2
 
 
