@@ -2,9 +2,10 @@
 """Measure how the typing-context transition system of a protocol grows as
 the per-channel buffer bound increases, under both message-reordering
 congruences.  Useful for picking a bound before running `magpi verify`.
-Each row also gives the exploration's wall time and states per second: on
-a maxStates trip the cap over that time, and none on a bufferLen trip.  The
-header gives the input's parse time, the front end's share of a `verify`.
+Each row gives the states, edges and stuck states found, also when the
+exploration stopped at a limit, which the row then names, and its wall time
+and states found per second.  The header gives the input's parse time, the
+front end's share of a `verify`.
 Per mode, it then gives the wall time to read the fully reliable graph off
 the complete graph under the protocol's map (what `verify` does for
 comm-rf and tcp) next to the time to explore that graph.
@@ -28,16 +29,12 @@ from magpi.types import CongruenceMode, Reliability
 
 def timed_explore(ctx, sigma, r, limits):
     """(outcome, wall time in s, states/s) of one exploration.  The rate
-    counts the cap on a maxStates trip and is None on a bufferLen trip,
-    whose outcome does not say how many states were found."""
+    counts the states found, on a trip of either limit too: a stopped
+    exploration keeps the graph it built."""
     t = time.perf_counter()
     g = explore(ctx, sigma, r, limits)
     wall = time.perf_counter() - t
-    if isinstance(g, Exceeded):
-        n = g.limit if g.kind == "maxStates" else None
-    else:
-        n = len(g.states)
-    return g, wall, None if n is None or not wall else n / wall
+    return g, wall, len(g.states) / wall if wall else None
 
 
 def timing(wall, rate) -> str:
@@ -71,13 +68,9 @@ def main() -> int:
         for mode in (CongruenceMode.TOTAL_REORDER, CongruenceMode.TCP_FIFO):
             lim = ExploreLimits(args.max_states, k, mode)
             g, wall, rate = timed_explore(ctx, {sess}, pf.reliability, lim)
-            if isinstance(g, Exceeded):
-                print(f"{k:>6} {mode.value:>6} {'-':>8} {'-':>8} {'-':>6} "
-                      f"{timing(wall, rate)}  exceeded {g.kind}")
-            else:
-                stuck = len(g.stuck_ids)
-                print(f"{k:>6} {mode.value:>6} {len(g.states):>8} "
-                      f"{len(g.edges):>8} {stuck:>6} {timing(wall, rate)}")
+            stop = f"  exceeded {g.kind}" if isinstance(g, Exceeded) else ""
+            print(f"{k:>6} {mode.value:>6} {len(g.states):>8} {len(g.edges):>8} "
+                  f"{len(g.stuck_ids):>6} {timing(wall, rate)}{stop}")
 
     rf = Reliability.fully_reliable(set(pf.roles))
     print(f"{'fully reliable':>14} {'mode':>6} {'states':>8} {'edges':>8} "

@@ -158,14 +158,14 @@ def cmd_verify(args, out) -> int:
         stats_limits = ExploreLimits(min(limits.max_states, STATS_STATE_CAP),
                                      limits.max_buffer_len, limits.mode)
         graph = explore(g0, sigma, r, stats_limits)
-    stats = ({"states": len(graph.states), "edges": sum(map(len, graph.succ))}
-             if not isinstance(graph, Exceeded)
-             else {"exceeded": graph.kind, "limit": graph.limit})
-    if args.dot:
-        if isinstance(graph, Exceeded):
+    if isinstance(graph, Exceeded):
+        stats = {"exceeded": graph.kind, "limit": graph.limit}
+        if args.dot:
             print(f"warning: {args.dot} not written: exploration stopped at the "
                   f"{graph.kind} limit {graph.limit}", file=sys.stderr)
-        else:
+    else:
+        stats = {"states": len(graph.states), "edges": sum(map(len, graph.succ))}
+        if args.dot:
             _write(args.dot, export_lts(graph, "dot"))
     doc = {"properties": {k: v.to_json() for k, v in results.items()},
            "stats": stats}

@@ -17,9 +17,9 @@ is its parent's tuple with one or two ids replaced, and the graph keeps
 those tuples: a state is built as a TypeContext only when it is read.  A
 state's key is one int, and a successor's key is its parent's plus the
 precomputed change of each replaced binding.  The graph is its successor
-lists, written once as states are expanded; the edge list, the predecessor
-lists and each state's occupancy are derived when read, and the buffer cap
-is checked on the bindings a step changes only.
+lists, written once as states are expanded; its edges, predecessors and
+occupancies are derived when read, and the buffer cap is checked on the
+bindings a step changes only.  A stop at a limit keeps the graph so far.
 
 `without_timeouts` reads the graph under a map where no timeout fires off
 a complete graph under any map: a map only enables timeouts.
@@ -29,8 +29,8 @@ from __future__ import annotations
 import json
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, partial
 from operator import itemgetter
 
 from .context import (TypeContext, canonical_binding, context_classes,
@@ -92,16 +92,6 @@ class ExploreLimits:
     def __post_init__(self):
         if self.max_states < 1:
             raise ValueError("max_states must be >= 1")
-
-
-@dataclass(frozen=True)
-class Exceeded:
-    """Limit outcome of exploration; a value, not an error."""
-
-    kind: str  # "maxStates" | "bufferLen"
-    limit: int
-    witness: tuple = ()  # action path from the initial context
-    state: TypeContext | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -215,18 +205,18 @@ class States(Sequence):
 @dataclass
 class LtsGraph:
     """An explored LTS, kept as its successor adjacency: `explore` writes
-    each state's successors into `succ` as it expands the state.  The edge
-    list, the stuck states, the predecessor adjacency, each state's
-    occupancy and their maximum are derived when first read; `explore`
-    sets the maximum as it places states.  A state's occupancy is the
+    each state's successors into `succ` as it expands the state.  The
+    edges, the stuck states, the predecessors, each state's occupancy and
+    their maximum are derived when first read; `explore` sets a complete
+    graph's maximum as it places states.  A state's occupancy is the
     largest number of messages any sender buffer of it holds for one
     recipient.  Only `verify.check_live`'s backward closure reads `pred`,
     and only on a graph that may have a cycle."""
 
     states: Sequence        # state id -> TypeContext (canonical), 0 initial; States from explore
     succ: list              # id -> [(Action, to id)]
-    parents: dict = field(default_factory=dict)  # id -> (parent id, Action)
-    classes: TypeClasses | None = None  # the type classes every state is keyed by
+    parents: dict           # id -> (parent id, Action)
+    classes: TypeClasses | None  # the type classes every state is keyed by
 
     @cached_property
     def edges(self) -> list:
@@ -261,6 +251,23 @@ class LtsGraph:
         return _path(self.parents, sid)
 
 
+@dataclass
+class Exceeded(LtsGraph):
+    """An exploration stopped at a limit, a value, not an error: the graph
+    so far, whose first `expanded` ids are fully expanded.  `witness` leads
+    to a bufferLen stop's last state or to the state maxStates left out."""
+
+    kind: str  # "maxStates" | "bufferLen"
+    limit: int
+    witness: tuple  # action path from the initial context
+    expanded: int
+
+    @cached_property
+    def stuck_ids(self) -> list:
+        """The expanded ids without successors: the others are not stuck."""
+        return [sid for sid, out in enumerate(self.succ[:self.expanded]) if not out]
+
+
 def _path(parents: dict, sid: int) -> tuple:
     acts = []
     while sid in parents:
@@ -288,11 +295,11 @@ _FIELD = sys.maxsize.bit_length()
 
 def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits):
     """Closure of context_transitions from g0 with canonical-state
-    deduplication; returns LtsGraph or Exceeded.  A state is known by one
-    int key, its bindings' key parts packed one field per endpoint slot.
-    The search is breadth-first, so state ids and Exceeded witnesses are
-    minimal-length.  Ids are given in discovery order, so the frontier is
-    the state list itself, walked by index.
+    deduplication: the LtsGraph, or the Exceeded prefix at a limit.  A
+    state is known by one int key, its bindings' key parts packed one field
+    per endpoint slot.  The search is breadth-first, so state ids and
+    Exceeded witnesses are minimal-length.  Ids are given in discovery
+    order, so the frontier is the state list itself, walked by index.
 
     Each binding id gets one expansion record, on first need: its sends and
     timeout as ready successor entries, and its branch arms grouped by the
@@ -390,8 +397,9 @@ def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits):
     top = max(map(occ.__getitem__, bids[0]), default=0)
     ids = {skeys[0]: 0}
     cap = limits.max_buffer_len
+    stop = partial(Exceeded, states, succ, parents, classes)
     if cap is not None and top >= cap:
-        return Exceeded("bufferLen", cap, (), states[0])
+        return stop("bufferLen", cap, (), 0)
     for sid, state in enumerate(bids):  # bids grows as states are found
         out = []
         for b in state:
@@ -420,17 +428,18 @@ def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits):
                 nxt = tuple(nxt)
                 nid = len(bids)
                 if nid >= limits.max_states:
-                    return Exceeded("maxStates", limits.max_states,
-                                    _path(parents, sid) + (action,), states.context(nxt))
+                    return stop("maxStates", limits.max_states,
+                                _path(parents, sid) + (action,), sid)
                 ids[key] = nid
                 bids.append(nxt)
                 skeys.append(key)
                 succ.append([])
                 parents[nid] = (sid, action)
                 if cap is not None and top >= cap:
-                    return Exceeded("bufferLen", cap, _path(parents, nid), states[nid])
+                    mine.append((action, nid))
+                    return stop("bufferLen", cap, _path(parents, nid), sid)
             mine.append((action, nid))
-    graph = LtsGraph(states, succ, parents=parents, classes=classes)
+    graph = LtsGraph(states, succ, parents, classes)
     graph.max_occupancy = top
     return graph
 
@@ -459,7 +468,7 @@ def without_timeouts(graph: LtsGraph) -> LtsGraph:
         succ.append(out)
     ids = graph.states.ids
     states = States(graph.states.vars, [ids[o] for o in old], graph.states.bindings)
-    return LtsGraph(states, succ, parents=parents, classes=graph.classes)
+    return LtsGraph(states, succ, parents, graph.classes)
 
 
 # ---------------------------------------------------------------------------

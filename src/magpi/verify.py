@@ -45,17 +45,17 @@ class Verdict:
         return out
 
 
-def _inconclusive(exc: Exceeded) -> Verdict:
-    return Verdict(INCONCLUSIVE, reason=exc.kind, limit=exc.limit)
+def _stopped(graph: LtsGraph) -> Verdict | None:
+    """The inconclusive verdict of a stopped exploration; None if complete."""
+    return Verdict(INCONCLUSIVE, reason=graph.kind, limit=graph.limit) \
+        if isinstance(graph, Exceeded) else None
 
 
-def _scan(graph, rule, stuck_only: bool = False) -> Verdict:
-    """The verdict of a per-state property on `graph` (or Exceeded):
-    violated at the lowest state id, among the stuck ones when `stuck_only`,
-    for which `rule(graph, sid)` gives a reason, with the path to that
-    state; holds when no id does."""
-    if isinstance(graph, Exceeded):
-        return _inconclusive(graph)
+def _scan(graph: LtsGraph, rule, stuck_only: bool = False) -> Verdict:
+    """The verdict of a per-state property on a complete graph: violated
+    at the lowest state id, among the stuck ones when `stuck_only`, for
+    which `rule(graph, sid)` gives a reason, with the path to that state;
+    holds when no id does."""
     for sid in graph.stuck_ids if stuck_only else range(len(graph.states)):
         fail = rule(graph, sid)
         if fail is not None:
@@ -146,13 +146,13 @@ class Graphs:
         return (self.limits.mode if mode is None else mode,
                 r if self.static.may_time_out(r) else None)
 
-    def get(self, r: Reliability, mode: CongruenceMode | None = None):
-        """The LtsGraph (or Exceeded) under r; mode defaults to the run's."""
+    def get(self, r: Reliability, mode: CongruenceMode | None = None) -> LtsGraph:
+        """The graph under r (Exceeded if it stopped); mode defaults to the run's."""
         key = self._key(r, mode)
         if key not in self._built:
             full = None if key[1] is not None else next(
                 (g for (m, _), g in self._built.items()
-                 if m == key[0] and isinstance(g, LtsGraph)), None)
+                 if m == key[0] and _stopped(g) is None), None)
             self._built[key] = without_timeouts(full) if full is not None else \
                 explore(self.g0, self.sigma, r, ExploreLimits(
                     self.limits.max_states, self.limits.max_buffer_len, key[0]))
@@ -165,22 +165,19 @@ class Graphs:
     def verdict(self, prop: str, r: Reliability, mode: CongruenceMode | None,
                 rule, stuck_only: bool = False) -> Verdict:
         """The verdict of the per-state property `prop` on the graph under r
-        and mode, decided by `rule` (see `_scan`) on first need.  The key
-        holds the map as well as the graph's: a rule may read the map where
-        the graph does not (SP1/SP2 on a timeout-free graph)."""
+        and mode, decided by the stop or `rule` (see `_scan`) on first need.
+        The key holds the map as well as the graph's: a rule may read the
+        map where the graph does not (SP1/SP2 on a timeout-free graph)."""
         key = (prop, r, self._key(r, mode))
         if key not in self._verdicts:
-            self._verdicts[key] = _scan(self.get(r, mode), rule, stuck_only)
+            graph = self.get(r, mode)
+            self._verdicts[key] = _stopped(graph) or _scan(graph, rule, stuck_only)
         return self._verdicts[key]
 
     @cached_property
     def static(self) -> _StaticFacts:
         """The static facts of g0's endpoint type graphs."""
         return _StaticFacts(self.g0)
-
-
-def _graphs(graphs: Graphs | None, g0, sigma, limits) -> Graphs:
-    return Graphs(g0, sigma, limits) if graphs is None else graphs
 
 
 def _fully_reliable(g0: TypeContext) -> Reliability:
@@ -254,7 +251,7 @@ def check_safety(g0: TypeContext, sigma, r: Reliability,
     # endpoint's type graph satisfies the reliability side conditions and
     # all label-compatible send/receive pairs agree on payload types, the
     # property holds in every reachable state without exploring any.
-    graphs = _graphs(graphs, g0, sigma, limits)
+    graphs = graphs or Graphs(g0, sigma, limits)
     if graphs.static.safety_holds(r):
         return Verdict(HOLDS, reason="static")
     return graphs.verdict("safety", r, limits.mode, lambda graph, sid: _state_safety_failure(
@@ -274,7 +271,7 @@ def check_tcp_safety(g0: TypeContext, sigma, limits: ExploreLimits,
         state = graph.states[sid]
         return (_state_safety_failure(state, r, CongruenceMode.TCP_FIFO, graph.classes)
                 or _fifo_head_failure(state, graph.classes))
-    return _graphs(graphs, g0, sigma, limits).verdict(
+    return (graphs or Graphs(g0, sigma, limits)).verdict(
         "tcp", r, CongruenceMode.TCP_FIFO, failure)
 
 
@@ -298,7 +295,7 @@ def _deadlock(graphs: Graphs, r: Reliability) -> Verdict:
 def check_deadlock_free(g0: TypeContext, sigma, r: Reliability,
                         limits: ExploreLimits,
                         graphs: Graphs | None = None) -> Verdict:
-    return _deadlock(_graphs(graphs, g0, sigma, limits), r)
+    return _deadlock(graphs or Graphs(g0, sigma, limits), r)
 
 
 def _lasso(graph: LtsGraph) -> tuple | None:
@@ -332,7 +329,7 @@ def check_terminating(g0: TypeContext, sigma, r: Reliability,
     does not hold, else a lasso to the first back edge a depth-first search
     meets.  When no endpoint type recurses (`_StaticFacts.acyclic`) the
     graph has no cycle, and the search is skipped."""
-    graphs = _graphs(graphs, g0, sigma, limits)
+    graphs = graphs or Graphs(g0, sigma, limits)
     df = _deadlock(graphs, r)
     if not df.holds or graphs.static.acyclic:
         return df
@@ -346,7 +343,7 @@ def check_terminating(g0: TypeContext, sigma, r: Reliability,
 def check_never_terminating(g0: TypeContext, sigma, r: Reliability,
                             limits: ExploreLimits,
                             graphs: Graphs | None = None) -> Verdict:
-    return _graphs(graphs, g0, sigma, limits).verdict(
+    return (graphs or Graphs(g0, sigma, limits)).verdict(
         "never", r, None, lambda graph, sid: "Terminal", stuck_only=True)
 
 
@@ -370,12 +367,11 @@ def check_live(g0: TypeContext, sigma, r: Reliability,
     cycle, so every run from a waiting state ends in a stuck state, where every session is at `end`, and only
     a communication to the waiting endpoint moves it off its branching.
     Otherwise one backward closure per waiting endpoint decides it."""
-    graphs = _graphs(graphs, g0, sigma, limits)
+    graphs = graphs or Graphs(g0, sigma, limits)
     graph = graphs.get(r)
-    if isinstance(graph, Exceeded):
-        return _inconclusive(graph)
-    if graphs.static.acyclic and _deadlock(graphs, r).holds:
-        return Verdict(HOLDS)
+    stopped = _stopped(graph)
+    if stopped is not None or graphs.static.acyclic and _deadlock(graphs, r).holds:
+        return stopped or Verdict(HOLDS)
     ids, bindings = graph.states.ids, graph.states.bindings
     # the binding ids that wait without a timeout, per endpoint key, each
     # binding id decided once
@@ -425,7 +421,7 @@ def check_comm_safe_RF(g0: TypeContext, sigma, limits: ExploreLimits,
                        graphs: Graphs | None = None) -> Verdict:
     """Under the fully reliable map (no timeout is ever enabled), every
     stuck state must have all buffers drained."""
-    return _graphs(graphs, g0, sigma, limits).verdict(
+    return (graphs or Graphs(g0, sigma, limits)).verdict(
         "comm-rf", _fully_reliable(g0), None, lambda graph, sid: next(
             (f"CommRF: orphan message in {session}[{role}]"
              for (session, role), sbt in graph.states[sid].endpoints if sbt.buffer),
@@ -436,19 +432,19 @@ def check_comm_safe_RF(g0: TypeContext, sigma, limits: ExploreLimits,
 # boundedness
 #
 # Both checks read their answer off the run's graph under r when a property
-# has built it completely: a complete graph holds every reachable context.
-# Otherwise they explore once with the buffer bound.  Bounded buffers over
-# finitely many type positions leave finitely many contexts, but maybe more
-# than the run's state limit: a trip of that limit is inconclusive.
+# has built it, stopped or not, else off one exploration with the buffer
+# bound k.  Both searches visit states in one BFS order, and the bounded one
+# stops at the first state that reaches k: the run's lowest such id.  With
+# none, both stop at the same state limit (inconclusive) or both complete.
 
 
-def _bound_graph(g0, sigma, r, k, limits: ExploreLimits, graphs: Graphs | None):
-    """The run's graph under r if a property has built it completely, else
-    one exploration with the buffer bound k."""
+def _bound_graph(g0, sigma, r, k, limits: ExploreLimits, graphs: Graphs | None) -> LtsGraph:
+    """The run's graph under r if a property has built it, else, or when
+    the run's own buffer bound is below k, one exploration with the bound k."""
     graph = None if graphs is None else graphs.built(r, limits.mode)
-    if isinstance(graph, LtsGraph):
-        return graph
-    return explore(g0, sigma, r, ExploreLimits(limits.max_states, k, limits.mode))
+    if graph is None or limits.max_buffer_len is not None and limits.max_buffer_len < k:
+        graph = explore(g0, sigma, r, ExploreLimits(limits.max_states, k, limits.mode))
+    return graph
 
 
 def check_bound_k(g0: TypeContext, sigma, r: Reliability, k: int,
@@ -458,13 +454,10 @@ def check_bound_k(g0: TypeContext, sigma, r: Reliability, k: int,
     if k < 1:
         raise ValueError("k must be >= 1")
     graph = _bound_graph(g0, sigma, r, k, limits, graphs)
-    if isinstance(graph, Exceeded) and graph.kind == "bufferLen":
-        return Verdict(VIOLATED, reason=f"bound_{k}", witness=graph.witness)
-    # state ids are BFS discovery order, so on the shared graph the lowest id
-    # reaching k is the context a buffer-bounded BFS stops at; a
-    # buffer-bounded graph that did not stop has none
-    return _scan(graph, lambda graph, sid:
-                 f"bound_{k}" if graph.occupancy[sid] >= k else None)
+    sid = next((sid for sid, n in enumerate(graph.occupancy) if n >= k), None)
+    if sid is not None:
+        return Verdict(VIOLATED, reason=f"bound_{k}", witness=graph.path_to(sid))
+    return _stopped(graph) or Verdict(HOLDS)
 
 
 def check_bounded(g0: TypeContext, sigma, r: Reliability, k_max: int,
@@ -472,10 +465,6 @@ def check_bounded(g0: TypeContext, sigma, r: Reliability, k_max: int,
     """Holds with the minimal k (largest channel occupancy + 1) when that k
     is at most k_max, else Inconclusive."""
     graph = _bound_graph(g0, sigma, r, k_max, limits, graphs)
-    if isinstance(graph, LtsGraph):
-        k = graph.max_occupancy + 1
-        if k <= k_max:
-            return Verdict(HOLDS, minimal_k=k)
-    elif graph.kind == "maxStates":
-        return _inconclusive(graph)
-    return Verdict(INCONCLUSIVE, reason="unbounded up to probe", limit=k_max)
+    if graph.max_occupancy >= k_max:
+        return Verdict(INCONCLUSIVE, reason="unbounded up to probe", limit=k_max)
+    return _stopped(graph) or Verdict(HOLDS, minimal_k=graph.max_occupancy + 1)

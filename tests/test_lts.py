@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 from collections import Counter, deque
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -189,7 +190,10 @@ def _path(parents, sid):
 def _reference_run(g0, sigma, r, limits, order):
     """Exploration that canonicalises and keys every successor from scratch:
     (states, edges, parents, None), or, at the first limit it trips, the
-    states, edges and parents so far and the Exceeded."""
+    states, edges and parents so far and the stop (kind, limit, witness,
+    expanded), `expanded` counting the states whose successors it has all
+    found.  A bufferLen stop's last state and edge are the ones that reach
+    the bound."""
     classes = context_classes(g0)
     g0 = canonical_context(g0, limits.mode, classes)
     states, edges, parents = [g0], [], {}
@@ -200,7 +204,7 @@ def _reference_run(g0, sigma, r, limits, order):
             >= limits.max_buffer_len for _, sbt in g.endpoints)
 
     if full(g0):
-        return states, edges, parents, Exceeded("bufferLen", limits.max_buffer_len, (), g0)
+        return states, edges, parents, ("bufferLen", limits.max_buffer_len, (), 0)
     ids = {context_key(g0, limits.mode, classes): 0}
     frontier = deque([0])
     take = frontier.popleft if order == "bfs" else frontier.pop
@@ -211,14 +215,15 @@ def _reference_run(g0, sigma, r, limits, order):
             key = context_key(nxt, limits.mode, classes)
             if key not in ids:
                 if len(states) >= limits.max_states:
-                    return states, edges, parents, Exceeded(
-                        "maxStates", limits.max_states, _path(parents, sid) + (action,), nxt)
+                    return states, edges, parents, (
+                        "maxStates", limits.max_states, _path(parents, sid) + (action,), sid)
                 ids[key] = len(states)
                 states.append(nxt)
                 parents[ids[key]] = (sid, action)
                 if full(nxt):
-                    return states, edges, parents, Exceeded(
-                        "bufferLen", limits.max_buffer_len, _path(parents, ids[key]), nxt)
+                    edges.append((sid, action, ids[key]))
+                    return states, edges, parents, (
+                        "bufferLen", limits.max_buffer_len, _path(parents, ids[key]), sid)
                 frontier.append(ids[key])
             edges.append((sid, action, ids[key]))
     return states, edges, parents, None
@@ -226,8 +231,8 @@ def _reference_run(g0, sigma, r, limits, order):
 
 def _reference_explore(g0, sigma, r, limits, order):
     """(states, edges, parents) of a reference run that trips no limit."""
-    states, edges, parents, exceeded = _reference_run(g0, sigma, r, limits, order)
-    assert exceeded is None, exceeded
+    states, edges, parents, stop = _reference_run(g0, sigma, r, limits, order)
+    assert stop is None, stop
     return states, edges, parents
 
 
@@ -245,7 +250,7 @@ def test_bindings_are_interned_by_content_not_by_class():
     sent = [e.payload for st in graph.states for e in st.endpoint(("s", "p")).buffer
             if e.label == "a"]
     assert any(x is s1 for x in sent) and any(x is s2 for x in sent)
-    assert _outcome(graph) == _outcome(_reference_explore(g, {"s"}, RF, ExploreLimits(), "bfs"))
+    assert _outcome(graph) == _outcome(_reference_run(g, {"s"}, RF, ExploreLimits(), "bfs"))
 
 
 def test_explore_builds_a_state_only_when_it_is_read(monkeypatch):
@@ -355,31 +360,36 @@ def _adjacency(graph):
                 [(f, _act(a), t) for f, a, t in g.edges],
                 g.stuck_ids, g.pred, g.occupancy, g.max_occupancy)
     got = form(graph)
-    assert got == form(LtsGraph(graph.states, graph.succ))
+    assert got == form(replace(graph))
     return got
 
 
-def _reference_adjacency(states, edges):
-    """The same, recounted from a reference run's states and edge list."""
+def _reference_adjacency(states, edges, expanded=None):
+    """The same, recounted from a reference run's states and edge list; a
+    state is stuck when it has no edge and is among the first `expanded`
+    (all when None)."""
     succ, pred = [[] for _ in states], [[] for _ in states]
     for f, a, t in edges:
         succ[f].append((_act(a), t))
         pred[t].append(f)
     occupancy = [_occupancy(s) for s in states]
     return (succ, [(f, _act(a), t) for f, a, t in edges],
-            [sid for sid, out in enumerate(succ) if not out], pred,
+            [sid for sid, out in enumerate(succ[:expanded]) if not out], pred,
             occupancy, max(occupancy, default=0))
 
 
 def _capped(run, cap):
     """What _reference_run gives under the state cap `cap`, read off `run`,
     the same reference run without that cap: a capped run is the uncapped
-    one stopped where it finds its state number `cap`, counting from 0."""
-    states, edges, parents, exceeded = run
-    if cap < len(states):
-        sid, action = parents[cap]
-        return Exceeded("maxStates", cap, _path(parents, sid) + (action,), states[cap])
-    return exceeded or (states, edges, parents)
+    one stopped where it finds its state number `cap`, counting from 0,
+    with the states, edges and parents found before it."""
+    states, edges, parents, stop = run
+    if cap >= len(states):
+        return run
+    sid, action = parents[cap]
+    found = next(i for i, (_, _, t) in enumerate(edges) if t == cap)
+    return (states[:cap], edges[:found], {n: p for n, p in parents.items() if n < cap},
+            ("maxStates", cap, _path(parents, sid) + (action,), sid))
 
 
 def _act(a):
@@ -387,23 +397,30 @@ def _act(a):
 
 
 def _outcome(out):
-    """An explore outcome or a reference one, in comparable form."""
-    if isinstance(out, Exceeded):
-        return out.kind, out.limit, [_act(a) for a in out.witness], out.state
+    """An explore outcome or a reference run, in comparable form: the
+    stop (kind, limit, witness and expanded), None for a complete graph,
+    then the states, edges, parents and adjacency, id for id."""
     if isinstance(out, LtsGraph):
         states, edges, parents = out.states, out.edges, out.parents
+        stop = (out.kind, out.limit, out.witness, out.expanded) \
+            if isinstance(out, Exceeded) else None
         adjacency = _adjacency(out)
     else:
-        states, edges, parents = out
-        adjacency = _reference_adjacency(states, edges)
-    return (states, [(f, _act(a), t) for f, a, t in edges],
+        states, edges, parents, stop = out
+        adjacency = _reference_adjacency(states, edges, None if stop is None else stop[3])
+    if stop is not None:
+        kind, limit, witness, expanded = stop
+        stop = kind, limit, [_act(a) for a in witness], expanded
+    return (stop, states, [(f, _act(a), t) for f, a, t in edges],
             {n: (p, _act(a)) for n, (p, a) in parents.items()}, adjacency)
 
 
 def test_explore_matches_reference_under_every_limit():
     # Every state cap from 1 to the full size, with and without a buffer
     # bound, under the input's map and the fully reliable one: the same
-    # graph, or the same Exceeded (kind, limit, witness and state).
+    # graph, or the same Exceeded (kind, limit, witness and expanded) over
+    # the same prefix: id for id, the states, edges and parents that the
+    # reference run had found where it stopped.
     # The limits act alike under both congruences, and the sweep is
     # quadratic in the graph size, so it runs under the default one; the
     # test above compares the complete graphs under both.
@@ -419,6 +436,24 @@ def test_explore_matches_reference_under_every_limit():
                     (name, rel is rf, bound, cap)
 
 
+def test_stopped_graph_counts_only_expanded_states_as_stuck():
+    # The states a stopped graph has placed but not expanded have no
+    # successors yet, yet they are not stuck: its stuck ids are the
+    # complete graph's below `expanded`.
+    for path in ("fixtures/ping.magpi", "tests/golden/mesh.magpi"):
+        pf = parse((ROOT / path).read_text(encoding="utf-8"))
+        g0, sess = initial_context(pf)
+        full = explore(g0, {sess}, pf.reliability, ExploreLimits())
+        assert full.stuck_ids, path
+        unexpanded = 0
+        for cap in range(1, len(full.states)):
+            got = explore(g0, {sess}, pf.reliability, ExploreLimits(cap))
+            assert got.stuck_ids == [sid for sid in full.stuck_ids if sid < got.expanded], \
+                (path, cap)
+            unexpanded += sum(not out for out in got.succ[got.expanded:])
+        assert unexpanded, path
+
+
 def test_explore_keeps_a_self_reception_as_the_reference_does():
     # A role that takes a message from its own buffer: the receiver's new
     # binding is applied last, so the message stays, as under
@@ -429,7 +464,7 @@ def test_explore_keeps_a_self_reception_as_the_reference_does():
     for mode in CongruenceMode:
         limits = ExploreLimits(mode=mode)
         assert _outcome(explore(g, {"s"}, RF, limits)) == \
-            _outcome(_reference_explore(g, {"s"}, RF, limits, "bfs"))
+            _outcome(_reference_run(g, {"s"}, RF, limits, "bfs"))
 
 
 # -- the timeout-free view ----------------------------------------------------
@@ -525,7 +560,7 @@ def test_explore_matches_reference_on_random_contexts(seed, mode):
         run = _reference_run(g0, {"s"}, r, limits, "bfs")
         got = explore(g0, {"s"}, r, limits)
         if run[3] is not None:
-            assert _outcome(got) == _outcome(run[3]), seed
+            assert _outcome(got) == _outcome(run), seed
         else:
             _assert_matches_reference(got, run[:3], mode, seed)
 

@@ -1,6 +1,7 @@
 """Property verdicts: positive fixtures, engineered violations, witness
 replay, and the containment between the FIFO and reordering safety notions."""
 import io
+import itertools
 import json
 import random
 import sys
@@ -404,6 +405,73 @@ def test_bounded_single_exploration_matches_sweep(name, mode):
                 == V.check_bound_k(g0, {sess}, r, k_max, limits))
 
 
+def _prefix_cases():
+    """(name, g0, sigma, r, caps): ping, dns, both golden meshes and the Open
+    item 1 probes under every state cap up to their full size, and leader
+    under two caps its graph exceeds."""
+    for name, text in [(n, fixture_text(n)) for n in ("ping", "dns", "leader")] + [
+            (f, (ROOT / "tests" / "golden" / f).read_text(encoding="utf-8"))
+            for f in ("mesh.magpi", "mesh_loop.magpi")]:
+        pf = parse(text)
+        g0, sess = initial_context(pf)
+        caps = (400, 5000) if name == "leader" else range(1, len(
+            explore(g0, {sess}, pf.reliability, LIM).states) + 1)
+        yield name, g0, {sess}, pf.reliability, caps
+    for second in ("Y", "W"):
+        yield f"open item 1 ({second})", _probe(second), {"s"}, \
+            Reliability.fully_reliable(PROBE_ROLES), range(1, 25)
+
+
+def test_bound_checks_read_the_stopped_graph_as_a_bounded_exploration(monkeypatch):
+    # [DERIVED] a buffer-bounded BFS visits the states in the run's order
+    # and stops at the first that reaches its bound, so both bound checks
+    # read off the run's graph, stopped at any state cap or complete, give
+    # the verdict of a fresh bounded exploration (graphs=None).  They
+    # explore again only when the run's own buffer bound is below k.  The
+    # limits act alike under both congruences, so the sweep over every cap
+    # runs under the default one, and leader's two caps run under both.
+    stopped = set()
+    for name, g0, sigma, r, caps in _prefix_cases():
+        modes = list(CongruenceMode) if name == "leader" else [CongruenceMode.TOTAL_REORDER]
+        # a run bound of 2 only stops the graphs whose buffers reach 2
+        bounds = (None,) if name in ("dns", "mesh.magpi", "mesh_loop.magpi") else (None, 2)
+        fresh = {}  # limits -> the fresh bounded exploration, which both checks make
+
+        def explore_once(g0_, sigma_, r_, lim):
+            if lim not in fresh:
+                fresh[lim] = explore(g0_, sigma_, r_, lim)
+            return fresh[lim]
+        for cap, bound, mode in itertools.product(caps, bounds, modes):
+            limits = ExploreLimits(cap, bound, mode)
+            graphs = V.Graphs(g0, sigma, limits)
+            if isinstance(graphs.get(r), Exceeded):
+                stopped.add(graphs.get(r).kind)
+            for k in range(1, 6):
+                with monkeypatch.context() as patch:
+                    calls = _count_explores(patch)
+                    shared = (V.check_bound_k(g0, sigma, r, k, limits, graphs),
+                              V.check_bounded(g0, sigma, r, k, limits, graphs))
+                assert calls["verify"] == (0 if bound is None or bound >= k else 2), \
+                    (name, cap, bound, k)
+                with monkeypatch.context() as patch:
+                    patch.setattr(V, "explore", explore_once)
+                    assert shared == (V.check_bound_k(g0, sigma, r, k, limits),
+                                      V.check_bounded(g0, sigma, r, k, limits)), \
+                        (name, cap, bound, k)
+    assert stopped == {"maxStates", "bufferLen"}
+
+
+@pytest.mark.parametrize("mode", ["total", "tcp"])
+def test_bounded_and_terminating_explore_once(monkeypatch, mode):
+    # leader's graph stops at 400 states; bounded reads that prefix
+    calls = _count_explores(monkeypatch)
+    out = io.StringIO()
+    main(["verify", fixture_file("leader"), "--max-states", "400", "--props",
+          "bounded,terminating", "--mode", mode, "--json"], out)
+    assert calls == {"verify": 1, "cli": 0}
+    assert json.loads(out.getvalue())["stats"] == {"exceeded": "maxStates", "limit": 400}
+
+
 def test_bounded_inconclusive_on_unbounded_producer():
     g = ctx({("s", "p"): sbt(S("rec t. q!m().t"))})
     v = V.check_bounded(g, {"s"}, rel(), 4, LIM)
@@ -593,7 +661,7 @@ def _check_live_reference(g0, sigma, r, limits):
     and each backward closure run to the end."""
     graph = explore(g0, sigma, r, limits)
     if isinstance(graph, Exceeded):
-        return V._inconclusive(graph)
+        return V.Verdict(V.INCONCLUSIVE, reason=graph.kind, limit=graph.limit)
     waiting = [key if V._waits(sbt) else None for key, sbt in graph.states.bindings]
     obligations: dict = {}
     for sid, ids in enumerate(graph.states.ids):
@@ -728,7 +796,7 @@ def _edge_graph(n, edges, parents):
     succ = [[] for _ in range(n)]
     for f, a, t in edges:
         succ[f].append((a, t))
-    return LtsGraph([None] * n, succ, parents=parents)
+    return LtsGraph([None] * n, succ, parents, None)
 
 
 def _bfs_graph(n, edges):
