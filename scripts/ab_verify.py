@@ -10,7 +10,7 @@ sides; the side that goes first alternates from cycle to cycle.  Every output
 (exit code and text) must be the same on both sides.  Before the cycles,
 `check ... --json` runs once per input on both sides, and its output (the
 typecheck verdict and rule trace) must be the same too.  So must `check`
-and six `verify` runs on each of `EXTRA`'s inputs, which cover the
+and seven `verify` runs on each of `EXTRA`'s inputs, which cover the
 typecheck gate's explored safety decision, every property and `--bound`,
 and the fixtures.
 
@@ -45,7 +45,8 @@ EXTRA_RUNS = (["--json"], ["--props", "safety", "--json"],
               ["--props", "safety,deadlock", "--mode", "tcp", "--json"],
               ["--props", "never,tcp,bounded", "--json"],
               ["--props", "comm-rf", "--bound", "2", "--mode", "tcp", "--json"],
-              ["--props", "terminating,bounded", "--bound", "3", "--json"])
+              ["--props", "terminating,bounded", "--bound", "3", "--json"],
+              ["--props", "bounded", "--json"])
 
 
 def _load_module(name: str, path: pathlib.Path, package: pathlib.Path | None = None):

@@ -27,12 +27,13 @@ from magpi.lts import without_timeouts
 from magpi.types import CongruenceMode, Reliability
 
 
-def timed_explore(ctx, sigma, r, limits):
-    """(outcome, wall time in s, states/s) of one exploration.  The rate
-    counts the states found, on a trip of either limit too: a stopped
-    exploration keeps the graph it built."""
+def timed_explore(ctx, sigma, r, limits, bound=None):
+    """(outcome, wall time in s, states/s) of one exploration, with the
+    buffer bound `bound` when given.  The rate counts the states found, on
+    a trip of either limit too: a stopped exploration keeps the graph it
+    built."""
     t = time.perf_counter()
-    g = explore(ctx, sigma, r, limits)
+    g = explore(ctx, sigma, r, limits, max_buffer_len=bound)
     wall = time.perf_counter() - t
     return g, wall, len(g.states) / wall if wall else None
 
@@ -66,8 +67,8 @@ def main() -> int:
           f"{'wall_s':>8} {'states/s':>9}")
     for k in range(1, args.max_bound + 1):
         for mode in (CongruenceMode.TOTAL_REORDER, CongruenceMode.TCP_FIFO):
-            lim = ExploreLimits(args.max_states, k, mode)
-            g, wall, rate = timed_explore(ctx, {sess}, pf.reliability, lim)
+            lim = ExploreLimits(args.max_states, mode)
+            g, wall, rate = timed_explore(ctx, {sess}, pf.reliability, lim, k)
             stop = f"  exceeded {g.kind}" if isinstance(g, Exceeded) else ""
             print(f"{k:>6} {mode.value:>6} {len(g.states):>8} {len(g.edges):>8} "
                   f"{len(g.stuck_ids):>6} {timing(wall, rate)}{stop}")
@@ -76,7 +77,7 @@ def main() -> int:
     print(f"{'fully reliable':>14} {'mode':>6} {'states':>8} {'edges':>8} "
           f"{'view_s':>9} {'explore_s':>9}")
     for mode in (CongruenceMode.TOTAL_REORDER, CongruenceMode.TCP_FIFO):
-        lim = ExploreLimits(args.max_states, None, mode)
+        lim = ExploreLimits(args.max_states, mode)
         full = explore(ctx, {sess}, pf.reliability, lim)
         rel, explore_s, _ = timed_explore(ctx, {sess}, rf, lim)
         if isinstance(full, Exceeded) or isinstance(rel, Exceeded):

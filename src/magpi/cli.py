@@ -151,13 +151,12 @@ def cmd_verify(args, out) -> int:
             g0, sigma, r, args.bound, limits, graphs=graphs)
     # Stats describe the graph under the reliability map that the verdicts
     # used.  When neither the gate nor a property built it (a safety check
-    # that settled statically, say), it is counted under a small cap so that
-    # unbounded systems stay fast.
+    # that settled statically, or a bound check stopped at its bound, say),
+    # it is counted under a small cap so that unbounded systems stay fast.
     graph = graphs.built(r)
     if graph is None:
-        stats_limits = ExploreLimits(min(limits.max_states, STATS_STATE_CAP),
-                                     limits.max_buffer_len, limits.mode)
-        graph = explore(g0, sigma, r, stats_limits)
+        graph = explore(g0, sigma, r, ExploreLimits(
+            min(limits.max_states, STATS_STATE_CAP), limits.mode))
     if isinstance(graph, Exceeded):
         stats = {"exceeded": graph.kind, "limit": graph.limit}
         if args.dot:

@@ -18,7 +18,7 @@ those tuples: a state is built as a TypeContext only when it is read.  A
 state's key is one int, and a successor's key is its parent's plus the
 precomputed change of each replaced binding.  The graph is its successor
 lists, written once as states are expanded; its edges, predecessors and
-occupancies are derived when read, and the buffer cap is checked on the
+occupancies are derived when read, and a buffer bound is checked on the
 bindings a step changes only.  A stop at a limit keeps the graph so far.
 
 `without_timeouts` reads the graph under a map where no timeout fires off
@@ -86,7 +86,6 @@ Action = object
 @dataclass(frozen=True)
 class ExploreLimits:
     max_states: int = 100000
-    max_buffer_len: int | None = None
     mode: CongruenceMode = CongruenceMode.TOTAL_REORDER
 
     def __post_init__(self):
@@ -254,12 +253,11 @@ class LtsGraph:
 @dataclass
 class Exceeded(LtsGraph):
     """An exploration stopped at a limit, a value, not an error: the graph
-    so far, whose first `expanded` ids are fully expanded.  `witness` leads
-    to a bufferLen stop's last state or to the state maxStates left out."""
+    so far, whose first `expanded` ids are fully expanded.  A bufferLen
+    stop's last state is the first to reach the bound."""
 
     kind: str  # "maxStates" | "bufferLen"
     limit: int
-    witness: tuple  # action path from the initial context
     expanded: int
 
     @cached_property
@@ -293,13 +291,15 @@ _NO_MOVES = ((), ())
 _FIELD = sys.maxsize.bit_length()
 
 
-def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits):
+def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits,
+            max_buffer_len: int | None = None):
     """Closure of context_transitions from g0 with canonical-state
-    deduplication: the LtsGraph, or the Exceeded prefix at a limit.  A
-    state is known by one int key, its bindings' key parts packed one field
-    per endpoint slot.  The search is breadth-first, so state ids and
-    Exceeded witnesses are minimal-length.  Ids are given in discovery
-    order, so the frontier is the state list itself, walked by index.
+    deduplication: the LtsGraph, or the Exceeded prefix at the state limit
+    or the buffer bound `max_buffer_len`, if given.  A state is known by one
+    int key, its bindings' key parts packed one field per endpoint slot.
+    The search is breadth-first, so state ids and the paths to them are
+    minimal-length.  Ids are given in discovery order, so the frontier is
+    the state list itself, walked by index.
 
     Each binding id gets one expansion record, on first need: its sends and
     timeout as ready successor entries, and its branch arms grouped by the
@@ -396,10 +396,10 @@ def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits):
     states, succ, parents = States(g0.vars, bids, pairs), [[]], {}
     top = max(map(occ.__getitem__, bids[0]), default=0)
     ids = {skeys[0]: 0}
-    cap = limits.max_buffer_len
+    cap = max_buffer_len
     stop = partial(Exceeded, states, succ, parents, classes)
     if cap is not None and top >= cap:
-        return stop("bufferLen", cap, (), 0)
+        return stop("bufferLen", cap, 0)
     for sid, state in enumerate(bids):  # bids grows as states are found
         out = []
         for b in state:
@@ -428,8 +428,7 @@ def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits):
                 nxt = tuple(nxt)
                 nid = len(bids)
                 if nid >= limits.max_states:
-                    return stop("maxStates", limits.max_states,
-                                _path(parents, sid) + (action,), sid)
+                    return stop("maxStates", limits.max_states, sid)
                 ids[key] = nid
                 bids.append(nxt)
                 skeys.append(key)
@@ -437,7 +436,7 @@ def explore(g0: TypeContext, sigma, r: Reliability, limits: ExploreLimits):
                 parents[nid] = (sid, action)
                 if cap is not None and top >= cap:
                     mine.append((action, nid))
-                    return stop("bufferLen", cap, _path(parents, nid), sid)
+                    return stop("bufferLen", cap, sid)
             mine.append((action, nid))
     graph = LtsGraph(states, succ, parents, classes)
     graph.max_occupancy = top

@@ -142,7 +142,7 @@ class Graphs:
         self._built: dict = {}
         self._verdicts: dict = {}  # (property, map, graph key) -> Verdict
 
-    def _key(self, r: Reliability, mode) -> tuple:
+    def _key(self, r: Reliability, mode: CongruenceMode | None = None) -> tuple:
         return (self.limits.mode if mode is None else mode,
                 r if self.static.may_time_out(r) else None)
 
@@ -154,13 +154,23 @@ class Graphs:
                 (g for (m, _), g in self._built.items()
                  if m == key[0] and _stopped(g) is None), None)
             self._built[key] = without_timeouts(full) if full is not None else \
-                explore(self.g0, self.sigma, r, ExploreLimits(
-                    self.limits.max_states, self.limits.max_buffer_len, key[0]))
+                explore(self.g0, self.sigma, r, ExploreLimits(self.limits.max_states, key[0]))
         return self._built[key]
 
-    def built(self, r: Reliability, mode: CongruenceMode | None = None):
+    def built(self, r: Reliability):
         """The graph under r if a property has already built it, else None."""
-        return self._built.get(self._key(r, mode))
+        return self._built.get(self._key(r))
+
+    def bounded(self, r: Reliability, k: int) -> LtsGraph:
+        """The graph under r if a property has built it, else one
+        exploration with the buffer bound k, kept as that graph unless the
+        bound stopped it, which leaves a shorter prefix."""
+        graph = self.built(r)
+        if graph is None:
+            graph = explore(self.g0, self.sigma, r, self.limits, max_buffer_len=k)
+            if not (isinstance(graph, Exceeded) and graph.kind == "bufferLen"):
+                self._built[self._key(r)] = graph
+        return graph
 
     def verdict(self, prop: str, r: Reliability, mode: CongruenceMode | None,
                 rule, stuck_only: bool = False) -> Verdict:
@@ -431,20 +441,11 @@ def check_comm_safe_RF(g0: TypeContext, sigma, limits: ExploreLimits,
 # ---------------------------------------------------------------------------
 # boundedness
 #
-# Both checks read their answer off the run's graph under r when a property
-# has built it, stopped or not, else off one exploration with the buffer
-# bound k.  Both searches visit states in one BFS order, and the bounded one
-# stops at the first state that reaches k: the run's lowest such id.  With
-# none, both stop at the same state limit (inconclusive) or both complete.
-
-
-def _bound_graph(g0, sigma, r, k, limits: ExploreLimits, graphs: Graphs | None) -> LtsGraph:
-    """The run's graph under r if a property has built it, else, or when
-    the run's own buffer bound is below k, one exploration with the bound k."""
-    graph = None if graphs is None else graphs.built(r, limits.mode)
-    if graph is None or limits.max_buffer_len is not None and limits.max_buffer_len < k:
-        graph = explore(g0, sigma, r, ExploreLimits(limits.max_states, k, limits.mode))
-    return graph
+# Both checks read the run's graph under r, stopped or not, or one
+# exploration with the buffer bound k (`Graphs.bounded`).  Both searches
+# visit states in one BFS order, and the bounded one stops at the first
+# state that reaches k: the run's lowest such id.  With none, both give the
+# same graph, complete or stopped at the state limit (inconclusive).
 
 
 def check_bound_k(g0: TypeContext, sigma, r: Reliability, k: int,
@@ -453,7 +454,7 @@ def check_bound_k(g0: TypeContext, sigma, r: Reliability, k: int,
     The witness leads to the first context, in BFS order, that reaches k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    graph = _bound_graph(g0, sigma, r, k, limits, graphs)
+    graph = (graphs or Graphs(g0, sigma, limits)).bounded(r, k)
     sid = next((sid for sid, n in enumerate(graph.occupancy) if n >= k), None)
     if sid is not None:
         return Verdict(VIOLATED, reason=f"bound_{k}", witness=graph.path_to(sid))
@@ -464,7 +465,7 @@ def check_bounded(g0: TypeContext, sigma, r: Reliability, k_max: int,
                   limits: ExploreLimits, graphs: Graphs | None = None) -> Verdict:
     """Holds with the minimal k (largest channel occupancy + 1) when that k
     is at most k_max, else Inconclusive."""
-    graph = _bound_graph(g0, sigma, r, k_max, limits, graphs)
+    graph = (graphs or Graphs(g0, sigma, limits)).bounded(r, k_max)
     if graph.max_occupancy >= k_max:
         return Verdict(INCONCLUSIVE, reason="unbounded up to probe", limit=k_max)
     return _stopped(graph) or Verdict(HOLDS, minimal_k=graph.max_occupancy + 1)

@@ -156,9 +156,9 @@ def test_max_states_limit_trips_with_witness_path():
 
 def test_buffer_limit_trips_with_witness():
     g = ctx({("s", "p"): sbt(S("rec t. q!a().t"))})
-    out = explore(g, {"s"}, RF, ExploreLimits(max_buffer_len=3))
+    out = explore(g, {"s"}, RF, ExploreLimits(), max_buffer_len=3)
     assert isinstance(out, Exceeded) and out.kind == "bufferLen"
-    assert len(out.witness) == 3  # three sends reach the bound
+    assert len(out.path_to(len(out.states) - 1)) == 3  # three sends reach the bound
 
 
 def _occupancy(g):
@@ -179,32 +179,24 @@ def test_explore_records_each_state_occupancy(mode):
             assert graph.occupancy[sid] == _occupancy(state), (f, sid)
 
 
-def _path(parents, sid):
-    acts = []
-    while sid in parents:
-        sid, a = parents[sid]
-        acts.append(a)
-    return tuple(reversed(acts))
-
-
-def _reference_run(g0, sigma, r, limits, order):
+def _reference_run(g0, sigma, r, limits, order, max_buffer_len=None):
     """Exploration that canonicalises and keys every successor from scratch:
     (states, edges, parents, None), or, at the first limit it trips, the
-    states, edges and parents so far and the stop (kind, limit, witness,
-    expanded), `expanded` counting the states whose successors it has all
-    found.  A bufferLen stop's last state and edge are the ones that reach
-    the bound."""
+    states, edges and parents so far and the stop (kind, limit, expanded),
+    `expanded` counting the states whose successors it has all found.  A
+    bufferLen stop's last state and edge are the ones that reach the bound
+    `max_buffer_len`."""
     classes = context_classes(g0)
     g0 = canonical_context(g0, limits.mode, classes)
     states, edges, parents = [g0], [], {}
 
-    def full(g):  # a buffer holds `limits.max_buffer_len` messages for one recipient
-        return limits.max_buffer_len is not None and any(
+    def full(g):  # a buffer holds `max_buffer_len` messages for one recipient
+        return max_buffer_len is not None and any(
             max(Counter(e.to for e in sbt.buffer).values(), default=0)
-            >= limits.max_buffer_len for _, sbt in g.endpoints)
+            >= max_buffer_len for _, sbt in g.endpoints)
 
     if full(g0):
-        return states, edges, parents, ("bufferLen", limits.max_buffer_len, (), 0)
+        return states, edges, parents, ("bufferLen", max_buffer_len, 0)
     ids = {context_key(g0, limits.mode, classes): 0}
     frontier = deque([0])
     take = frontier.popleft if order == "bfs" else frontier.pop
@@ -215,15 +207,13 @@ def _reference_run(g0, sigma, r, limits, order):
             key = context_key(nxt, limits.mode, classes)
             if key not in ids:
                 if len(states) >= limits.max_states:
-                    return states, edges, parents, (
-                        "maxStates", limits.max_states, _path(parents, sid) + (action,), sid)
+                    return states, edges, parents, ("maxStates", limits.max_states, sid)
                 ids[key] = len(states)
                 states.append(nxt)
                 parents[ids[key]] = (sid, action)
                 if full(nxt):
                     edges.append((sid, action, ids[key]))
-                    return states, edges, parents, (
-                        "bufferLen", limits.max_buffer_len, _path(parents, ids[key]), sid)
+                    return states, edges, parents, ("bufferLen", max_buffer_len, sid)
                 frontier.append(ids[key])
             edges.append((sid, action, ids[key]))
     return states, edges, parents, None
@@ -386,10 +376,9 @@ def _capped(run, cap):
     states, edges, parents, stop = run
     if cap >= len(states):
         return run
-    sid, action = parents[cap]
     found = next(i for i, (_, _, t) in enumerate(edges) if t == cap)
     return (states[:cap], edges[:found], {n: p for n, p in parents.items() if n < cap},
-            ("maxStates", cap, _path(parents, sid) + (action,), sid))
+            ("maxStates", cap, parents[cap][0]))
 
 
 def _act(a):
@@ -398,19 +387,15 @@ def _act(a):
 
 def _outcome(out):
     """An explore outcome or a reference run, in comparable form: the
-    stop (kind, limit, witness and expanded), None for a complete graph,
-    then the states, edges, parents and adjacency, id for id."""
+    stop (kind, limit and expanded), None for a complete graph, then the
+    states, edges, parents and adjacency, id for id."""
     if isinstance(out, LtsGraph):
         states, edges, parents = out.states, out.edges, out.parents
-        stop = (out.kind, out.limit, out.witness, out.expanded) \
-            if isinstance(out, Exceeded) else None
+        stop = (out.kind, out.limit, out.expanded) if isinstance(out, Exceeded) else None
         adjacency = _adjacency(out)
     else:
         states, edges, parents, stop = out
-        adjacency = _reference_adjacency(states, edges, None if stop is None else stop[3])
-    if stop is not None:
-        kind, limit, witness, expanded = stop
-        stop = kind, limit, [_act(a) for a in witness], expanded
+        adjacency = _reference_adjacency(states, edges, None if stop is None else stop[2])
     return (stop, states, [(f, _act(a), t) for f, a, t in edges],
             {n: (p, _act(a)) for n, (p, a) in parents.items()}, adjacency)
 
@@ -418,7 +403,7 @@ def _outcome(out):
 def test_explore_matches_reference_under_every_limit():
     # Every state cap from 1 to the full size, with and without a buffer
     # bound, under the input's map and the fully reliable one: the same
-    # graph, or the same Exceeded (kind, limit, witness and expanded) over
+    # graph, or the same Exceeded (kind, limit and expanded) over
     # the same prefix: id for id, the states, edges and parents that the
     # reference run had found where it stopped.
     # The limits act alike under both congruences, and the sweep is
@@ -428,10 +413,9 @@ def test_explore_matches_reference_under_every_limit():
     for name, g0, sigma, r in _reference_cases():
         rf = Reliability.fully_reliable({k[1] for k, _ in g0.endpoints})
         for rel, bound in itertools.product((r, rf), (None, 1, 2, 3)):
-            run = _reference_run(g0, sigma, rel, ExploreLimits(
-                10 ** 9, bound, mode), "bfs")
+            run = _reference_run(g0, sigma, rel, ExploreLimits(10 ** 9, mode), "bfs", bound)
             for cap in range(1, len(run[0]) + 1):
-                got = explore(g0, sigma, rel, ExploreLimits(cap, bound, mode))
+                got = explore(g0, sigma, rel, ExploreLimits(cap, mode), max_buffer_len=bound)
                 assert _outcome(got) == _outcome(_capped(run, cap)), \
                     (name, rel is rf, bound, cap)
 
@@ -492,7 +476,7 @@ def _assert_view_is_exploration(g0, sigma, r, mode, name, max_states=100000):
     """Assert that without_timeouts of the graph under r is the graph
     explored under the fully reliable map, and return the graph under r;
     None when it exceeds max_states."""
-    limits = ExploreLimits(max_states, None, mode)
+    limits = ExploreLimits(max_states, mode)
     full = explore(g0, sigma, r, limits)
     if isinstance(full, Exceeded):
         return None
@@ -556,7 +540,7 @@ def test_explore_matches_reference_on_random_contexts(seed, mode):
     rng = random.Random(seed)
     g0, r = _random_timeout_context(rng)
     for g0, r in ((g0, r), (_random_context(rng), R0)):
-        limits = ExploreLimits(300, None, mode)
+        limits = ExploreLimits(300, mode)
         run = _reference_run(g0, {"s"}, r, limits, "bfs")
         got = explore(g0, {"s"}, r, limits)
         if run[3] is not None:

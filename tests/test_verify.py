@@ -426,39 +426,38 @@ def test_bound_checks_read_the_stopped_graph_as_a_bounded_exploration(monkeypatc
     # [DERIVED] a buffer-bounded BFS visits the states in the run's order
     # and stops at the first that reaches its bound, so both bound checks
     # read off the run's graph, stopped at any state cap or complete, give
-    # the verdict of a fresh bounded exploration (graphs=None).  They
-    # explore again only when the run's own buffer bound is below k.  The
-    # limits act alike under both congruences, so the sweep over every cap
-    # runs under the default one, and leader's two caps run under both.
-    stopped = set()
+    # the verdict of a fresh exploration with the bound k (graphs=None),
+    # and make none of their own.  The limits act alike under both
+    # congruences, so the sweep over every cap runs under the default one,
+    # and leader's two caps run under both.
     for name, g0, sigma, r, caps in _prefix_cases():
         modes = list(CongruenceMode) if name == "leader" else [CongruenceMode.TOTAL_REORDER]
-        # a run bound of 2 only stops the graphs whose buffers reach 2
-        bounds = (None,) if name in ("dns", "mesh.magpi", "mesh_loop.magpi") else (None, 2)
-        fresh = {}  # limits -> the fresh bounded exploration, which both checks make
+        fresh = {}  # (limits, k) -> the fresh bounded exploration both checks read
+        bounds = []  # the buffer bound of each fresh exploration
 
-        def explore_once(g0_, sigma_, r_, lim):
-            if lim not in fresh:
-                fresh[lim] = explore(g0_, sigma_, r_, lim)
-            return fresh[lim]
-        for cap, bound, mode in itertools.product(caps, bounds, modes):
-            limits = ExploreLimits(cap, bound, mode)
+        def explore_once(g0_, sigma_, r_, lim, max_buffer_len):
+            bounds.append(max_buffer_len)
+            if (lim, max_buffer_len) not in fresh:
+                fresh[lim, max_buffer_len] = explore(g0_, sigma_, r_, lim,
+                                                     max_buffer_len=max_buffer_len)
+            return fresh[lim, max_buffer_len]
+        for cap, mode in itertools.product(caps, modes):
+            limits = ExploreLimits(cap, mode)
             graphs = V.Graphs(g0, sigma, limits)
-            if isinstance(graphs.get(r), Exceeded):
-                stopped.add(graphs.get(r).kind)
+            graphs.get(r)
             for k in range(1, 6):
                 with monkeypatch.context() as patch:
                     calls = _count_explores(patch)
                     shared = (V.check_bound_k(g0, sigma, r, k, limits, graphs),
                               V.check_bounded(g0, sigma, r, k, limits, graphs))
-                assert calls["verify"] == (0 if bound is None or bound >= k else 2), \
-                    (name, cap, bound, k)
+                assert calls["verify"] == 0, (name, cap, k)
+                bounds.clear()
                 with monkeypatch.context() as patch:
                     patch.setattr(V, "explore", explore_once)
                     assert shared == (V.check_bound_k(g0, sigma, r, k, limits),
                                       V.check_bounded(g0, sigma, r, k, limits)), \
-                        (name, cap, bound, k)
-    assert stopped == {"maxStates", "bufferLen"}
+                        (name, cap, k)
+                assert bounds == [k, k], (name, cap, k)
 
 
 @pytest.mark.parametrize("mode", ["total", "tcp"])
@@ -470,6 +469,24 @@ def test_bounded_and_terminating_explore_once(monkeypatch, mode):
           "bounded,terminating", "--mode", mode, "--json"], out)
     assert calls == {"verify": 1, "cli": 0}
     assert json.loads(out.getvalue())["stats"] == {"exceeded": "maxStates", "limit": 400}
+
+
+@pytest.mark.parametrize("path, extra, stats", [
+    ("fixtures/ping.magpi", [], 0), ("fixtures/dns.magpi", [], 0),
+    ("tests/golden/mesh.magpi", [], 0), ("tests/golden/mesh_loop.magpi", [], 0),
+    ("fixtures/leader.magpi", ["--max-states", "5000"], 0),
+    ("fixtures/ping.magpi", ["--bound", "2"], 1)])
+@pytest.mark.parametrize("mode", ["total", "tcp"])
+def test_bounded_alone_explores_once(monkeypatch, path, extra, stats, mode):
+    # No other property builds the graph, so `bounded` explores with its
+    # bound.  An exploration that completes or stops at the state limit is
+    # the run's graph, and the stats read it.  ping's buffers reach 2, so
+    # with the bound 2 it stops at the bound, a shorter prefix, and the
+    # stats explore the run's graph.
+    calls = _count_explores(monkeypatch)
+    main(["verify", str(ROOT / path), "--props", "bounded", "--mode", mode, "--json",
+          *extra], io.StringIO())
+    assert calls == {"verify": 1, "cli": stats}
 
 
 def test_bounded_inconclusive_on_unbounded_producer():
