@@ -1,0 +1,137 @@
+#!/usr/bin/env python3
+"""Compare two versions of magpi on the simulate-faults op mix, in one
+interpreter, cycle by cycle.
+
+Both source trees (each a directory holding the `magpi` package, such as a
+checkout's `src`) are loaded under their own package names, with the loader
+of `scripts/ab_verify.py`.  Each cycle runs the ops that `SimWorkload.ops`
+in bench/workloads.py draws for the seed and the cycle: every protocol
+(read off `SimWorkload`, with its step budgets) under both policies and
+both reorder modes, each with a fault scenario drawn by bench/gen.py.  An
+op is one `sim.run` followed by `sim.monitor_corollaries`, as in the
+benchmark; the side that goes first alternates from cycle to cycle.  Every
+op's trace JSONL, `stuck` flag and monitor output must be byte-identical on
+both sides.
+
+Prints the median milliseconds per protocol and per cycle on each side,
+the median speed-up and the cycles the change won.  Exits 1 when an output
+differs, else 0.  Nothing under `bench/` is written.
+
+Usage: python3 scripts/ab_sim.py PARENT_SRC CHANGE_SRC [--seed N] [--rounds R]
+"""
+from __future__ import annotations
+
+import argparse
+import ast
+import json
+import pathlib
+import random
+import statistics
+import sys
+from time import perf_counter
+
+from ab_verify import BENCH, WARMUP, _load_module, load_module
+
+
+def sim_workload() -> dict:
+    """PROTOCOLS, STEPS and DEFAULT_STEPS of `SimWorkload` in
+    bench/workloads.py."""
+    tree = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+    wl = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "SimWorkload")
+    return {t.id: ast.literal_eval(n.value) for n in wl.body if isinstance(n, ast.Assign)
+            for t in n.targets if isinstance(t, ast.Name)
+            and t.id in ("PROTOCOLS", "STEPS", "DEFAULT_STEPS")}
+
+
+def texts(seed: int, gen) -> dict:
+    """The protocol sources of the workload: the fixtures and its mesh."""
+    out = {n: (BENCH.parent / "fixtures" / f"{n}.magpi").read_text(encoding="utf-8")
+           for n in ("ping", "dns", "leader")}
+    out["mesh"] = gen.mesh_source(random.Random(f"{seed}/mesh"), 2, 2)
+    return out
+
+
+def cycle_ops(seed: int, c: int, gen, wl: dict, roles: dict) -> list:
+    """(protocol, policy, scenario document, run seed, steps) of cycle c, in
+    the order and with the draws of `SimWorkload.ops`."""
+    rng = random.Random(f"{seed}/cycle{c}")
+    out = []
+    for policy in ("reliable", "unrestricted"):
+        for reorder in ("total", "tcp"):
+            for name in wl["PROTOCOLS"]:
+                doc = gen.fault_scenario(rng, list(roles[name]))
+                if reorder == "tcp":
+                    doc["reorder"] = "tcp"
+                out.append((name, policy, doc, rng.randrange(2 ** 31),
+                            wl["STEPS"].get(name, wl["DEFAULT_STEPS"])))
+    return out
+
+
+class Side:
+    """One version of the simulator with the workload's protocols parsed."""
+
+    def __init__(self, src: pathlib.Path, name: str, sources: dict):
+        self.sim = load_module(src, name, "sim")
+        parser = load_module(src, name, "parser")
+        self.pfs = {n: parser.parse(text) for n, text in sources.items()}
+        self.c0 = {n: self.sim.Config(pf.system_with_defs(), 0) for n, pf in self.pfs.items()}
+
+    def run_op(self, op: tuple) -> tuple:
+        """(seconds, output) of one op: run and monitors timed, as in the
+        benchmark; the output is the trace JSONL, stuck flag and monitors."""
+        name, policy, doc, seed, steps = op
+        r = self.pfs[name].reliability
+        scenario = self.sim.FailureScenario.from_json(doc)
+        t0 = perf_counter()
+        trace = self.sim.run(self.c0[name], r, policy, scenario, seed, steps)
+        violations = self.sim.monitor_corollaries(trace, r)
+        seconds = perf_counter() - t0
+        return seconds, (trace.to_json_lines(), trace.stuck,
+                         json.dumps([v.to_json() for v in violations]))
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent_src", type=pathlib.Path)
+    ap.add_argument("change_src", type=pathlib.Path)
+    ap.add_argument("--seed", type=int, default=11)
+    ap.add_argument("--rounds", type=int, default=100, help="timed cycles")
+    args = ap.parse_args(argv)
+    gen = _load_module("ab_bench_gen", BENCH / "gen.py")
+    wl, sources = sim_workload(), texts(args.seed, gen)
+    sides = {"parent": Side(args.parent_src.resolve(), "ab_parent_magpi", sources),
+             "change": Side(args.change_src.resolve(), "ab_change_magpi", sources)}
+    roles = {n: pf.roles for n, pf in sides["parent"].pfs.items()}
+    times = {side: {} for side in sides}   # side -> protocol -> [s]
+    cycles = {side: [] for side in sides}  # side -> [s per cycle]
+    for c in range(WARMUP + args.rounds):
+        order = list(sides) if c % 2 == 0 else list(reversed(sides))
+        total = dict.fromkeys(sides, 0.0)
+        for op in cycle_ops(args.seed, c, gen, wl, roles):
+            results = {}
+            for side in order:
+                s, results[side] = sides[side].run_op(op)
+                total[side] += s
+                if c >= WARMUP:
+                    times[side].setdefault(op[0], []).append(s)
+            if results["parent"] != results["change"]:
+                print(f"output differs: {op[0]} {op[1]} seed {op[3]}, cycle {c}")
+                return 1
+        if c >= WARMUP:
+            for side in sides:
+                cycles[side].append(total[side])
+    med = {side: {name: statistics.median(ts) for name, ts in times[side].items()}
+           for side in sides}
+    print(f"{'protocol':<12} {'parent ms':>10} {'change ms':>10} {'speed-up':>9}")
+    for name in sorted(med["parent"]):
+        p, ch = med["parent"][name], med["change"][name]
+        print(f"{name:<12} {p * 1e3:>10.2f} {ch * 1e3:>10.2f} {p / ch:>8.3f}x")
+    p, ch = statistics.median(cycles["parent"]), statistics.median(cycles["change"])
+    won = sum(a > b for a, b in zip(cycles["parent"], cycles["change"]))
+    print(f"{'cycle':<12} {p * 1e3:>10.2f} {ch * 1e3:>10.2f} {p / ch:>8.3f}x")
+    print(f"change faster in {won}/{args.rounds} cycles; traces and monitors identical")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

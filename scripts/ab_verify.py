@@ -58,13 +58,15 @@ def _load_module(name: str, path: pathlib.Path, package: pathlib.Path | None = N
     return module
 
 
-def load_cli(src: pathlib.Path, name: str):
-    """`magpi.cli` of the package under `src`, imported as `name`."""
+def load_module(src: pathlib.Path, name: str, module: str):
+    """`magpi.<module>` of the package under `src`, the package imported as
+    `name`."""
     package = src / "magpi"
     if not (package / "__init__.py").is_file():
         raise SystemExit(f"error: no magpi package under {src}")
-    _load_module(name, package / "__init__.py", package)
-    return importlib.import_module(f"{name}.cli")
+    if name not in sys.modules:
+        _load_module(name, package / "__init__.py", package)
+    return importlib.import_module(f"{name}.{module}")
 
 
 def mesh_cycle(seed: int) -> list:
@@ -100,8 +102,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--rounds", type=int, default=40, help="timed cycles")
     args = ap.parse_args(argv)
-    sides = {"parent": load_cli(args.parent_src.resolve(), "ab_parent_magpi"),
-             "change": load_cli(args.change_src.resolve(), "ab_change_magpi")}
+    sides = {"parent": load_module(args.parent_src.resolve(), "ab_parent_magpi", "cli"),
+             "change": load_module(args.change_src.resolve(), "ab_change_magpi", "cli")}
     times = {side: {} for side in sides}   # side -> kind -> [s]
     cycles = {side: [] for side in sides}  # side -> [s per cycle]
     with tempfile.TemporaryDirectory() as tmp:

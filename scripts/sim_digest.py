@@ -67,11 +67,8 @@ def run_record(pf, doc: dict, policy: str, seed: int, configs: bool) -> bytes:
     return "\n".join(parts + [""]).encode()
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--configs", action="store_true",
-                    help="also hash every stored configuration's rendering")
-    args = ap.parse_args()
+def digest(configs: bool = False) -> tuple:
+    """(SHA-256 hex digest, number of runs) over the whole grid."""
     h = hashlib.sha256()
     runs = 0
     for f in SIM_FILES:
@@ -80,9 +77,18 @@ def main() -> int:
             for doc in scenarios(sorted(pf.roles), reorder):
                 for policy in (RELIABLE, UNRESTRICTED):
                     for seed in range(SEEDS):
-                        h.update(run_record(pf, doc, policy, seed, args.configs))
+                        h.update(run_record(pf, doc, policy, seed, configs))
                         runs += 1
-    print(f"{h.hexdigest()}  ({runs} runs)")
+    return h.hexdigest(), runs
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--configs", action="store_true",
+                    help="also hash every stored configuration's rendering")
+    args = ap.parse_args()
+    hexdigest, runs = digest(args.configs)
+    print(f"{hexdigest}  ({runs} runs)")
     return 0
 
 

@@ -132,9 +132,9 @@ class Config:
 
 @dataclass(frozen=True)
 class Step:
-    """One enabled reduction.  Its edits, (path, new subterm) pairs applied
-    to `root` in turn, are the thread's continuation plus, for R-send and
-    R-recv, the session buffer's new entries; R-drop edits the buffer alone."""
+    """One enabled reduction.  Its edits, (path, term, substitution) triples
+    applied to `root` in turn, are the thread's continuation (substituted for
+    R-recv and R-call) plus, for R-send and R-recv, the buffer's new entries."""
     rule: str
     detail: tuple  # sorted (key, value) pairs describing the redex
     weight: float
@@ -143,10 +143,10 @@ class Step:
 
     @cached_property
     def process(self) -> P.Process:
-        """The process after this step, rewritten on the first read."""
+        """The process after this step, substituted and rewritten on first read."""
         p = self.root
-        for path, new in self.edits:
-            p = _rebuild(p, path, new)
+        for path, term, sub in self.edits:
+            p = _rebuild(p, path, P.subst(term, sub))
         return p
 
 
@@ -259,8 +259,8 @@ def enabled_steps(c: Config, r: Reliability, policy: str,
             bpath, buf = buffers[s]
             entry = P.BufMsg(role, node.to, node.label, node.value)
             out.append(Step(RULE_SEND, _message_detail(entry, s), 1.0, root, (
-                (path, node.cont),
-                (bpath, replace(buf, entries=buf.entries + (entry,))))))
+                (path, node.cont, {}),
+                (bpath, replace(buf, entries=buf.entries + (entry,)), {}))))
         elif isinstance(node, P.Branch) and isinstance(node.ch, P.Endpoint):
             s, role = node.ch.session, node.ch.role
             if scenario.crashed(role, step) and scenario.freeze_crashed:
@@ -277,24 +277,24 @@ def enabled_steps(c: Config, r: Reliability, policy: str,
                     matched = True
                     rest = buf.entries[:i] + buf.entries[i + 1:]
                     out.append(Step(RULE_RECV, _message_detail(e, s), 1.0, root, (
-                        (path, P.subst(arm.cont, {arm.var: e.value})),
-                        (bpath, replace(buf, entries=rest)))))
+                        (path, arm.cont, {arm.var: e.value}),
+                        (bpath, replace(buf, entries=rest), {}))))
             if node.timeout is not None and (policy == UNRESTRICTED
                                              or r.needs_timeout(role, node.arms)):
                 w = scenario.delay_bias if matched else 1.0
                 out.append(Step(RULE_TIMEOUT, (("role", role), ("session", s)),
-                                w, root, ((path, node.timeout),)))
+                                w, root, ((path, node.timeout, {}),)))
         elif isinstance(node, P.Choice):
             out.append(Step(RULE_CHOICE, (("side", "left"),), 1.0, root,
-                            ((path, node.left),)))
+                            ((path, node.left, {}),)))
             out.append(Step(RULE_CHOICE, (("side", "right"),), 1.0, root,
-                            ((path, node.right),)))
+                            ((path, node.right, {}),)))
         elif isinstance(node, P.Call):
             if node.name in env:
                 params, body = env[node.name]
                 sub = {v: a for (v, _), a in zip(params, node.args)}
                 out.append(Step(RULE_CALL, (("name", node.name),), 1.0, root,
-                                ((path, P.subst(body, sub)),)))
+                                ((path, body, sub),)))
         elif isinstance(node, P.Buffer):
             for i in heads[path]:
                 e = node.entries[i]
@@ -303,7 +303,7 @@ def enabled_steps(c: Config, r: Reliability, policy: str,
                     continue
                 rest = node.entries[:i] + node.entries[i + 1:]
                 out.append(Step(RULE_DROP, _message_detail(e, node.session), w,
-                                root, ((path, replace(node, entries=rest)),)))
+                                root, ((path, replace(node, entries=rest), {}),)))
     out.sort(key=lambda s: (s.rule, s.detail))
     return out
 

@@ -1,9 +1,9 @@
 """Smoke test of the benchmark's tracer: `bench/run.py --trace 1` wraps
 magpi's module attributes by name, so every name it wraps must exist,
 `restore` must put the originals back, and the wrapped functions must be
-looked up when they are called.  Also a smoke test of
-`scripts/ab_verify.py`, which reads the verify benchmark's op mix off
-`bench/`."""
+looked up when they are called.  Also smoke tests of
+`scripts/ab_verify.py` and `scripts/ab_sim.py`, which read the verify and
+simulate benchmarks' op mixes off `bench/`."""
 import importlib.util
 import io
 import subprocess
@@ -70,3 +70,11 @@ def test_ab_verify_runs_one_round():
                           cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stdout + done.stderr
     assert "outputs identical" in done.stdout
+
+
+def test_ab_sim_runs_one_round():
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "ab_sim.py"),
+                           "src", "src", "--rounds", "1"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "traces and monitors identical" in done.stdout

@@ -1,10 +1,12 @@
 """Simulator: determinism, failure policies, buffer discipline, the
 exhaustive oracle, and the runtime monitors."""
+import importlib.util
 import io
 import json
 import pathlib
 import random
 import re
+import sys
 from dataclasses import replace
 
 import pytest
@@ -544,3 +546,50 @@ def test_run_rewrites_only_the_step_it_takes(monkeypatch):
         tr = run(cfg(pf), pf.reliability, UNRESTRICTED, scen, seed, 300)
         assert tr.events
         assert rewrites <= sum(EDITS[e.rule] for e in tr.events), seed
+
+
+def test_only_the_taken_step_substitutes(monkeypatch):
+    pf = parse(fixture_text("leader"))
+    calls, substitutions, depth = 0, 0, 0
+    subst = P.subst
+
+    def counting(p, sub):
+        nonlocal calls, substitutions, depth
+        calls += depth == 0
+        substitutions += depth == 0 and bool(sub)
+        depth += 1
+        try:
+            return subst(p, sub)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(P, "subst", counting)
+    traces, taken = [], 0
+    for policy in (RELIABLE, UNRESTRICTED):
+        for seed in range(6):
+            tr = run(cfg(pf), pf.reliability, policy, CALM, seed, 300)
+            traces.append((policy, tr))
+            taken += sum(e.rule in ("R-recv", "R-call") for e in tr.events)
+    # One substitution per R-recv or R-call taken; the other edits' maps
+    # are empty.
+    assert substitutions == taken == 2108
+    calls = 0
+    for policy, tr in traces:
+        for c in tr.configs:
+            enabled_steps(c, pf.reliability, policy, CALM)
+    assert calls == 0
+
+
+SIM_DIGEST = "04f1df4944f4a6c15153cab269fc9b174b1168237e4e8aa520c07029ac383aef"
+
+
+def test_simulator_digest_is_pinned(monkeypatch):
+    # Every trace, verdict, terminal and monitor output of the 720 runs of
+    # `scripts/sim_digest.py` is the same as when the digest was pinned.
+    root = pathlib.Path(__file__).resolve().parent.parent
+    monkeypatch.setattr(sys, "path", sys.path[:])  # the script prepends to it
+    spec = importlib.util.spec_from_file_location("sim_digest",
+                                                  root / "scripts" / "sim_digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.digest() == (SIM_DIGEST, 720)
