@@ -4,14 +4,14 @@ interpreter, cycle by cycle.
 
 Both source trees (each a directory holding the `magpi` package, such as a
 checkout's `src`) are loaded under their own package names, with the loader
-of `scripts/ab_verify.py`.  Each cycle runs the ops that `SimWorkload.ops`
-in bench/workloads.py draws for the seed and the cycle: every protocol
-(read off `SimWorkload`, with its step budgets) under both policies and
-both reorder modes, each with a fault scenario drawn by bench/gen.py.  An
-op is one `sim.run` followed by `sim.monitor_corollaries`, as in the
-benchmark; the side that goes first alternates from cycle to cycle.  Every
-op's trace JSONL, `stuck` flag and monitor output must be byte-identical on
-both sides.
+of `scripts/ab_verify.py`; its cycle loop and report serve both scripts.
+Each cycle runs the ops that `SimWorkload.ops` in bench/workloads.py draws
+for the seed and the cycle: every protocol (read off `SimWorkload`, with
+its step budgets) under both policies and both reorder modes, each with a
+fault scenario drawn by bench/gen.py.  An op is one `sim.run` followed by
+`sim.monitor_corollaries`, as in the benchmark; the side that goes first
+alternates from cycle to cycle.  Every op's trace JSONL, `stuck` flag and
+monitor output must be byte-identical on both sides.
 
 Prints the median milliseconds per protocol and per cycle on each side,
 the median speed-up and the cycles the change won.  Exits 1 when an output
@@ -26,11 +26,10 @@ import ast
 import json
 import pathlib
 import random
-import statistics
 import sys
 from time import perf_counter
 
-from ab_verify import BENCH, WARMUP, _load_module, load_module
+from ab_verify import BENCH, _load_module, ab_cycles, load_module
 
 
 def sim_workload() -> dict:
@@ -102,35 +101,9 @@ def main(argv=None) -> int:
     sides = {"parent": Side(args.parent_src.resolve(), "ab_parent_magpi", sources),
              "change": Side(args.change_src.resolve(), "ab_change_magpi", sources)}
     roles = {n: pf.roles for n, pf in sides["parent"].pfs.items()}
-    times = {side: {} for side in sides}   # side -> protocol -> [s]
-    cycles = {side: [] for side in sides}  # side -> [s per cycle]
-    for c in range(WARMUP + args.rounds):
-        order = list(sides) if c % 2 == 0 else list(reversed(sides))
-        total = dict.fromkeys(sides, 0.0)
-        for op in cycle_ops(args.seed, c, gen, wl, roles):
-            results = {}
-            for side in order:
-                s, results[side] = sides[side].run_op(op)
-                total[side] += s
-                if c >= WARMUP:
-                    times[side].setdefault(op[0], []).append(s)
-            if results["parent"] != results["change"]:
-                print(f"output differs: {op[0]} {op[1]} seed {op[3]}, cycle {c}")
-                return 1
-        if c >= WARMUP:
-            for side in sides:
-                cycles[side].append(total[side])
-    med = {side: {name: statistics.median(ts) for name, ts in times[side].items()}
-           for side in sides}
-    print(f"{'protocol':<12} {'parent ms':>10} {'change ms':>10} {'speed-up':>9}")
-    for name in sorted(med["parent"]):
-        p, ch = med["parent"][name], med["change"][name]
-        print(f"{name:<12} {p * 1e3:>10.2f} {ch * 1e3:>10.2f} {p / ch:>8.3f}x")
-    p, ch = statistics.median(cycles["parent"]), statistics.median(cycles["change"])
-    won = sum(a > b for a, b in zip(cycles["parent"], cycles["change"]))
-    print(f"{'cycle':<12} {p * 1e3:>10.2f} {ch * 1e3:>10.2f} {p / ch:>8.3f}x")
-    print(f"change faster in {won}/{args.rounds} cycles; traces and monitors identical")
-    return 0
+    return ab_cycles({side: sides[side].run_op for side in sides},
+                     lambda c: [(op[0], op) for op in cycle_ops(args.seed, c, gen, wl, roles)],
+                     args.rounds, "protocol", "traces and monitors identical")
 
 
 if __name__ == "__main__":

@@ -95,6 +95,45 @@ def same_output(sides: dict, argv: list) -> bool:
     return outs[0] == outs[1]
 
 
+def ab_cycles(sides: dict, cycle_ops, rounds: int, column: str, identical: str) -> int:
+    """Time `WARMUP + rounds` cycles on both sides and print the report.
+    `sides` maps "parent" and "change" to a function from an op to
+    (seconds, output); `cycle_ops(c)` lists cycle c's (group, op) pairs.
+    The side that goes first alternates from cycle to cycle.  Prints the
+    median milliseconds per group (headed `column`) and per cycle on each
+    side, the median speed-up and the cycles the change won, then
+    `identical`.  Returns 1 as soon as an op's outputs differ, else 0."""
+    times = {side: {} for side in sides}   # side -> group -> [s]
+    cycles = {side: [] for side in sides}  # side -> [s per cycle]
+    for c in range(WARMUP + rounds):
+        order = list(sides) if c % 2 == 0 else list(reversed(sides))
+        total = dict.fromkeys(sides, 0.0)
+        for group, op in cycle_ops(c):
+            results = {}
+            for side in order:
+                s, results[side] = sides[side](op)
+                total[side] += s
+                if c >= WARMUP:
+                    times[side].setdefault(group, []).append(s)
+            if results["parent"] != results["change"]:
+                print(f"output differs: {group}, cycle {c}: {op}")
+                return 1
+        if c >= WARMUP:
+            for side in sides:
+                cycles[side].append(total[side])
+    med = {side: {group: statistics.median(ts) for group, ts in times[side].items()}
+           for side in sides}
+    print(f"{column:<12} {'parent ms':>10} {'change ms':>10} {'speed-up':>9}")
+    for group in med["parent"]:
+        p, ch = med["parent"][group], med["change"][group]
+        print(f"{group:<12} {p * 1e3:>10.2f} {ch * 1e3:>10.2f} {p / ch:>8.3f}x")
+    p, ch = statistics.median(cycles["parent"]), statistics.median(cycles["change"])
+    won = sum(a > b for a, b in zip(cycles["parent"], cycles["change"]))
+    print(f"{'cycle':<12} {p * 1e3:>10.2f} {ch * 1e3:>10.2f} {p / ch:>8.3f}x")
+    print(f"change faster in {won}/{rounds} cycles; {identical}")
+    return 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent_src", type=pathlib.Path)
@@ -104,8 +143,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     sides = {"parent": load_module(args.parent_src.resolve(), "ab_parent_magpi", "cli"),
              "change": load_module(args.change_src.resolve(), "ab_change_magpi", "cli")}
-    times = {side: {} for side in sides}   # side -> kind -> [s]
-    cycles = {side: [] for side in sides}  # side -> [s per cycle]
     with tempfile.TemporaryDirectory() as tmp:
         ops = []
         for kind, text, tail in mesh_cycle(args.seed):
@@ -122,33 +159,9 @@ def main(argv=None) -> int:
                 if not same_output(sides, argv):
                     print(f"output differs: {' '.join(argv)}")
                     return 1
-        for c in range(WARMUP + args.rounds):
-            order = list(sides) if c % 2 == 0 else list(reversed(sides))
-            total = dict.fromkeys(sides, 0.0)
-            for kind, op in ops:
-                results = {}
-                for side in order:
-                    s, results[side] = run_op(sides[side], op)
-                    total[side] += s
-                    if c >= WARMUP:
-                        times[side].setdefault(kind, []).append(s)
-                if results["parent"] != results["change"]:
-                    print(f"output differs: {kind}, cycle {c}")
-                    return 1
-            if c >= WARMUP:
-                for side in sides:
-                    cycles[side].append(total[side])
-    med = {side: {kind: statistics.median(ts) for kind, ts in times[side].items()}
-           for side in sides}
-    print(f"{'kind':<12} {'parent ms':>10} {'change ms':>10} {'speed-up':>9}")
-    for kind, _ in ops:
-        p, ch = med["parent"][kind], med["change"][kind]
-        print(f"{kind:<12} {p * 1e3:>10.2f} {ch * 1e3:>10.2f} {p / ch:>8.3f}x")
-    p, ch = statistics.median(cycles["parent"]), statistics.median(cycles["change"])
-    won = sum(a > b for a, b in zip(cycles["parent"], cycles["change"]))
-    print(f"{'cycle':<12} {p * 1e3:>10.2f} {ch * 1e3:>10.2f} {p / ch:>8.3f}x")
-    print(f"change faster in {won}/{args.rounds} cycles; check and verify outputs identical")
-    return 0
+        runs = {side: lambda argv, cli=cli: run_op(cli, argv) for side, cli in sides.items()}
+        return ab_cycles(runs, lambda c: ops, args.rounds, "kind",
+                         "check and verify outputs identical")
 
 
 if __name__ == "__main__":

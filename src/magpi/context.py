@@ -156,11 +156,10 @@ def canonical_binding(sbt: SessionBufferType, mode: CongruenceMode,
 
 def render_sbt(sbt: SessionBufferType) -> str:
     buf = "·".join(f"{e.to}!{e.label}({format_type(e.payload)})" for e in sbt.buffer)
-    buf = buf or "ε" if sbt.session is None else buf
     if sbt.session is None:
-        return buf
+        return buf or "ε"
     s = format_session(sbt.session)
-    return f"<{buf or 'ε'}; {s}>" if sbt.buffer else s
+    return f"<{buf}; {s}>" if buf else s
 
 
 def render_context(g: TypeContext) -> str:

@@ -129,6 +129,29 @@ class Config:
     process: P.Process
     step_count: int = 0
 
+    @cached_property
+    def running(self) -> tuple:
+        """The running configuration, walked on first read: the thread heads
+        as (path, node, def environment) in pre-order through `Par`,
+        `Restriction` and a `Def`'s continuation, and the session buffers
+        as {session: (path, buffer)}.  Nothing below a head (continuations,
+        arms, timeouts, choice sides, `def` bodies) is visited."""
+        threads, buffers = [], {}
+
+        def walk(p, path, env):
+            if isinstance(p, P.Def):
+                walk(p.cont, path + (1,), {**env, p.name: (p.params, p.body)})
+            elif isinstance(p, (P.Par, P.Restriction)):
+                for i, c in enumerate(P.children(p)):
+                    walk(c, path + (i,), env)
+            elif isinstance(p, P.Buffer):
+                buffers[p.session] = (path, p)
+            else:
+                threads.append((path, p, env))
+
+        walk(self.process, (), {})
+        return threads, buffers
+
 
 @dataclass(frozen=True)
 class Step:
@@ -179,7 +202,7 @@ class Trace:
 
 
 def _rebuild(p: P.Process, path: tuple, new: P.Process) -> P.Process:
-    """p with the subterm at path (a path of `_collect`) replaced by new."""
+    """p with the subterm at path (a path of `Config.running`) replaced by new."""
     if not path:
         return new
     i, rest = path[0], path[1:]
@@ -196,29 +219,6 @@ def _rebuild(p: P.Process, path: tuple, new: P.Process) -> P.Process:
 
 # ---------------------------------------------------------------------------
 # enabled steps
-
-
-def _collect(root: P.Process) -> list:
-    """The running configuration of root: a (path, node, def environment)
-    site per node on the paths through `Par`, `Restriction` and a `Def`'s
-    continuation.  The thread heads and session buffers are its leaves;
-    nothing below a head (continuations, arms, timeouts, choice sides,
-    `def` bodies) is visited."""
-    sites = []
-
-    def walk(p, path, env):
-        if isinstance(p, P.Def):
-            env2 = dict(env)
-            env2[p.name] = (p.params, p.body)
-            walk(p.cont, path + (1,), env2)
-            return
-        sites.append((path, p, env))
-        if isinstance(p, (P.Par, P.Restriction)):
-            for i, c in enumerate(P.children(p)):
-                walk(c, path + (i,), env)
-
-    walk(root, (), {})
-    return sites
 
 
 def _message_detail(e: P.BufMsg, session: str) -> tuple:
@@ -243,13 +243,11 @@ def enabled_steps(c: Config, r: Reliability, policy: str,
     ordered.  Weight 0 marks a step the sampler will never take.  No step's
     process is built here: see `Step.process`."""
     root, step = c.process, c.step_count
-    sites = _collect(root)
-    buffers = {node.session: (path, node) for path, node, _ in sites
-               if isinstance(node, P.Buffer)}
-    heads = {path: buffer_heads(P.buffer_keys(node.entries), scenario.reorder)
-             for path, node, _ in sites if isinstance(node, P.Buffer)}
+    threads, buffers = c.running
+    heads = {s: buffer_heads(P.buffer_keys(buf.entries), scenario.reorder)
+             for s, (_, buf) in buffers.items()}
     out = []
-    for path, node, env in sites:
+    for path, node, env in threads:
         if isinstance(node, P.Send) and isinstance(node.ch, P.Endpoint):
             s, role = node.ch.session, node.ch.role
             if scenario.crashed(role, step) and scenario.freeze_crashed:
@@ -267,7 +265,7 @@ def enabled_steps(c: Config, r: Reliability, policy: str,
                 continue
             bpath, buf = buffers.get(s, (None, None))
             matched = False
-            for i in heads.get(bpath, ()):
+            for i in heads.get(s, ()):
                 e = buf.entries[i]
                 if e.to != role:
                     continue
@@ -295,15 +293,15 @@ def enabled_steps(c: Config, r: Reliability, policy: str,
                 sub = {v: a for (v, _), a in zip(params, node.args)}
                 out.append(Step(RULE_CALL, (("name", node.name),), 1.0, root,
                                 ((path, body, sub),)))
-        elif isinstance(node, P.Buffer):
-            for i in heads[path]:
-                e = node.entries[i]
-                allowed, w = _droppable(e, r, policy, scenario, step)
-                if not allowed:
-                    continue
-                rest = node.entries[:i] + node.entries[i + 1:]
-                out.append(Step(RULE_DROP, _message_detail(e, node.session), w,
-                                root, ((path, replace(node, entries=rest), {}),)))
+    for s, (path, buf) in buffers.items():
+        for i in heads[s]:
+            e = buf.entries[i]
+            allowed, w = _droppable(e, r, policy, scenario, step)
+            if not allowed:
+                continue
+            rest = buf.entries[:i] + buf.entries[i + 1:]
+            out.append(Step(RULE_DROP, _message_detail(e, s), w,
+                            root, ((path, replace(buf, entries=rest), {}),)))
     out.sort(key=lambda s: (s.rule, s.detail))
     return out
 
@@ -312,10 +310,9 @@ def enabled_steps(c: Config, r: Reliability, policy: str,
 # runs
 
 
-def _buffer_digest(p: P.Process) -> str:
+def _buffer_digest(c: Config) -> str:
     """Hash of the running configuration's session buffers, each rendered."""
-    parts = [P.render_process(q) for _, q, _ in _collect(p) if isinstance(q, P.Buffer)]
-    parts.sort()
+    parts = sorted(P.render_process(buf) for _, buf in c.running[1].values())
     return hashlib.sha256("|".join(parts).encode()).hexdigest()[:12]
 
 
@@ -347,7 +344,7 @@ def run(c0: Config, r: Reliability, policy: str, scenario: FailureScenario,
                 break
         cfg = Config(chosen.process, cfg.step_count + 1)
         events.append(TraceEvent(cfg.step_count, chosen.rule, chosen.detail,
-                                 _buffer_digest(cfg.process)))
+                                 _buffer_digest(cfg)))
         configs.append(cfg)
     return Trace(events, configs, cfg, stuck)
 
@@ -376,6 +373,6 @@ def monitor_corollaries(t: Trace, r: Reliability) -> list:
     return [MonitorViolation("Cor1" if q.timeout is None else "Cor2",
                              q.ch.session, q.ch.role, i)
             for i, cfg in enumerate(t.configs)
-            for _, q, _ in _collect(cfg.process)
+            for _, q, _ in cfg.running[0]
             if isinstance(q, P.Branch) and isinstance(q.ch, P.Endpoint)
             and (q.timeout is not None) != r.needs_timeout(q.ch.role, q.arms)]

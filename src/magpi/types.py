@@ -399,13 +399,12 @@ def canonical_buffer_type(entries: tuple, mode: CongruenceMode,
 
 
 def buffer_type_congruent(a: tuple, b: tuple, mode: CongruenceMode) -> bool:
-    if len(a) != len(b):
-        return False
+    # Under one table of both buffers' payloads, equal class keys mean
+    # bisimilar payloads.
     classes = type_classes(e.payload for e in a + b)
-    ca = canonical_buffer_type(a, mode, classes)
-    cb = canonical_buffer_type(b, mode, classes)
-    return all(x.to == y.to and x.label == y.label and type_equal(x.payload, y.payload)
-               for x, y in zip(ca, cb))
+    ka, kb = buffer_keys(a, classes), buffer_keys(b, classes)
+    return ([ka[i] for i in buffer_order(ka, mode)]
+            == [kb[i] for i in buffer_order(kb, mode)])
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import random
 import re
 import sys
 from dataclasses import replace
+from functools import cached_property
 
 import pytest
 
@@ -578,6 +579,33 @@ def test_only_the_taken_step_substitutes(monkeypatch):
         for c in tr.configs:
             enabled_steps(c, pf.reliability, policy, CALM)
     assert calls == 0
+
+
+def test_each_configuration_is_walked_once(monkeypatch):
+    # The steps, the buffer digest and the monitors share one walk of each
+    # stored configuration.
+    walked = []
+    walk = Config.running.func
+
+    def counting(c):
+        walked.append(c)
+        return walk(c)
+
+    running = cached_property(counting)
+    running.__set_name__(Config, "running")
+    monkeypatch.setattr(Config, "running", running)
+    for name in ("ping", "dns", "leader", "mesh", "mesh_loop"):
+        pf = parse(protocol_text(name))
+        roles = sorted(pf.roles)
+        drops = FailureScenario.from_json(
+            {"drop": {f"{a}->{b}": 0.3 for a in roles for b in roles if a != b}})
+        for policy in (RELIABLE, UNRESTRICTED):
+            for scen in (CALM, drops):
+                walked.clear()
+                tr = run(cfg(pf), pf.reliability, policy, scen, 3, 60)
+                monitor_corollaries(tr, pf.reliability)
+                assert len(walked) == len(tr.configs) > 1, (name, policy)
+                assert {id(c) for c in walked} == {id(c) for c in tr.configs}
 
 
 SIM_DIGEST = "04f1df4944f4a6c15153cab269fc9b174b1168237e4e8aa520c07029ac383aef"
