@@ -12,8 +12,8 @@ from .types import (BASIC_KINDS, Basic, Branch, BranchArm, BufEntry,
 from .parser import (ProcDecl, ProtocolFile, parse, parse_process_text,
                      parse_session_text)
 from .pretty import pretty
-from .context import (TypeContext, context_key, end_predicate, gc_predicate,
-                      render_context, split_end_gc)
+from .context import (TypeContext, context_key, end_predicate, render_context,
+                      split_end_gc)
 from .lts import (ComAct, Exceeded, ExploreLimits, LtsGraph, SendAct,
                   TimeoutAct, context_transitions, explore, export_lts)
 from .verify import (HOLDS, INCONCLUSIVE, VIOLATED, Verdict, check_bound_k,

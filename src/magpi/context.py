@@ -1,5 +1,5 @@
-"""Typing contexts: variable and endpoint bindings, the end and gc
-predicates, and the canonical form and state key of a context."""
+"""Typing contexts: variable and endpoint bindings, the end predicate and
+the end/gc split, and the canonical form and state key of a context."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -74,20 +74,9 @@ def end_predicate(g: TypeContext) -> bool:
     return True
 
 
-def gc_predicate(g: TypeContext) -> bool:
-    """Collectable residue: buffer-only bindings whose entries carry basic
-    payloads, or session payloads whose delegated endpoint is typed in g."""
-    if g.vars:
-        return False
-    for _, sbt in g.endpoints:
-        if sbt.session is not None:
-            return False
-        if not _gc_entries(sbt.buffer, g):
-            return False
-    return True
-
-
 def _gc_entries(entries: tuple, g: TypeContext) -> bool:
+    """Collectable buffer entries: basic payloads, or session payloads whose
+    delegated endpoint is typed in g."""
     for e in entries:
         if is_basic(e.payload):
             continue
@@ -102,9 +91,9 @@ def split_end_gc(g: TypeContext):
     session components must be end-typed, buffer components must be
     collectable.  Returns (ok, reason)."""
     buffers = {}
-    for _, t in g.vars:
+    for n, t in g.vars:
         if not is_basic(t) and not isinstance(resolve(t), End):
-            return False, "variable binding is not basic or end-typed"
+            return False, f"variable {n} is not basic or end-typed"
     for k, sbt in g.endpoints:
         if sbt.session is not None and not isinstance(resolve(sbt.session), End):
             return False, f"{k[0]}[{k[1]}] stuck at a non-end session type"

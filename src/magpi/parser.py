@@ -266,9 +266,12 @@ class Parser:
         self.expect("(")
         params = []
         while not self.at(")"):
-            pn = self.expect("IDENT").text
+            pt = self.expect("IDENT")
+            if any(pt.text == n for n, _ in params):
+                self.error("DuplicateParam",
+                           f"parameter {pt.text} of {name} declared twice", pt.span)
             self.expect(":")
-            params.append((pn, self.parse_binder_type()))
+            params.append((pt.text, self.parse_binder_type()))
             if self.at(","):
                 self.next()
         self.expect(")")

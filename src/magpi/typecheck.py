@@ -1,22 +1,26 @@
 """Syntax-directed typechecking of processes against typing contexts.
 
-Context splitting at parallel composition is demand-driven: each side
-receives exactly the bindings of its free variables and endpoints; a
-session-buffer binding splits component-wise (the buffer half follows the
-side holding the session's buffer process, the session half follows the
-side using the endpoint).  Leftover bindings must be end-typed or
-collectable.  Restrictions are accepted only when their annotation
-satisfies the safety property for the restricted session.
+Context splitting at parallel composition is by demand alone: each side
+receives the bindings of its free variables and endpoints.  A
+session-buffer binding splits component-wise: the session half goes to the
+side using the endpoint, the buffer half to the side holding the session's
+buffer process.  A binding neither side demands goes to the left, whatever
+the sides are.  Every leaf discharges what it is handed by one rule: an
+inaction or a call requires end(Γ) of what is left after its arguments,
+and a buffer consumes each sender's buffer half and requires the rest to
+split as end(Γ0), gc(Γ'') (`context.split_end_gc`), the decomposition the
+deadlock rule of `verify` reads.  Restrictions are accepted only when
+their annotation satisfies the safety property for the restricted session.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from . import proc as P
-from .context import TypeContext, end_predicate, gc_predicate, render_context
+from .context import TypeContext, end_predicate, render_context, split_end_gc
 from .diagnostics import Diagnostic, Span
 from .lts import ExploreLimits
-from .types import (Basic, Branch as TBranch, End, Select, SessionBufferType,
+from .types import (Basic, Branch as TBranch, Select, SessionBufferType,
                     Reliability, buffer_type_congruent, BufEntry,
                     CongruenceMode, format_type, is_basic, resolve,
                     type_equal)
@@ -104,12 +108,13 @@ def restriction_context(rest: P.Restriction, g: TypeContext) -> TypeContext:
     return g
 
 
-def _buffer_only(p: P.Process) -> bool:
-    if isinstance(p, P.Buffer):
-        return True
-    if isinstance(p, P.Par):
-        return _buffer_only(p.left) and _buffer_only(p.right)
-    return False
+def _consume(v: P.Value, vt, g: TypeContext) -> TypeContext:
+    """g without the binding of v, a value of type vt, when v is linear."""
+    if isinstance(v, P.Endpoint):
+        return g.without_endpoint((v.session, v.role))
+    if isinstance(v, P.Var) and not is_basic(vt):
+        return g.without_var(v.name)
+    return g
 
 
 class Checker:
@@ -167,11 +172,7 @@ class Checker:
                       f"payload {P.render_value(v)} has type {format_type(vt)}, "
                       f"expected {format_type(expected)}", span)
             return None
-        if isinstance(v, P.Endpoint):
-            return g.without_endpoint((v.session, v.role))
-        if isinstance(v, P.Var) and not is_basic(vt):
-            return g.without_var(v.name)
-        return g
+        return _consume(v, vt, g)
 
     # -- main recursion
 
@@ -232,8 +233,16 @@ class Checker:
                                    f"{format_type(pa.var_type)}, expected "
                                    f"{format_type(ta.payload)}", pa.span)
                     continue
-                g2 = rebind(g, ta.cont).with_var(pa.var, ta.payload)
-                ok = self.check(theta, g2, sigma, pa.cont) and ok
+                g2 = rebind(g, ta.cont)
+                # the binding pa.var overwrites is dropped, so it must be end
+                shadowed = TypeContext(tuple(b for b in g2.vars if b[0] == pa.var))
+                if not end_predicate(shadowed):
+                    ok = self.fail("LinearityViolation",
+                                   f"arm {key[0]}?{key[1]} binds {pa.var} over the "
+                                   "live binding " + render_context(shadowed), pa.span)
+                    continue
+                ok = self.check(theta, g2.with_var(pa.var, ta.payload), sigma,
+                                pa.cont) and ok
             if p.timeout is not None:
                 ok = self.check(theta, rebind(g, head.timeout), sigma, p.timeout) and ok
             return ok
@@ -326,42 +335,30 @@ class Checker:
         gl_eps, gr_eps = {}, {}
         ok = True
         for name, t in g.vars:
-            linear = not is_basic(t)
-            if linear and name in dl[2] and name in dr[2]:
+            if not is_basic(t) and name in dl[2] and name in dr[2]:
                 ok = self.fail("LinearityViolation",
                                f"session variable {name} used in both parallel "
                                "components", p.span)
                 continue
-            if name in dl[2]:
-                gl_vars[name] = t
-            if name in dr[2] and not (linear and name in dl[2]):
+            if name in dr[2]:
                 gr_vars[name] = t
-            if name not in dl[2] and name not in dr[2]:
-                gl_vars[name] = t  # leftover; end-typed vars are harmless
-        prefer_right = _buffer_only(p.left) and not _buffer_only(p.right)
+            if name in dl[2] or name not in dr[2]:
+                gl_vars[name] = t  # a binding neither side uses goes left
         for key, sbt in g.endpoints:
-            session = key[0]
-            buf_side = ("l" if session in dl[1] else
-                        "r" if session in dr[1] else None)
             if key in dl[0] and key in dr[0]:
                 ok = self.fail("LinearityViolation",
                                f"endpoint {key[0]}[{key[1]}] used in both parallel "
                                "components", p.span)
                 continue
-            ses_side = ("l" if key in dl[0] else
-                        "r" if key in dr[0] else
-                        ("r" if prefer_right else "l"))
+            ses_side = gr_eps if key in dr[0] else gl_eps
+            buf_side = (gl_eps if key[0] in dl[1] else
+                        gr_eps if key[0] in dr[1] else ses_side)
             if sbt.session is not None:
-                d = gl_eps if ses_side == "l" else gr_eps
-                d[key] = SessionBufferType((), sbt.session)
+                ses_side[key] = SessionBufferType((), sbt.session)
             if sbt.buffer or sbt.session is None:
-                side = buf_side or ses_side
-                d = gl_eps if side == "l" else gr_eps
-                cur = d.get(key)
-                if cur is not None:
-                    d[key] = SessionBufferType(sbt.buffer, cur.session)
-                else:
-                    d[key] = SessionBufferType(sbt.buffer, None)
+                cur = buf_side.get(key)
+                buf_side[key] = SessionBufferType(sbt.buffer,
+                                                  cur.session if cur else None)
         sl = {s for s in sigma if s in dl[1]}
         sr = {s for s in sigma if s in dr[1]}
         rest = sigma - sl - sr
@@ -382,7 +379,7 @@ class Checker:
             return self.fail("DanglingBufferTracker",
                              f"tracked session(s) {sorted(extra)} have no buffer",
                              p.span)
-        # expected buffer types per sender, consuming delegated endpoints
+        # expected buffer types per sender, consuming delegated values
         expected: dict = {}
         g2 = g
         ok = True
@@ -393,39 +390,25 @@ class Checker:
                                f"buffered value {P.render_value(e.value)} untyped",
                                p.span)
                 continue
-            if isinstance(e.value, P.Endpoint):
-                g2 = g2.without_endpoint((e.value.session, e.value.role))
+            g2 = _consume(e.value, vt, g2)
             expected.setdefault(e.frm, []).append(BufEntry(e.to, e.label, vt))
         if not ok:
             return False
+        # each sender's buffer half is consumed, its session half kept
         for frm in sorted(expected):
             key = (p.session, frm)
-            sbt = g2.endpoint(key)
-            have = sbt.buffer if sbt is not None else ()
-            if sbt is not None and sbt.session is not None:
-                return self.fail("BufferTypeMismatch",
-                                 f"{p.session}[{frm}] carries a session component on "
-                                 "the buffer side", p.span)
-            if not buffer_type_congruent(have, tuple(expected[frm]),
+            sbt = g2.endpoint(key) or SessionBufferType((), None)
+            if not buffer_type_congruent(sbt.buffer, tuple(expected[frm]),
                                          CongruenceMode.TOTAL_REORDER):
                 return self.fail("BufferTypeMismatch",
                                  f"buffer content of {p.session}[{frm}] does not match "
                                  "its buffer type", p.span)
-            g2 = g2.without_endpoint(key)
-        # leftovers: empty/collectable buffer bindings or end-typed residue
-        leftover_eps = {}
-        for key, sbt in g2.endpoints:
-            if sbt.session is not None:
-                if not isinstance(resolve(sbt.session), End) or sbt.buffer:
-                    return self.fail("LeftoverLinearBinding",
-                                     f"buffer discards live binding "
-                                     f"{key[0]}[{key[1]}]", p.span)
-            else:
-                leftover_eps[key] = sbt
-        gcg = TypeContext.of({}, leftover_eps)
-        if not gc_predicate(gcg):
-            return self.fail("BufferTypeMismatch",
-                             "leftover buffer bindings are not collectable", p.span)
+            g2 = g2.with_endpoint(key, SessionBufferType((), sbt.session))
+        ok, reason = split_end_gc(g2)
+        if not ok:
+            return self.fail("LeftoverLinearBinding",
+                             f"buffer leaves a residue that is not end or "
+                             f"collectable: {reason}", p.span)
         return True
 
 

@@ -1,6 +1,5 @@
-"""Typing contexts: end/gc predicates, the end/gc split, state keys."""
-from magpi.context import (TypeContext, context_key, end_predicate,
-                           gc_predicate, split_end_gc)
+"""Typing contexts: the end predicate, the end/gc split, state keys."""
+from magpi.context import TypeContext, context_key, end_predicate, split_end_gc
 from magpi.types import (Basic, BufEntry, CongruenceMode, END,
                          SessionBufferType, UNIT)
 from magpi import parse_session_text
@@ -44,25 +43,29 @@ def test_end_rejects_session_typed_variable():
     assert not end_predicate(g)
 
 
-# -- gc predicate -------------------------------------------------------------
+# -- gc part of the split -----------------------------------------------------
 
 
 def test_gc_accepts_orphan_basic_messages():
     # [DERIVED] undelivered basic-payload messages are discardable.
     g = ctx({}, {("s", "p"): sbt(None, BufEntry("q", "a", UNIT),
                                  BufEntry("r", "b", Basic("int")))})
-    assert gc_predicate(g)
+    ok, reason = split_end_gc(g)
+    assert ok, reason
 
 
 def test_gc_rejects_session_component():
+    # Collectable messages do not excuse the live session beside them.
     g = ctx({}, {("s", "p"): sbt(S("q!a().end"), BufEntry("q", "a", UNIT))})
-    assert not gc_predicate(g)
+    ok, reason = split_end_gc(g)
+    assert not ok and "non-end" in reason
 
 
 def test_gc_rejects_undelivered_delegation():
     # An in-flight endpoint would lose linearity if dropped.
     g = ctx({}, {("s", "p"): sbt(None, BufEntry("q", "a", S("r!b().end")))})
-    assert not gc_predicate(g)
+    ok, reason = split_end_gc(g)
+    assert not ok and "uncollectable" in reason
 
 
 def test_split_accepts_delegation_typed_elsewhere():

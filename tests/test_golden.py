@@ -1,6 +1,7 @@
-"""Golden `magpi verify` and `magpi simulate` outputs: every command below
-must print exactly the bytes (and exit with the code) recorded in
-`golden/verify.json` or `golden/simulate.json`, a `--dot` run must write
+"""Golden `magpi check`, `magpi verify` and `magpi simulate` outputs: every
+command below must print exactly the bytes (and exit with the code) recorded
+in `golden/check.json`, `golden/verify.json` or `golden/simulate.json`, a
+`--dot` run must write
 exactly the recorded graph, a scenario run exactly the recorded output and
 JSONL trace, and the `lts-export` JSON of each input must be the recorded
 text (graphs, scenario runs and traces are recorded by SHA-256).  The
@@ -12,7 +13,10 @@ explores, were made while the gate still explored its own graph, so they
 pin the gate and `verify` sharing one graph to that.  The simulate records were
 made with the simulator that rewrote the process tree for every enabled
 step, so they pin the seeded runs of the one that rewrites only the step
-it takes.
+it takes.  The check records were made with the typechecker that routed an
+unused endpoint to the side of a `|` that is not buffers only and checked a
+buffer's leftovers by a loop of its own, so they pin each accepted input's
+verdict and rule trace under the one leftover rule.
 
 Regenerate (only when a change of output is intended) with
 `PYTHONPATH=src python3 tests/test_golden.py`.
@@ -33,6 +37,7 @@ from magpi.lts import ExploreLimits, explore, export_lts
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "verify.json"
 GOLDEN_SIM = ROOT / "tests" / "golden" / "simulate.json"
+GOLDEN_CHECK = ROOT / "tests" / "golden" / "check.json"
 
 ALL = "safety,comm-rf,deadlock,terminating,live,never,tcp,bounded"
 NO_BOUNDED = "safety,comm-rf,deadlock,terminating,live,never,tcp"
@@ -43,6 +48,9 @@ SIM_FILES = ("fixtures/ping.magpi", "fixtures/dns.magpi",
              "fixtures/leader.magpi", "tests/golden/mesh.magpi",
              "tests/golden/mesh_loop.magpi")
 SIM_STEPS = "150"
+CHECK_FILES = SIM_FILES + ("tests/golden/explored_safety.magpi",)
+# a `check --json` output longer than this is recorded by its digest
+CHECK_VERBATIM = 8192
 
 
 def _commands() -> list:
@@ -113,6 +121,15 @@ def run(argv) -> dict:
     return {"exit": code, "stdout": out.getvalue()}
 
 
+def run_check(f: str) -> dict:
+    """Exit code and stdout of `check --json`; a long stdout (`leader`'s
+    rule trace) by its digest."""
+    got = run(("check", f, "--json"))
+    if len(got["stdout"]) > CHECK_VERBATIM:
+        got["stdout"] = digest(got["stdout"])
+    return got
+
+
 def run_dot(f: str) -> dict:
     """Exit code and stdout of a `--dot` run, and the digest of the graph
     it writes."""
@@ -166,6 +183,16 @@ def record_simulate() -> dict:
     return doc
 
 
+def record_check() -> dict:
+    return {f"check {f} --json": run_check(f) for f in CHECK_FILES}
+
+
+@pytest.fixture(scope="module")
+def golden_check():
+    with open(GOLDEN_CHECK, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 @pytest.fixture(scope="module")
 def golden():
     with open(GOLDEN, encoding="utf-8") as fh:
@@ -176,6 +203,11 @@ def golden():
 def golden_sim():
     with open(GOLDEN_SIM, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+@pytest.mark.parametrize("f", CHECK_FILES)
+def test_check_output_is_byte_identical(golden_check, f):
+    assert run_check(f) == golden_check[f"check {f} --json"]
 
 
 @pytest.mark.parametrize("argv", _commands(), ids=" ".join)
@@ -204,7 +236,8 @@ def test_simulate_scenario_run_is_byte_identical(golden_sim, cell):
 
 
 if __name__ == "__main__":
-    for path, doc in ((GOLDEN, record()), (GOLDEN_SIM, record_simulate())):
+    for path, doc in ((GOLDEN_CHECK, record_check()), (GOLDEN, record()),
+                      (GOLDEN_SIM, record_simulate())):
         path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
                         encoding="utf-8")
         print(f"wrote {path}")

@@ -165,6 +165,21 @@ def test_reject_call_arity():
     _expect_code(HEADER + "def X(x: int) = 0\nsystem = X()\n", "ArityMismatch")
 
 
+@pytest.mark.parametrize("source", [
+    HEADER + "def Y(c: q!n().end, c: int) = 0\nsystem = 0\n",
+    HEADER + "system = def Y(c: q!n().end, c: int) = 0 in 0\n",
+])
+def test_duplicate_def_parameter_is_reported_at_its_second_name(source):
+    # Binding both would keep only the last: the linear `c` would vanish.
+    with pytest.raises(MagpiError) as err:
+        parse(source)
+    line = source.count("\n", 0, source.index(", c:")) + 1
+    assert [(d.code, d.span.line, d.message) for d in err.value.diagnostics] == [
+        ("DuplicateParam", line, "parameter c of Y declared twice")]
+    with pytest.raises(MagpiError):
+        parse_process_text("def Y(c: int, c: int) = 0 in 0")
+
+
 def test_reject_duplicate_receive_arm():
     _expect_code(
         HEADER + "system = new s:{ p: end, q: end } in "

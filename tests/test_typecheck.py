@@ -1,14 +1,21 @@
-"""Typechecker: fixture acceptance, targeted rejections, linearity."""
+"""Typechecker: fixture acceptance, targeted rejections, linearity, and
+verdicts that do not depend on how a protocol is written."""
+import itertools
 import sys
+from dataclasses import replace
 
 import pytest
 
 from magpi import parse, parse_process_text, parse_session_text, typecheck_file
 from magpi import proc as P
+from magpi.cli import initial_context
 from magpi.context import TypeContext
+from magpi.lts import ExploreLimits
+from magpi.sim import RELIABLE, Config, FailureScenario, run
 from magpi.typecheck import Checker, _demands, typecheck
 from magpi.types import (Basic, BufEntry, Reliability, SessionBufferType,
                          UNIT)
+from magpi.verify import HOLDS, check_deadlock_free
 from tests.conftest import fixture_text, mesh_sources
 from tests.test_golden import FILES, ROOT
 
@@ -275,3 +282,134 @@ def test_channel_head_diagnostics(source, g, diagnostic):
     checker = Checker(Reliability.of({"p": {"q"}, "q": {"p"}}))
     assert not checker.check({}, g, set(), parse_process_text(source, roles={"p", "q"}))
     assert [d.render() for d in checker.failures] == ["error " + diagnostic]
+
+
+# -- leftovers: one rule whatever the order of `|` or the names bound -----------
+
+PROBE_HEADER = "protocol t\nroles p, q\nreliability { q: {p}, p: {q} }\n"
+
+# X hands its live parameter c to nothing: the process beside the buffer
+# neither uses it nor sends on t[p], so t[q] waits forever.
+LEFTOVER_BESIDE_BUFFER = PROBE_HEADER + """
+def X(c: q!m().end) = new s:{ p: end, q: end } in ( s:[] | 0 )
+system =
+  new t:{ p: q!m().end, q: &{ p?m().end } } in
+  ( X(t[p]) | t[q]&{ p?m().0 } | t:[] )
+"""
+
+# The received c overwrites the live parameter c, which is then never used.
+SHADOWED_BY_RECEIVE = PROBE_HEADER + """
+def Y(c: q!n().end) =
+  new u:{ p: q!k(unit).end, q: &{ p?k(unit).end } } in
+  ( u[q]&{ p?k(c: unit).0 } | u[p]!q:k().0 | u:[] )
+system =
+  new t:{ p: q!n().end, q: &{ p?n().end } } in
+  ( Y(t[p]) | t[q]&{ p?n().0 } | t:[] )
+"""
+
+PROBES = {
+    "leftover beside a buffer": LEFTOVER_BESIDE_BUFFER,
+    "leftover beside a buffer, swapped":
+        LEFTOVER_BESIDE_BUFFER.replace("( s:[] | 0 )", "( 0 | s:[] )"),
+    "leftover at a buffer": LEFTOVER_BESIDE_BUFFER.replace("( s:[] | 0 )", "s:[]"),
+    "shadowed by a receive": SHADOWED_BY_RECEIVE,
+    "not shadowed": SHADOWED_BY_RECEIVE.replace("p?k(c: unit)", "p?k(d: unit)"),
+}
+
+
+@pytest.mark.parametrize("name, code", [
+    ("leftover beside a buffer", "LeftoverLinearBinding"),
+    ("leftover beside a buffer, swapped", "EndPredicateFails"),
+    ("leftover at a buffer", "LeftoverLinearBinding"),
+    ("shadowed by a receive", "LinearityViolation"),
+    ("not shadowed", "EndPredicateFails"),
+])
+def test_a_dropped_linear_binding_is_rejected(name, code):
+    # Each probe deadlocks: its live binding is never used.  Where the
+    # binding is dropped decides the diagnostic, not the verdict.
+    report = typecheck_file(parse(PROBES[name]))
+    assert report.verdict == "rejected"
+    assert codes(report) == {code}, [d.render() for d in report.failures]
+
+
+def _subprocesses(p: P.Process, f) -> P.Process:
+    """p with f applied to each of its immediate subprocesses."""
+    if isinstance(p, P.Send):
+        return replace(p, cont=f(p.cont))
+    if isinstance(p, P.Branch):
+        return replace(p, arms=tuple(replace(a, cont=f(a.cont)) for a in p.arms),
+                       timeout=None if p.timeout is None else f(p.timeout))
+    if isinstance(p, (P.Choice, P.Par)):
+        return replace(p, left=f(p.left), right=f(p.right))
+    if isinstance(p, P.Restriction):
+        return replace(p, body=f(p.body))
+    if isinstance(p, P.Def):
+        return replace(p, body=f(p.body), cont=f(p.cont))
+    return p
+
+
+def swap_pars(p: P.Process) -> P.Process:
+    """p with the two sides of every parallel composition swapped."""
+    p = _subprocesses(p, swap_pars)
+    return replace(p, left=p.right, right=p.left) if isinstance(p, P.Par) else p
+
+
+def rename_received(p: P.Process, fresh=None) -> P.Process:
+    """p with every received variable renamed to a name bound nowhere else
+    (a prime cannot be written in a source)."""
+    fresh = fresh if fresh is not None else itertools.count()
+    if isinstance(p, P.Branch):
+        names = [f"{a.var}'{next(fresh)}" for a in p.arms]
+        p = replace(p, arms=tuple(
+            replace(a, var=n, cont=P.subst(a.cont, {a.var: P.Var(n)}))
+            for a, n in zip(p.arms, names)))
+    return _subprocesses(p, lambda q: rename_received(q, fresh))
+
+
+def _invariance_sources(monkeypatch) -> list:
+    sources = [fixture_text(n) for n in ("ping", "dns", "leader")]
+    sources += [(ROOT / f).read_text(encoding="utf-8") for f in FILES]
+    sources += [text for _, text in mesh_sources()]
+    sources += list(PROBES.values()) + [NESTED_BINDERS]
+    return sources + _typechecked_sources(monkeypatch)
+
+
+def _verdict_after(source: str, rewrite) -> tuple:
+    """(verdict of the source, verdict after rewriting its every process)."""
+    pf = parse(source)
+    rewritten = replace(pf, system=rewrite(pf.system), proc_defs=tuple(
+        replace(d, body=rewrite(d.body)) for d in pf.proc_defs))
+    return typecheck_file(pf).verdict, typecheck_file(rewritten).verdict
+
+
+@pytest.mark.parametrize("rewrite", [swap_pars, rename_received])
+def test_verdict_does_not_depend_on_how_the_process_is_written(monkeypatch, rewrite):
+    sources = _invariance_sources(monkeypatch)
+    changed = [s for s in sources
+               if len(set(_verdict_after(s, rewrite))) > 1]
+    assert changed == []
+    # the rewrite changes the processes it is given
+    probe = parse(LEFTOVER_BESIDE_BUFFER).system
+    assert rewrite(probe) != probe
+
+
+CROSS_CHECKED = dict({f: (ROOT / f).read_text(encoding="utf-8") for f in FILES},
+                     **PROBES)
+
+
+@pytest.mark.parametrize("name", list(CROSS_CHECKED))
+def test_accepted_deadlock_free_protocols_do_not_get_stuck(name):
+    # [PAPER] a well-typed system whose typing context is deadlock-free
+    # does not get stuck: no zero-fault run under the reliable policy ends
+    # with a process that can take no step.
+    pf = parse(CROSS_CHECKED[name])
+    if not typecheck_file(pf).accepted:
+        return
+    g0, session = initial_context(pf)
+    verdict = check_deadlock_free(g0, {session}, pf.reliability, ExploreLimits())
+    if verdict.status != HOLDS:
+        return
+    for seed in range(8):
+        trace = run(Config(pf.system_with_defs()), pf.reliability, RELIABLE,
+                    FailureScenario(), seed, 400)
+        assert not trace.stuck, (seed, P.render_process(trace.terminal.process))
