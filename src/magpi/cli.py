@@ -214,7 +214,8 @@ def cmd_simulate(args, out) -> int:
     doc = {
         "events": len(trace.events),
         "stuck": trace.stuck,
-        "inactive": P.is_inactive(trace.terminal.process),
+        "inactive": all(isinstance(q, P.Inaction)
+                        for _, q, _ in trace.terminal.running[0]),
         "terminal": P.render_process(P.canonical_process(trace.terminal.process,
                                                          scenario.reorder)),
         "monitors": [v.to_json() for v in violations],

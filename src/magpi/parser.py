@@ -160,6 +160,37 @@ class Parser:
                                          t.span)])
         return self.next()
 
+    def items(self, opening: str, closing: str, item) -> list:
+        """What `item()` parses for each entry of a comma-separated list
+        between the `opening` and `closing` tokens.  The list may be empty;
+        a comma ends no list."""
+        self.expect(opening)
+        out = [] if self.at(closing) else [item()]
+        while self.at(","):
+            self.next()
+            out.append(item())
+        self.expect(closing)
+        return out
+
+    def branch_arms(self, arm, timeout) -> tuple:
+        """The arms of a braced branching, and its timeout arm's
+        continuation or None; a second timeout arm is an error."""
+        arms, timeouts = [], []
+
+        def entry():
+            if self.at("KW", "timeout"):
+                t = self.next()
+                if timeouts:
+                    self.error("DuplicateTimeout", "branching has a second timeout arm",
+                               t.span)
+                self.expect(".")
+                timeouts.append(timeout())
+            else:
+                arms.append(arm())
+
+        self.items("{", "}", entry)
+        return tuple(arms), timeouts[0] if timeouts else None
+
     def error(self, code: str, msg: str, span: Span):
         self.diags.append(Diagnostic("error", code, msg, span))
 
@@ -191,29 +222,18 @@ class Parser:
         rel = {r: set() for r in roles}
         if self.at("KW", "reliability"):
             self.next()
-            self.expect("{")
-            while not self.at("}"):
-                rt = self.expect("IDENT")
-                role = self.check_role(rt)
+
+            def entry():
+                role = self.check_role(self.expect("IDENT"))
                 self.expect(":")
-                self.expect("{")
-                rset = set()
-                while not self.at("}"):
-                    ot = self.expect("IDENT")
-                    other = self.check_role(ot)
-                    if other == role:
-                        self.error("SelfReliance",
-                                   f"role {role} cannot appear in its own reliability set",
-                                   ot.span)
+                for ot in self.items("{", "}", lambda: self.expect("IDENT")):
+                    if self.check_role(ot) != role:
+                        rel.setdefault(role, set()).add(ot.text)
                     else:
-                        rset.add(other)
-                    if self.at(","):
-                        self.next()
-                self.expect("}")
-                rel.setdefault(role, set()).update(rset)
-                if self.at(","):
-                    self.next()
-            self.expect("}")
+                        self.error("SelfReliance", f"role {role} cannot appear in "
+                                   "its own reliability set", ot.span)
+
+            self.items("{", "}", entry)
         rel = {r: s for r, s in rel.items() if r in self.roles}
 
         proc_defs: list[ProcDecl] = []
@@ -263,18 +283,17 @@ class Parser:
     def parse_proc_decl(self) -> ProcDecl:
         start = self.expect("KW", "def")
         name = self.expect("IDENT").text
-        self.expect("(")
         params = []
-        while not self.at(")"):
+
+        def param():
             pt = self.expect("IDENT")
             if any(pt.text == n for n, _ in params):
                 self.error("DuplicateParam",
                            f"parameter {pt.text} of {name} declared twice", pt.span)
             self.expect(":")
             params.append((pt.text, self.parse_binder_type()))
-            if self.at(","):
-                self.next()
-        self.expect(")")
+
+        self.items("(", ")", param)
         self.expect("=")
         body = self.parse_par(set())
         return ProcDecl(name, tuple(params), body, start.span)
@@ -300,20 +319,11 @@ class Parser:
             node.body = self.parse_type(inner)
             return node
         if self.at("&") or self.at("+"):
-            sep = "?" if self.next().text == "&" else "!"
-            self.expect("{")
-            arms, timeout = [], None
-            while not self.at("}"):
-                if sep == "?" and self.at("KW", "timeout"):
-                    self.next()
-                    self.expect(".")
-                    timeout = self.parse_type(recs)
-                else:
-                    arms.append(self.parse_arm_type(recs, sep))
-                if self.at(","):
-                    self.next()
-            self.expect("}")
-            return TBranch(tuple(arms), timeout) if sep == "?" else Select(tuple(arms))
+            if self.next().text == "+":
+                return Select(tuple(self.items(
+                    "{", "}", lambda: self.parse_arm_type(recs, "!"))))
+            return TBranch(*self.branch_arms(lambda: self.parse_arm_type(recs, "?"),
+                                      lambda: self.parse_type(recs)))
         if t.kind == "IDENT":
             if self.at("!", ahead=1):
                 return Select((self.parse_arm_type(recs, "!"),))
@@ -430,17 +440,15 @@ class Parser:
                 self.error("ShadowedSession",
                            f"session {st.text!r} shadows an enclosing session", st.span)
             self.expect(":")
-            self.expect("{")
-            anns = []
-            while not self.at("}"):
+
+            def annotation():
                 role = self.check_role(self.expect("IDENT"))
                 self.expect(":")
                 ty = self.parse_type({})
                 self.validate(ty, st.span)
-                anns.append((role, ty))
-                if self.at(","):
-                    self.next()
-            self.expect("}")
+                return role, ty
+
+            anns = self.items("{", "}", annotation)
             self.expect("KW", "in")
             body = self.parse_par(sessions | {st.text})
             return Restriction(st.text, tuple(sorted(anns, key=lambda a: a[0])),
@@ -459,14 +467,7 @@ class Parser:
             # call: X( ... )
             if self.at("(", ahead=1):
                 self.next()
-                self.next()
-                args = []
-                while not self.at(")"):
-                    args.append(self.parse_value())
-                    if self.at(","):
-                        self.next()
-                self.expect(")")
-                return Call(t.text, tuple(args), t.span)
+                return Call(t.text, tuple(self.items("(", ")", self.parse_value)), t.span)
             ch = self.parse_value()
             if not isinstance(ch, (Var, Endpoint)):
                 raise MagpiError([Diagnostic("error", "SyntaxError",
@@ -484,33 +485,26 @@ class Parser:
                 return Send(ch, to, label, value, self.parse_prefix(sessions), t.span)
             if self.at("&"):
                 self.next()
-                self.expect("{")
-                arms, timeout = [], None
-                while not self.at("}"):
-                    if self.at("KW", "timeout"):
-                        self.next()
-                        self.expect(".")
-                        timeout = self.parse_prefix(sessions)
+
+                def arm():
+                    at = self.peek()
+                    frm = self.check_role(self.expect("IDENT"))
+                    self.expect("?")
+                    label = self.expect("IDENT").text
+                    self.expect("(")
+                    if self.at(")"):
+                        var, vty = "_", UNIT
                     else:
-                        at = self.peek()
-                        frm = self.check_role(self.expect("IDENT"))
-                        self.expect("?")
-                        label = self.expect("IDENT").text
-                        self.expect("(")
-                        if self.at(")"):
-                            var, vty = "_", UNIT
-                        else:
-                            var = self.expect("IDENT").text
-                            self.expect(":")
-                            vty = self.parse_binder_type()
-                        self.expect(")")
-                        self.expect(".")
-                        arms.append(RecvArm(frm, label, var, vty,
-                                            self.parse_prefix(sessions), at.span))
-                    if self.at(","):
-                        self.next()
-                self.expect("}")
-                return Branch(ch, tuple(arms), timeout, t.span)
+                        var = self.expect("IDENT").text
+                        self.expect(":")
+                        vty = self.parse_binder_type()
+                    self.expect(")")
+                    self.expect(".")
+                    return RecvArm(frm, label, var, vty, self.parse_prefix(sessions),
+                                   at.span)
+
+                arms, timeout = self.branch_arms(arm, lambda: self.parse_prefix(sessions))
+                return Branch(ch, arms, timeout, t.span)
             raise MagpiError([Diagnostic("error", "SyntaxError",
                                          f"expected '!', '&', ':' or '(' after {t.text!r}",
                                          self.peek().span)])
@@ -519,9 +513,7 @@ class Parser:
                                      t.span)])
 
     def parse_buffer(self, name: Token) -> Process:
-        self.expect("[")
-        entries = []
-        while not self.at("]"):
+        def message():
             self.expect("(")
             frm = self.check_role(self.expect("IDENT"))
             self.expect(",")
@@ -532,11 +524,9 @@ class Parser:
             self.expect("(")
             value = UNIT_VAL if self.at(")") else self.parse_value()
             self.expect(")")
-            entries.append(BufMsg(frm, to, label, value))
-            if self.at(","):
-                self.next()
-        self.expect("]")
-        return Buffer(name.text, tuple(entries), name.span)
+            return BufMsg(frm, to, label, value)
+
+        return Buffer(name.text, tuple(self.items("[", "]", message)), name.span)
 
 
 def parse(source: str) -> ProtocolFile:

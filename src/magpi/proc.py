@@ -1,5 +1,9 @@
-"""Process syntax: values, processes, well-formedness and structural
-congruence.
+"""Process syntax: values, processes, what a term holds, substitution,
+well-formedness and structural congruence.
+
+`demands` is the one walk that answers which endpoints, unbound buffers and
+free variables a term holds; typing splits Γ at `|` by it and
+well-formedness reads it.  `subst` is the other walk that tracks binders.
 
 Processes are immutable and hashable so explored states can be deduplicated.
 Source spans ride along as non-comparing fields; two processes that differ
@@ -181,69 +185,44 @@ def children(p: Process) -> tuple:
     return ()
 
 
-def subterms(p: Process) -> list:
-    """Every subterm of p, p included, in pre-order with children left to
-    right."""
-    out: list = []
-    _preorder(p, out)
-    return out
-
-
-def _preorder(p: Process, out: list) -> None:
-    # Recursion depth is the term's nesting depth, as in the other walkers
-    # here.
-    out.append(p)
-    for c in children(p):
-        _preorder(c, out)
-
-
-def node_values(p: Process) -> tuple:
-    """The values the node p itself carries, in source order; its
-    subterms' values are not included."""
-    if isinstance(p, Send):
-        return (p.ch, p.value)
-    if isinstance(p, Branch):
-        return (p.ch,)
-    if isinstance(p, Call):
-        return p.args
-    if isinstance(p, Buffer):
-        return tuple(e.value for e in p.entries)
-    return ()
-
-
-def free_vars(p: Process) -> frozenset:
-    """Free value variables of a process."""
-
-    def vv(v: Value) -> frozenset:
-        return frozenset([v.name]) if isinstance(v, Var) else frozenset()
-
-    if isinstance(p, Send):
-        return vv(p.ch) | vv(p.value) | free_vars(p.cont)
-    if isinstance(p, Branch):
-        out = vv(p.ch)
-        for a in p.arms:
-            out |= free_vars(a.cont) - {a.var}
-        if p.timeout is not None:
-            out |= free_vars(p.timeout)
-        return out
-    if isinstance(p, (Choice, Par)):
-        return free_vars(p.left) | free_vars(p.right)
-    if isinstance(p, Restriction):
-        return free_vars(p.body)
-    if isinstance(p, Def):
-        bound = {v for v, _ in p.params}
-        return (free_vars(p.body) - bound) | free_vars(p.cont)
-    if isinstance(p, Call):
-        out = frozenset()
-        for a in p.args:
-            out |= vv(a)
-        return out
-    if isinstance(p, Buffer):
-        out = frozenset()
-        for e in p.entries:
-            out |= vv(e.value)
-        return out
-    return frozenset()
+def demands(p: Process) -> tuple:
+    """What p holds, found by one pre-order walk with children left to
+    right: the (session, role) of each endpoint it names, the buffers of
+    the sessions no restriction in p binds, and each variable no receive
+    arm or `def` parameter in p binds, each list in walk order and with
+    repeats.  `def` bodies count."""
+    endpoints, buffers, free = [], [], []
+    todo = [(p, frozenset(), frozenset())]  # (term, bound sessions, bound vars)
+    while todo:
+        q, sessions, names = todo.pop()
+        values = ()
+        if isinstance(q, Send):
+            values = (q.ch, q.value)
+            todo.append((q.cont, sessions, names))
+        elif isinstance(q, Branch):
+            values = (q.ch,)
+            if q.timeout is not None:
+                todo.append((q.timeout, sessions, names))
+            todo += [(a.cont, sessions, names | {a.var}) for a in reversed(q.arms)]
+        elif isinstance(q, (Choice, Par)):
+            todo += [(q.right, sessions, names), (q.left, sessions, names)]
+        elif isinstance(q, Restriction):
+            todo.append((q.body, sessions | {q.session}, names))
+        elif isinstance(q, Def):
+            todo += [(q.cont, sessions, names),
+                     (q.body, sessions, names | {v for v, _ in q.params})]
+        elif isinstance(q, Call):
+            values = q.args
+        elif isinstance(q, Buffer):
+            if q.session not in sessions:
+                buffers.append(q)
+            values = tuple(e.value for e in q.entries)
+        for v in values:
+            if isinstance(v, Endpoint):
+                endpoints.append((v.session, v.role))
+            elif isinstance(v, Var) and v.name not in names:
+                free.append(v.name)
+    return endpoints, buffers, free
 
 
 def subst(p: Process, sub: dict) -> Process:
@@ -292,20 +271,6 @@ def well_formed(p: Process, defs: dict | None = None) -> list[Diagnostic]:
     declarations may be mutually recursive."""
     diags: list[Diagnostic] = []
 
-    def buffer_sessions(q: Process) -> list[str]:
-        if isinstance(q, Buffer):
-            return [q.session]
-        if isinstance(q, Restriction):
-            return [s for s in buffer_sessions(q.body) if s != q.session]
-        out = []
-        for c in children(q):
-            out.extend(buffer_sessions(c))
-        return out
-
-    def endpoints(q: Process) -> list[Endpoint]:
-        return [v for r in subterms(q) for v in node_values(r)
-                if isinstance(v, Endpoint)]
-
     def walk(q: Process, defs: dict):
         if isinstance(q, Restriction):
             roles = [r for r, _ in q.annotations]
@@ -313,8 +278,8 @@ def well_formed(p: Process, defs: dict | None = None) -> list[Diagnostic]:
                 diags.append(Diagnostic("error", "DuplicateRole",
                                         f"role {r} annotated twice on session {q.session}",
                                         q.span))
-            bufs = buffer_sessions(q.body)
-            n = sum(1 for s in bufs if s == q.session)
+            eps, bufs, _ = demands(q.body)
+            n = sum(1 for b in bufs if b.session == q.session)
             if n == 0:
                 diags.append(Diagnostic("error", "MissingBuffer",
                                         f"session {q.session} has no buffer process",
@@ -324,10 +289,10 @@ def well_formed(p: Process, defs: dict | None = None) -> list[Diagnostic]:
                                         f"session {q.session} has {n} buffer processes",
                                         q.span))
             annotated = set(roles)
-            for ep in endpoints(q.body):
-                if ep.session == q.session and ep.role not in annotated:
+            for s, r in eps:
+                if s == q.session and r not in annotated:
                     diags.append(Diagnostic("error", "UnknownRole",
-                                            f"endpoint {ep.session}[{ep.role}] uses a role "
+                                            f"endpoint {s}[{r}] uses a role "
                                             "missing from the session annotation", q.span))
             walk(q.body, defs)
         elif isinstance(q, Branch):
@@ -359,7 +324,7 @@ def well_formed(p: Process, defs: dict | None = None) -> list[Diagnostic]:
                 walk(c, defs)
 
     walk(p, dict(defs) if defs else {})
-    for v in sorted(free_vars(p)):
+    for v in sorted(set(demands(p)[2])):
         diags.append(Diagnostic("error", "UnboundVar",
                                 f"unbound variable {v} in system"))
     return diags
@@ -432,26 +397,6 @@ def buffer_keys(entries: tuple) -> list:
     """Each runtime entry's (channel, message) for the buffer congruence:
     its (sender, recipient) pair, and its label and rendered value."""
     return [((e.frm, e.to), (e.label, render_value(e.value))) for e in entries]
-
-
-def is_inactive(p: Process) -> bool:
-    """Whether a process is structurally congruent to inaction.  Terminated
-    sessions may leave a restriction over a buffer behind; that residue still
-    counts as inactive, and so does a finished process under definitions.
-    Canonical ordering and the dropping of inaction units decide nothing
-    here, so the process is walked as it is."""
-    todo = [p]
-    while todo:
-        q = todo.pop()
-        if isinstance(q, Restriction):
-            todo.append(q.body)
-        elif isinstance(q, Def):
-            todo.append(q.cont)
-        elif isinstance(q, Par):
-            todo += (q.left, q.right)
-        elif not isinstance(q, (Inaction, Buffer)):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

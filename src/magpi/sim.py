@@ -331,7 +331,7 @@ def run(c0: Config, r: Reliability, policy: str, scenario: FailureScenario,
         if not live:
             # Zero-weight steps can only be drops of orphaned messages whose
             # receiver already finished; those do not make the run stuck.
-            stuck = not P.is_inactive(cfg.process)
+            stuck = any(not isinstance(q, P.Inaction) for _, q, _ in cfg.running[0])
             break
         total = sum(s.weight for s in live)
         pick = rng.random() * total

@@ -1,10 +1,11 @@
 """Syntax-directed typechecking of processes against typing contexts.
 
 Context splitting at parallel composition is by demand alone: each side
-receives the bindings of its free variables and endpoints.  A
-session-buffer binding splits component-wise: the session half goes to the
-side using the endpoint, the buffer half to the side holding the session's
-buffer process.  A binding neither side demands goes to the left, whatever
+receives the bindings of the free variables and endpoints it holds
+(`proc.demands`, local `def` bodies included).  A session-buffer binding
+splits component-wise: the session half goes to the side using the
+endpoint, the buffer half to the side holding the session's buffer
+process.  A binding neither side demands goes to the left, whatever
 the sides are.  Every leaf discharges what it is handed by one rule: an
 inaction or a call requires end(Γ) of what is left after its arguments,
 and a buffer consumes each sender's buffer half and requires the rest to
@@ -46,65 +47,19 @@ class TypingReport:
         }
 
 
-# ---------------------------------------------------------------------------
-# demand analysis
-
-
-def _demands(p: P.Process):
-    """(channels, buffer sessions, vars) a process requires from the context."""
-
-    chans: set = set()
-    bufs: set = set()
-
-    def val(v):
-        if isinstance(v, P.Endpoint):
-            chans.add((v.session, v.role))
-
-    def walk(q, bound_sessions):
-        if isinstance(q, P.Send):
-            val(q.ch)
-            val(q.value)
-            walk(q.cont, bound_sessions)
-        elif isinstance(q, P.Branch):
-            val(q.ch)
-            for a in q.arms:
-                walk(a.cont, bound_sessions)
-            if q.timeout is not None:
-                walk(q.timeout, bound_sessions)
-        elif isinstance(q, (P.Choice, P.Par)):
-            walk(q.left, bound_sessions)
-            walk(q.right, bound_sessions)
-        elif isinstance(q, P.Restriction):
-            walk(q.body, bound_sessions | {q.session})
-        elif isinstance(q, P.Def):
-            walk(q.cont, bound_sessions)
-        elif isinstance(q, P.Call):
-            for a in q.args:
-                val(a)
-        elif isinstance(q, P.Buffer):
-            if q.session not in bound_sessions:
-                bufs.add(q.session)
-            for e in q.entries:
-                val(e.value)
-
-    walk(p, set())
-    return chans, bufs, set(P.free_vars(p))
-
-
 def restriction_context(rest: P.Restriction, g: TypeContext) -> TypeContext:
     """g with the restricted session's annotated endpoints, seeded with the
     types of its initial in-transit messages.  Only literal payloads can seed
     a buffer type; other values are left for the buffer rule to reject."""
     for role, ty in rest.annotations:
         g = g.with_endpoint((rest.session, role), SessionBufferType((), ty))
-    for q in P.subterms(rest.body):
-        if isinstance(q, P.Buffer) and q.session == rest.session:
-            for e in q.entries:
-                if isinstance(e.value, P.Lit):
-                    cur = g.endpoint((rest.session, e.frm)) or SessionBufferType((), None)
-                    entry = BufEntry(e.to, e.label, Basic(e.value.kind))
-                    g = g.with_endpoint((rest.session, e.frm), SessionBufferType(
-                        cur.buffer + (entry,), cur.session))
+    for buf in P.demands(rest.body)[1]:
+        for e in buf.entries:
+            if buf.session == rest.session and isinstance(e.value, P.Lit):
+                cur = g.endpoint((rest.session, e.frm)) or SessionBufferType((), None)
+                entry = BufEntry(e.to, e.label, Basic(e.value.kind))
+                g = g.with_endpoint((rest.session, e.frm), SessionBufferType(
+                    cur.buffer + (entry,), cur.session))
     return g
 
 
@@ -315,16 +270,18 @@ class Checker:
     # -- parallel splitting
 
     def demands(self, p: P.Process) -> tuple:
-        """`_demands(p)`, computed once per subtree in a run: a Par's are
-        the union of its two sides', so each thread of a parallel
-        composition is walked once however many Pars enclose it."""
+        """The sets of endpoints, buffer sessions and free variables of
+        `P.demands(p)`, computed once per subtree in a run: a Par's are the
+        union of its two sides', so each thread of a parallel composition
+        is walked once however many Pars enclose it."""
         got = self._demanded.get(id(p))
         if got is None:
             if isinstance(p, P.Par):
                 left, right = self.demands(p.left), self.demands(p.right)
                 d = tuple(a | b for a, b in zip(left, right))
             else:
-                d = _demands(p)
+                eps, bufs, free = P.demands(p)
+                d = (set(eps), {b.session for b in bufs}, set(free))
             # the process is kept with its demands, so its id stays its own
             got = self._demanded[id(p)] = (p, d)
         return got[1]

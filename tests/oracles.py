@@ -1,8 +1,9 @@
 """Reference oracles for the tests: exhaustive small-step expansion of a
 process, the type-level image of a process step (the subject-reduction
-harness) and a trace event's detail as a dict, and exact graph-shape
-equality of types, processes and protocol files (the round-trip law of the
-printer).  No command runs them."""
+harness) and a trace event's detail as a dict, the separate process walks
+that `proc.demands` merges, and exact graph-shape equality of types,
+processes and protocol files (the round-trip law of the printer).  No
+command runs them."""
 from collections import deque
 
 from magpi import proc as P
@@ -90,6 +91,81 @@ def mirror_on_context(g: TypeContext, event: TraceEvent) -> TypeContext:
         return g.with_endpoint(key, SessionBufferType(
             sbt.buffer[:idx] + sbt.buffer[idx + 1:], sbt.session))
     return g  # choice and call leave the context unchanged
+
+
+# ---------------------------------------------------------------------------
+# process walks, one per question `proc.demands` answers
+
+
+def subterms(p: P.Process) -> list:
+    """Every subterm of p, p included, in pre-order with children left to
+    right."""
+    out: list = []
+    _preorder(p, out)
+    return out
+
+
+def _preorder(p: P.Process, out: list) -> None:
+    out.append(p)
+    for c in P.children(p):
+        _preorder(c, out)
+
+
+def node_values(p: P.Process) -> tuple:
+    """The values the node p itself carries, in source order; its
+    subterms' values are not included."""
+    if isinstance(p, P.Send):
+        return (p.ch, p.value)
+    if isinstance(p, P.Branch):
+        return (p.ch,)
+    if isinstance(p, P.Call):
+        return p.args
+    if isinstance(p, P.Buffer):
+        return tuple(e.value for e in p.entries)
+    return ()
+
+
+def endpoints(p: P.Process) -> list:
+    """The (session, role) of every endpoint p names, in pre-order."""
+    return [(v.session, v.role) for q in subterms(p) for v in node_values(q)
+            if isinstance(v, P.Endpoint)]
+
+
+def buffer_sessions(p: P.Process) -> list:
+    """The session of every buffer in p that no restriction in p binds, in
+    pre-order."""
+    if isinstance(p, P.Buffer):
+        return [p.session]
+    if isinstance(p, P.Restriction):
+        return [s for s in buffer_sessions(p.body) if s != p.session]
+    return [s for c in P.children(p) for s in buffer_sessions(c)]
+
+
+def free_vars(p: P.Process) -> frozenset:
+    """Free value variables of a process."""
+
+    def vv(v: P.Value) -> frozenset:
+        return frozenset([v.name]) if isinstance(v, P.Var) else frozenset()
+
+    if isinstance(p, P.Send):
+        return vv(p.ch) | vv(p.value) | free_vars(p.cont)
+    if isinstance(p, P.Branch):
+        out = vv(p.ch)
+        for a in p.arms:
+            out |= free_vars(a.cont) - {a.var}
+        if p.timeout is not None:
+            out |= free_vars(p.timeout)
+        return out
+    if isinstance(p, (P.Choice, P.Par)):
+        return free_vars(p.left) | free_vars(p.right)
+    if isinstance(p, P.Restriction):
+        return free_vars(p.body)
+    if isinstance(p, P.Def):
+        bound = {v for v, _ in p.params}
+        return (free_vars(p.body) - bound) | free_vars(p.cont)
+    if isinstance(p, (P.Call, P.Buffer)):
+        return frozenset().union(*map(vv, node_values(p)))
+    return frozenset()
 
 
 # ---------------------------------------------------------------------------

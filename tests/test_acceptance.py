@@ -300,10 +300,12 @@ def test_criterion_7_exhaustive_oracle_matches_termination():
         if key in seen:
             continue
         seen.add(key)
-        steps = [s for s in enabled_steps(Config(proc, 0), pf.reliability,
-                                          RELIABLE, CALM) if s.weight > 0]
+        c = Config(proc, 0)
+        steps = [s for s in enabled_steps(c, pf.reliability, RELIABLE, CALM)
+                 if s.weight > 0]
         if not steps:
-            ok = ok and P.is_inactive(proc) and key in oracle
+            ok = (ok and all(isinstance(q, P.Inaction) for _, q, _ in c.running[0])
+                  and key in oracle)
         frontier.extend(s.process for s in steps)
 
     g0, sess = initial_context(pf)

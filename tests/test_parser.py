@@ -232,6 +232,64 @@ def test_session_payload_is_validated_where_it_is_written(payload, code):
             == [(code, line, col)], source
 
 
+def test_second_timeout_arm_is_reported_at_its_keyword():
+    # A later timeout arm used to replace the earlier one, and with it the
+    # q!bye() continuation.
+    ty = "&{ q?a(). end, timeout. q!bye(). end, timeout. end }"
+    proc = "s[p]&{ q?a().0, timeout. s[p]!q:bye().0, timeout. 0 }"
+    for parse_text, text in ((parse_session_text, ty), (parse_process_text, proc)):
+        with pytest.raises(MagpiError) as err:
+            parse_text(text, roles=ROLES)
+        col = text.rindex("timeout") + 1
+        assert [(d.code, d.span.line, d.span.col) for d in err.value.diagnostics] \
+            == [("DuplicateTimeout", 1, col)], text
+    source = (HEADER + f"type S @ p = {ty}\n"
+              "system = new s:{ p: S, q: &{ p?bye().end } } in\n"
+              f"  ( {proc} | s[q]&{{ p?bye().0 }} | s:[] )\n")
+    with pytest.raises(MagpiError) as err:
+        parse(source)
+    assert [(d.code, d.span.line) for d in err.value.diagnostics] == [
+        ("DuplicateTimeout", 3), ("DuplicateTimeout", 5)]
+
+
+# Each bracketed list of the grammar: a file with "%s" where the list's
+# entries go, and two entries.
+_LISTS = {
+    "reliability entries": ("reliability {%s}\nsystem = 0\n", ["p: {q}", "q: {p}"]),
+    "reliability set": ("reliability { p: {%s} }\nsystem = 0\n", ["q", "r"]),
+    "branching type arms": ("type T @ p = &{%s}\nsystem = 0\n",
+                            ["q?a().end", "timeout. end"]),
+    "selection type arms": ("type T @ p = +{%s}\nsystem = 0\n", ["q!a().end", "q!b().end"]),
+    "new annotations": ("system = new s:{%s} in s:[]\n", ["p: end", "q: end"]),
+    "def parameters": ("def X(%s) = 0\nsystem = 0\n", ["x: int", "y: int"]),
+    "call arguments": ("def X(x: int, y: int) = 0\nsystem = X(%s)\n", ["1", "2"]),
+    "receive arms": ("system = new s:{ p: &{ q?a().end, timeout. end }, q: end } in\n"
+                     "  ( s[p]&{%s} | s:[] )\n", ["q?a().0", "timeout. 0"]),
+    "buffer entries": ("system = new s:{ p: end, q: end } in s:[%s]\n",
+                       ["(p,q)!a()", "(q,p)!b(1)"]),
+}
+
+
+@pytest.mark.parametrize("kind", list(_LISTS))
+def test_list_entries_need_a_comma_between_them_and_none_after(kind):
+    # `{q r}` used to read as `{q, r}`, and `{q, r,}` as `{q, r}`.
+    template, entries = _LISTS[kind]
+    header = "protocol t\nroles p, q, r\n"
+    parse(header + template % ", ".join(entries))
+    start = len(header) + template.index("%s")
+    missing = template % " ".join(entries)
+    trailing = template % (", ".join(entries) + ",")
+    for text, offset in ((missing, start + len(entries[0]) + 1),
+                         (trailing, start + len(", ".join(entries)) + 1)):
+        source = header + text
+        with pytest.raises(MagpiError) as err:
+            parse(source)
+        line = source.count("\n", 0, offset) + 1
+        col = offset - source.rfind("\n", 0, offset)
+        assert [(d.code, d.span.line, d.span.col) for d in err.value.diagnostics] \
+            == [("SyntaxError", line, col)], source
+
+
 def test_syntax_error_has_position():
     with pytest.raises(MagpiError) as err:
         parse("protocol t\nroles p q\nsystem = 0\n")

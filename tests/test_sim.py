@@ -16,13 +16,12 @@ import magpi.proc as P
 from magpi import parse, sim
 from magpi.cli import main
 from magpi.proc import (Branch, Buffer, Endpoint, Inaction, Par, Process,
-                        RecvArm, Restriction, canonical_process, is_inactive,
-                        render_process)
+                        RecvArm, Restriction, canonical_process, render_process)
 from magpi.sim import (Config, FailureScenario, RELIABLE, Trace, TraceEvent,
                        UNRESTRICTED, enabled_steps, monitor_corollaries, run)
 from magpi.types import END, Reliability, UNIT, buffer_heads
 from tests.conftest import fixture_file, fixture_text
-from tests.oracles import detail_dict, exhaustive_small_step_oracle
+from tests.oracles import detail_dict, exhaustive_small_step_oracle, subterms
 from tests.test_golden import scenario as golden_scenario
 
 CALM = FailureScenario()
@@ -168,10 +167,11 @@ def test_oracle_terminals_all_inactive_without_failures():
         if key in seen:
             continue
         seen.add(key)
-        steps = [s for s in enabled_steps(Config(proc, 0), pf.reliability,
-                                          RELIABLE, CALM) if s.weight > 0]
+        c = Config(proc, 0)
+        steps = [s for s in enabled_steps(c, pf.reliability, RELIABLE, CALM)
+                 if s.weight > 0]
         if not steps:
-            assert is_inactive(proc), key
+            assert all(isinstance(q, Inaction) for _, q, _ in c.running[0]), key
             assert key in oracle
         frontier.extend(s.process for s in steps)
 
@@ -305,7 +305,7 @@ def test_tcp_terminal_keeps_each_channel_in_order(tmp_path):
     printed = json.loads(out.getvalue())["terminal"]
     trace = run(cfg(pf), pf.reliability, RELIABLE, FailureScenario.from_json(doc),
                 seed=42, max_steps=300)
-    buffers = [q for q in P.subterms(trace.terminal.process) if isinstance(q, Buffer)]
+    buffers = [q for q in subterms(trace.terminal.process) if isinstance(q, Buffer)]
     assert len(buffers) == 1
     text = printed[printed.index(f"{buffers[0].session}:[") + 3:]
     shown = {}

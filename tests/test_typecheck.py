@@ -12,10 +12,11 @@ from magpi.cli import initial_context
 from magpi.context import TypeContext
 from magpi.lts import ExploreLimits
 from magpi.sim import RELIABLE, Config, FailureScenario, run
-from magpi.typecheck import Checker, _demands, typecheck
+from magpi.typecheck import Checker, typecheck
 from magpi.types import (Basic, BufEntry, Reliability, SessionBufferType,
                          UNIT)
 from magpi.verify import HOLDS, check_deadlock_free
+from tests import oracles
 from tests.conftest import fixture_text, mesh_sources
 from tests.test_golden import FILES, ROOT
 
@@ -216,23 +217,37 @@ def _typechecked_sources(monkeypatch) -> list:
     return seen
 
 
+def _demand_sets(q: P.Process) -> tuple:
+    eps, bufs, free = P.demands(q)
+    return set(eps), {b.session for b in bufs}, set(free)
+
+
 def test_par_demands_are_the_union_of_their_sides(monkeypatch):
     sources = [(ROOT / f).read_text(encoding="utf-8") for f in FILES]
     sources += [fixture_text("leader"), NESTED_BINDERS]
     sources += [text for _, text in mesh_sources()]
     sources += _typechecked_sources(monkeypatch)
-    pars = 0
+    pars = defs = 0
     for source in sources:
         pf = parse(source)
         checker = Checker(pf.reliability)
         for top in [d.body for d in pf.proc_defs] + [pf.system]:
-            for q in P.subterms(top):
+            for q in oracles.subterms(top):
+                # each list of `demands` is that of the walker it replaced
+                eps, bufs, free = P.demands(q)
+                assert eps == oracles.endpoints(q), source
+                assert [b.session for b in bufs] == oracles.buffer_sessions(q), source
+                assert set(free) == oracles.free_vars(q), source
+                if isinstance(q, P.Def) and (oracles.endpoints(q.body)
+                                             or oracles.buffer_sessions(q.body)):
+                    defs += 1
                 if isinstance(q, P.Par):
+                    assert checker.demands(q) == _demand_sets(q), source
+                    assert Checker(pf.reliability).demands(q) == _demand_sets(q), source
                     pars += 1
-                    assert checker.demands(q) == _demands(q), source
-                    assert Checker(pf.reliability).demands(q) == _demands(q), source
     assert pars > 50
-    _, bufs, free = _demands(parse(NESTED_BINDERS).system.body)
+    assert defs >= 2  # `def` bodies holding an enclosing session's endpoint or buffer
+    _, bufs, free = _demand_sets(parse(NESTED_BINDERS).system.body)
     assert bufs == {"s"}
     assert not free & {"c", "n", "x", "y"}
 
@@ -330,6 +345,41 @@ def test_a_dropped_linear_binding_is_rejected(name, code):
     report = typecheck_file(parse(PROBES[name]))
     assert report.verdict == "rejected"
     assert codes(report) == {code}, [d.render() for d in report.failures]
+
+
+# -- a `def` body holds what it names --------------------------------------------
+#
+# A local definition's body is typed under its parameters alone, yet `|`
+# hands an enclosing session's endpoint or buffer that the body names to the
+# side holding the definition.  Each probe is rejected; the diagnostics pin
+# where.
+
+DEF_BODY_HEADER = PROBE_HEADER + """type Sp @ p = q!a(int).end
+type Sq @ q = p?a(int).end
+system = new s:{ p: Sp, q: Sq } in
+"""
+
+DEF_BODY_PROBES = [
+    # the endpoint on both sides: neither side is handed it
+    ("  ( s[p]!q:a(1).0 | (def F() = s[p]!q:a(2).0 in F()) | s[q]&{ p?a(x:int).0 } "
+     "| s:[] )", [("LinearityViolation", 19), ("UnknownChannel", 5),
+                  ("UnknownChannel", 32)]),
+    # the endpoint only in the body: the call is handed it and leaves it
+    ("  ( s[q]&{ p?a(x:int).0 } | (def F() = s[p]!q:a(2).0 in F()) | s:[] )",
+     [("UnknownChannel", 40), ("LeftoverLinearBinding", 57)]),
+    # the buffer only in the body, on the right and on the left
+    ("  ( s[p]!q:a(1).0 | s[q]&{ p?a(x:int).0 } | (def F() = s:[] in F()) )",
+     [("DuplicateSessionBuffer", 56), ("DanglingBufferTracker", 64)]),
+    ("  ( (def F() = s:[] in F()) | s[p]!q:a(1).0 | s[q]&{ p?a(x:int).0 } )",
+     [("DuplicateSessionBuffer", 16), ("DanglingBufferTracker", 24)]),
+]
+
+
+def test_a_def_body_holds_the_endpoints_and_buffers_it_names():
+    for system, expected in DEF_BODY_PROBES:
+        report = check_text(DEF_BODY_HEADER + system + "\n")
+        assert [(d.code, d.span.line, d.span.col) for d in report.failures] \
+            == [(code, 7, col) for code, col in expected], system
 
 
 def _subprocesses(p: P.Process, f) -> P.Process:
