@@ -15,7 +15,6 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from magpi import (Config, FailureScenario, monitor_corollaries, parse, run)
-from magpi.proc import Inaction
 from magpi.sim import RELIABLE
 
 
@@ -44,7 +43,7 @@ def main() -> int:
                      args.seed_base + k, args.steps)
             if tr.stuck:
                 stuck += 1
-            elif all(isinstance(q, Inaction) for _, q, _ in tr.terminal.running[0]):
+            elif tr.terminal.inactive:
                 finished += 1
             else:
                 budget += 1

@@ -26,7 +26,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from magpi import parse  # noqa: E402
-from magpi.proc import Inaction, canonical_process, render_process  # noqa: E402
+from magpi.proc import canonical_process, render_process  # noqa: E402
 from magpi.sim import (Config, FailureScenario, RELIABLE, UNRESTRICTED,  # noqa: E402
                        monitor_corollaries, run)
 from test_golden import SIM_FILES, scenario  # noqa: E402
@@ -55,8 +55,7 @@ def run_record(pf, doc: dict, policy: str, seed: int, configs: bool) -> bytes:
     fields = {
         "events": len(trace.events),
         "stuck": trace.stuck,
-        "inactive": all(isinstance(q, Inaction)
-                        for _, q, _ in trace.terminal.running[0]),
+        "inactive": trace.terminal.inactive,
         "terminal": render_process(canonical_process(trace.terminal.process,
                                                      scen.reorder)),
         "monitors": [v.to_json()

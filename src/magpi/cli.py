@@ -214,8 +214,7 @@ def cmd_simulate(args, out) -> int:
     doc = {
         "events": len(trace.events),
         "stuck": trace.stuck,
-        "inactive": all(isinstance(q, P.Inaction)
-                        for _, q, _ in trace.terminal.running[0]),
+        "inactive": trace.terminal.inactive,
         "terminal": P.render_process(P.canonical_process(trace.terminal.process,
                                                          scenario.reorder)),
         "monitors": [v.to_json() for v in violations],

@@ -1,9 +1,10 @@
 """Process syntax: values, processes, what a term holds, substitution,
 well-formedness and structural congruence.
 
-`demands` is the one walk that answers which endpoints, unbound buffers and
-free variables a term holds; typing splits Γ at `|` by it and
-well-formedness reads it.  `subst` is the other walk that tracks binders.
+`demands` is the one walk that answers what a term holds: the endpoints
+and buffers of the sessions it does not bind, and its free variables.
+Typing splits Γ at `|` by it and well-formedness reads it.  `subst` is
+the other walk that tracks binders.
 
 Processes are immutable and hashable so explored states can be deduplicated.
 Source spans ride along as non-comparing fields; two processes that differ
@@ -187,10 +188,10 @@ def children(p: Process) -> tuple:
 
 def demands(p: Process) -> tuple:
     """What p holds, found by one pre-order walk with children left to
-    right: the (session, role) of each endpoint it names, the buffers of
-    the sessions no restriction in p binds, and each variable no receive
-    arm or `def` parameter in p binds, each list in walk order and with
-    repeats.  `def` bodies count."""
+    right: the (session, role) of each endpoint and the buffer of each
+    session that no restriction in p binds, and each variable that no
+    receive arm or `def` parameter in p binds, each list in walk order and
+    with repeats.  `def` bodies count."""
     endpoints, buffers, free = [], [], []
     todo = [(p, frozenset(), frozenset())]  # (term, bound sessions, bound vars)
     while todo:
@@ -219,7 +220,8 @@ def demands(p: Process) -> tuple:
             values = tuple(e.value for e in q.entries)
         for v in values:
             if isinstance(v, Endpoint):
-                endpoints.append((v.session, v.role))
+                if v.session not in sessions:
+                    endpoints.append((v.session, v.role))
             elif isinstance(v, Var) and v.name not in names:
                 free.append(v.name)
     return endpoints, buffers, free

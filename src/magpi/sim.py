@@ -152,6 +152,12 @@ class Config:
         walk(self.process, (), {})
         return threads, buffers
 
+    @cached_property
+    def inactive(self) -> bool:
+        """Whether every running thread head is inaction: a finished process,
+        whatever restrictions, buffers and definitions it leaves around it."""
+        return all(isinstance(q, P.Inaction) for _, q, _ in self.running[0])
+
 
 @dataclass(frozen=True)
 class Step:
@@ -331,7 +337,7 @@ def run(c0: Config, r: Reliability, policy: str, scenario: FailureScenario,
         if not live:
             # Zero-weight steps can only be drops of orphaned messages whose
             # receiver already finished; those do not make the run stuck.
-            stuck = any(not isinstance(q, P.Inaction) for _, q, _ in cfg.running[0])
+            stuck = not cfg.inactive
             break
         total = sum(s.weight for s in live)
         pick = rng.random() * total

@@ -1,7 +1,8 @@
 """Reference oracles for the tests: exhaustive small-step expansion of a
 process, the type-level image of a process step (the subject-reduction
 harness) and a trace event's detail as a dict, the separate process walks
-that `proc.demands` merges, and exact graph-shape equality of types,
+that `proc.demands` merges, the structural inactivity test that
+`Config.inactive` replaced, and exact graph-shape equality of types,
 processes and protocol files (the round-trip law of the printer).  No
 command runs them."""
 from collections import deque
@@ -126,9 +127,12 @@ def node_values(p: P.Process) -> tuple:
 
 
 def endpoints(p: P.Process) -> list:
-    """The (session, role) of every endpoint p names, in pre-order."""
-    return [(v.session, v.role) for q in subterms(p) for v in node_values(q)
-            if isinstance(v, P.Endpoint)]
+    """The (session, role) of every endpoint p names of a session that no
+    restriction in p binds, in pre-order."""
+    if isinstance(p, P.Restriction):
+        return [e for e in endpoints(p.body) if e[0] != p.session]
+    return ([(v.session, v.role) for v in node_values(p) if isinstance(v, P.Endpoint)]
+            + [e for c in P.children(p) for e in endpoints(c)])
 
 
 def buffer_sessions(p: P.Process) -> list:
@@ -166,6 +170,19 @@ def free_vars(p: P.Process) -> frozenset:
     if isinstance(p, (P.Call, P.Buffer)):
         return frozenset().union(*map(vv, node_values(p)))
     return frozenset()
+
+
+def is_inactive(p: P.Process) -> bool:
+    """Whether a process is structurally congruent to inaction: only
+    inaction and buffers under restrictions, parallel compositions and
+    `def` continuations.  The reference for `Config.inactive`."""
+    if isinstance(p, P.Restriction):
+        return is_inactive(p.body)
+    if isinstance(p, P.Def):
+        return is_inactive(p.cont)
+    if isinstance(p, P.Par):
+        return is_inactive(p.left) and is_inactive(p.right)
+    return isinstance(p, (P.Inaction, P.Buffer))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ from magpi.typecheck import typecheck
 from magpi.types import (CongruenceMode, END, Reliability,
                          SessionBufferType, UNIT)
 from tests.conftest import FIXTURES, fixture_text
-from tests.oracles import exhaustive_small_step_oracle, mirror_on_context
+from tests.oracles import (exhaustive_small_step_oracle, is_inactive,
+                            mirror_on_context)
 from tests.test_verify import _random_context
 
 CALM = FailureScenario()
@@ -304,8 +305,7 @@ def test_criterion_7_exhaustive_oracle_matches_termination():
         steps = [s for s in enabled_steps(c, pf.reliability, RELIABLE, CALM)
                  if s.weight > 0]
         if not steps:
-            ok = (ok and all(isinstance(q, P.Inaction) for _, q, _ in c.running[0])
-                  and key in oracle)
+            ok = ok and c.inactive and is_inactive(proc) and key in oracle
         frontier.extend(s.process for s in steps)
 
     g0, sess = initial_context(pf)

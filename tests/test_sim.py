@@ -21,7 +21,8 @@ from magpi.sim import (Config, FailureScenario, RELIABLE, Trace, TraceEvent,
                        UNRESTRICTED, enabled_steps, monitor_corollaries, run)
 from magpi.types import END, Reliability, UNIT, buffer_heads
 from tests.conftest import fixture_file, fixture_text
-from tests.oracles import detail_dict, exhaustive_small_step_oracle, subterms
+from tests.oracles import (detail_dict, exhaustive_small_step_oracle, is_inactive,
+                            subterms)
 from tests.test_golden import scenario as golden_scenario
 
 CALM = FailureScenario()
@@ -171,9 +172,27 @@ def test_oracle_terminals_all_inactive_without_failures():
         steps = [s for s in enabled_steps(c, pf.reliability, RELIABLE, CALM)
                  if s.weight > 0]
         if not steps:
-            assert all(isinstance(q, Inaction) for _, q, _ in c.running[0]), key
+            assert c.inactive and is_inactive(proc), key
             assert key in oracle
         frontier.extend(s.process for s in steps)
+
+
+@pytest.mark.parametrize("name", ["ping", "dns", "leader"])
+def test_inactive_is_the_structural_walk(name):
+    # [DERIVED] `Config.inactive` reads the running thread heads; the
+    # structural walk it replaced must agree on every configuration a
+    # faulty run passes through, under both policies.
+    pf = parse(fixture_text(name))
+    doc = golden_scenario("crash", sorted(pf.roles), "tcp")
+    seen = 0
+    for policy in (RELIABLE, UNRESTRICTED):
+        for seed in range(10):
+            tr = run(cfg(pf), pf.reliability, policy,
+                     FailureScenario.from_json(doc), seed, 200)
+            for c in tr.configs + [tr.terminal]:
+                assert c.inactive == is_inactive(c.process), render_process(c.process)
+                seen += 1
+    assert seen > 100
 
 
 # -- monitors -------------------------------------------------------------------

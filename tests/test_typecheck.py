@@ -382,6 +382,28 @@ def test_a_def_body_holds_the_endpoints_and_buffers_it_names():
             == [(code, 7, col) for code, col in expected], system
 
 
+# A `def` body is parsed in no session's scope, so it may open a session
+# under an enclosing session's name.  What that restriction binds is its
+# own: the enclosing s[p] and s[q] stay with the side that names them, and
+# the inner endpoints answer to the inner annotation alone.
+REOPENED = ("(def F() = new s:{ {roles} } in ( s[{a}]!q:a(2).0 "
+            "| s[q]&{ {a}?a(y:int).0 } | s:[] ) in F())")
+
+
+def test_a_def_body_may_reopen_an_enclosing_session():
+    same = REOPENED.replace("{roles}", "p: Sp, q: Sq").replace("{a}", "p")
+    outer = "s[p]!q:a(1).0 | s[q]&{ p?a(x:int).0 } | s:[]"
+    for system in (f"  ( {outer} | {same} )", f"  ( {same} | {outer} )"):
+        report = check_text(DEF_BODY_HEADER + system + "\n")
+        assert report.verdict == "accepted", [d.render() for d in report.failures]
+    other = REOPENED.replace("{roles}", "r: Sr, q: Sqr").replace("{a}", "r")
+    header = DEF_BODY_HEADER.replace("roles p, q\n", "roles p, q, r\n").replace(
+        "{ q: {p}, p: {q} }", "{ q: {p, r}, p: {q}, r: {q} }").replace(
+        "system =", "type Sr @ r = q!a(int).end\ntype Sqr @ q = r?a(int).end\nsystem =")
+    report = check_text(header + f"  ( {outer} | {other} )\n")
+    assert report.verdict == "accepted", [d.render() for d in report.failures]
+
+
 def _subprocesses(p: P.Process, f) -> P.Process:
     """p with f applied to each of its immediate subprocesses."""
     if isinstance(p, P.Send):
