@@ -14,8 +14,10 @@ alternates from cycle to cycle.  Every op's trace JSONL, `stuck` flag and
 monitor output must be byte-identical on both sides.
 
 Prints the median milliseconds per protocol and per cycle on each side,
-the median speed-up and the cycles the change won.  Exits 1 when an output
-differs, else 0.  Nothing under `bench/` is written.
+each side's simulator steps per second (the steps of every timed op over
+their summed run time), the median speed-up and the cycles the change
+won.  Exits 1 when an output differs, else 0.  Nothing under `bench/` is
+written.
 
 Usage: python3 scripts/ab_sim.py PARENT_SRC CHANGE_SRC [--seed N] [--rounds R]
 """
@@ -77,7 +79,8 @@ class Side:
 
     def run_op(self, op: tuple) -> tuple:
         """(seconds, output) of one op: run and monitors timed, as in the
-        benchmark; the output is the trace JSONL, stuck flag and monitors."""
+        benchmark; the output is the step count, trace JSONL, stuck flag
+        and monitors."""
         name, policy, doc, seed, steps = op
         r = self.pfs[name].reliability
         scenario = self.sim.FailureScenario.from_json(doc)
@@ -85,7 +88,7 @@ class Side:
         trace = self.sim.run(self.c0[name], r, policy, scenario, seed, steps)
         violations = self.sim.monitor_corollaries(trace, r)
         seconds = perf_counter() - t0
-        return seconds, (trace.to_json_lines(), trace.stuck,
+        return seconds, (len(trace.events), trace.to_json_lines(), trace.stuck,
                          json.dumps([v.to_json() for v in violations]))
 
 
@@ -103,7 +106,8 @@ def main(argv=None) -> int:
     roles = {n: pf.roles for n, pf in sides["parent"].pfs.items()}
     return ab_cycles({side: sides[side].run_op for side in sides},
                      lambda c: [(op[0], op) for op in cycle_ops(args.seed, c, gen, wl, roles)],
-                     args.rounds, "protocol", "traces and monitors identical")
+                     args.rounds, "protocol", "traces and monitors identical",
+                     ("steps", lambda output: output[0]))
 
 
 if __name__ == "__main__":

@@ -95,16 +95,21 @@ def same_output(sides: dict, argv: list) -> bool:
     return outs[0] == outs[1]
 
 
-def ab_cycles(sides: dict, cycle_ops, rounds: int, column: str, identical: str) -> int:
+def ab_cycles(sides: dict, cycle_ops, rounds: int, column: str, identical: str,
+              unit: tuple | None = None) -> int:
     """Time `WARMUP + rounds` cycles on both sides and print the report.
     `sides` maps "parent" and "change" to a function from an op to
     (seconds, output); `cycle_ops(c)` lists cycle c's (group, op) pairs.
     The side that goes first alternates from cycle to cycle.  Prints the
     median milliseconds per group (headed `column`) and per cycle on each
     side, the median speed-up and the cycles the change won, then
-    `identical`.  Returns 1 as soon as an op's outputs differ, else 0."""
+    `identical`.  With `unit`, a (name, count) pair where `count(output)`
+    is the units of work an op did, also prints each side's units per
+    second over the timed cycles: total units over summed op time.
+    Returns 1 as soon as an op's outputs differ, else 0."""
     times = {side: {} for side in sides}   # side -> group -> [s]
     cycles = {side: [] for side in sides}  # side -> [s per cycle]
+    units = 0  # work done in the timed cycles, the same on both sides
     for c in range(WARMUP + rounds):
         order = list(sides) if c % 2 == 0 else list(reversed(sides))
         total = dict.fromkeys(sides, 0.0)
@@ -118,6 +123,8 @@ def ab_cycles(sides: dict, cycle_ops, rounds: int, column: str, identical: str) 
             if results["parent"] != results["change"]:
                 print(f"output differs: {group}, cycle {c}: {op}")
                 return 1
+            if unit and c >= WARMUP:
+                units += unit[1](results["parent"])
         if c >= WARMUP:
             for side in sides:
                 cycles[side].append(total[side])
@@ -130,6 +137,9 @@ def ab_cycles(sides: dict, cycle_ops, rounds: int, column: str, identical: str) 
     p, ch = statistics.median(cycles["parent"]), statistics.median(cycles["change"])
     won = sum(a > b for a, b in zip(cycles["parent"], cycles["change"]))
     print(f"{'cycle':<12} {p * 1e3:>10.2f} {ch * 1e3:>10.2f} {p / ch:>8.3f}x")
+    if unit:
+        p, ch = (units / sum(cycles[side]) for side in ("parent", "change"))
+        print(f"{unit[0] + '/s':<12} {p:>10.0f} {ch:>10.0f} {ch / p:>8.3f}x")
     print(f"change faster in {won}/{rounds} cycles; {identical}")
     return 0
 

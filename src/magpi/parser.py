@@ -160,12 +160,12 @@ class Parser:
                                          t.span)])
         return self.next()
 
-    def items(self, opening: str, closing: str, item) -> list:
+    def items(self, opening: str, closing: str, item, empty: bool = True) -> list:
         """What `item()` parses for each entry of a comma-separated list
-        between the `opening` and `closing` tokens.  The list may be empty;
-        a comma ends no list."""
+        between the `opening` and `closing` tokens.  The list may be empty
+        when `empty` says so; a comma ends no list."""
         self.expect(opening)
-        out = [] if self.at(closing) else [item()]
+        out = [] if empty and self.at(closing) else [item()]
         while self.at(","):
             self.next()
             out.append(item())
@@ -174,7 +174,8 @@ class Parser:
 
     def branch_arms(self, arm, timeout) -> tuple:
         """The arms of a braced branching, and its timeout arm's
-        continuation or None; a second timeout arm is an error."""
+        continuation or None; a second timeout arm, or a receive arm after
+        the timeout arm, is an error."""
         arms, timeouts = [], []
 
         def entry():
@@ -186,6 +187,9 @@ class Parser:
                 self.expect(".")
                 timeouts.append(timeout())
             else:
+                if timeouts:
+                    self.error("MisplacedTimeout", "a receive arm follows the timeout arm",
+                               self.peek().span)
                 arms.append(arm())
 
         self.items("{", "}", entry)
@@ -448,7 +452,7 @@ class Parser:
                 self.validate(ty, st.span)
                 return role, ty
 
-            anns = self.items("{", "}", annotation)
+            anns = self.items("{", "}", annotation, empty=False)
             self.expect("KW", "in")
             body = self.parse_par(sessions | {st.text})
             return Restriction(st.text, tuple(sorted(anns, key=lambda a: a[0])),

@@ -227,37 +227,59 @@ def demands(p: Process) -> tuple:
     return endpoints, buffers, free
 
 
+def _shared(new: tuple, old: tuple) -> tuple:
+    """old if new holds the very same objects, else new."""
+    return old if all(x is y for x, y in zip(new, old)) else new
+
+
 def subst(p: Process, sub: dict) -> Process:
-    """Capture-avoiding substitution of values for free variables."""
-    if not sub:
+    """Capture-avoiding substitution of values for free variables, by path
+    copying: a node is copied only when something in it changes, so every
+    subterm in which no substituted variable occurs free comes back as the
+    very same object, shared by the result."""
+    if not sub or isinstance(p, Inaction):
         return p
 
     def sv(v: Value) -> Value:
-        if isinstance(v, Var) and v.name in sub:
-            return sub[v.name]
-        return v
+        return sub.get(v.name, v) if isinstance(v, Var) else v
 
-    if isinstance(p, Inaction):
-        return p
     if isinstance(p, Send):
-        return replace(p, ch=sv(p.ch), value=sv(p.value), cont=subst(p.cont, sub))
+        ch, value, cont = sv(p.ch), sv(p.value), subst(p.cont, sub)
+        if ch is p.ch and value is p.value and cont is p.cont:
+            return p
+        return Send(ch, p.to, p.label, value, cont, p.span)
     if isinstance(p, Branch):
-        arms = tuple(
-            replace(a, cont=subst(a.cont, {k: v for k, v in sub.items() if k != a.var}))
-            for a in p.arms)
+        arms = []
+        for a in p.arms:
+            inner = {k: v for k, v in sub.items() if k != a.var} if a.var in sub else sub
+            cont = subst(a.cont, inner)
+            arms.append(a if cont is a.cont else
+                        RecvArm(a.frm, a.label, a.var, a.var_type, cont, a.span))
+        ch, arms = sv(p.ch), _shared(tuple(arms), p.arms)
         to = subst(p.timeout, sub) if p.timeout is not None else None
-        return replace(p, ch=sv(p.ch), arms=arms, timeout=to)
+        if ch is p.ch and arms is p.arms and to is p.timeout:
+            return p
+        return Branch(ch, arms, to, p.span)
     if isinstance(p, (Choice, Par)):
-        return replace(p, left=subst(p.left, sub), right=subst(p.right, sub))
+        left, right = subst(p.left, sub), subst(p.right, sub)
+        return p if left is p.left and right is p.right else type(p)(left, right, p.span)
     if isinstance(p, Restriction):
-        return replace(p, body=subst(p.body, sub))
+        body = subst(p.body, sub)
+        return p if body is p.body else Restriction(p.session, p.annotations, body, p.span)
     if isinstance(p, Def):
         inner = {k: v for k, v in sub.items() if k not in {v0 for v0, _ in p.params}}
-        return replace(p, body=subst(p.body, inner), cont=subst(p.cont, sub))
+        body, cont = subst(p.body, inner), subst(p.cont, sub)
+        if body is p.body and cont is p.cont:
+            return p
+        return Def(p.name, p.params, body, cont, p.span)
     if isinstance(p, Call):
-        return replace(p, args=tuple(sv(a) for a in p.args))
+        args = _shared(tuple(sv(a) for a in p.args), p.args)
+        return p if args is p.args else Call(p.name, args, p.span)
     if isinstance(p, Buffer):
-        return replace(p, entries=tuple(replace(e, value=sv(e.value)) for e in p.entries))
+        entries = _shared(tuple(BufMsg(e.frm, e.to, e.label, sub[e.value.name])
+                                if isinstance(e.value, Var) and e.value.name in sub
+                                else e for e in p.entries), p.entries)
+        return p if entries is p.entries else Buffer(p.session, entries, p.span)
     raise TypeError(f"unexpected process {p!r}")
 
 

@@ -13,7 +13,7 @@ import hashlib
 import json
 import random
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 from . import proc as P
@@ -162,8 +162,8 @@ class Config:
 @dataclass(frozen=True)
 class Step:
     """One enabled reduction.  Its edits, (path, term, substitution) triples
-    applied to `root` in turn, are the thread's continuation (substituted for
-    R-recv and R-call) plus, for R-send and R-recv, the buffer's new entries."""
+    for `root`, are the thread's continuation (substituted for R-recv and
+    R-call) plus, for R-send and R-recv, the buffer's new entries."""
     rule: str
     detail: tuple  # sorted (key, value) pairs describing the redex
     weight: float
@@ -172,11 +172,9 @@ class Step:
 
     @cached_property
     def process(self) -> P.Process:
-        """The process after this step, substituted and rewritten on first read."""
-        p = self.root
-        for path, term, sub in self.edits:
-            p = _rebuild(p, path, P.subst(term, sub))
-        return p
+        """The process after this step, substituted and rebuilt on first read."""
+        return _rebuild(self.root, [(path, P.subst(term, sub))
+                                    for path, term, sub in self.edits])
 
 
 @dataclass(frozen=True)
@@ -207,20 +205,24 @@ class Trace:
 # tree addressing
 
 
-def _rebuild(p: P.Process, path: tuple, new: P.Process) -> P.Process:
-    """p with the subterm at path (a path of `Config.running`) replaced by new."""
-    if not path:
-        return new
-    i, rest = path[0], path[1:]
-    if isinstance(p, P.Par):
-        if i == 0:
-            return replace(p, left=_rebuild(p.left, rest, new))
-        return replace(p, right=_rebuild(p.right, rest, new))
-    if isinstance(p, P.Restriction):
-        return replace(p, body=_rebuild(p.body, rest, new))
-    if isinstance(p, P.Def):
-        return replace(p, cont=_rebuild(p.cont, rest, new))
-    raise ValueError("path outside the running threads")
+def _rebuild(root: P.Process, edits: list) -> P.Process:
+    """root with each edit's term put at its path (a path of `Config.running`),
+    by path copying: one descent copies the `Par`, `Restriction` and `Def`
+    nodes on the way, splitting the edits at each `Par`, and shares the rest."""
+    def put(p, edits, d):
+        if len(edits[0][0]) == d:  # no path of a thread or buffer is another's prefix
+            return edits[0][1]
+        if type(p) is P.Par:
+            left, right = ([e for e in edits if e[0][d] == i] for i in (0, 1))
+            return P.Par(put(p.left, left, d + 1) if left else p.left,
+                         put(p.right, right, d + 1) if right else p.right, p.span)
+        if type(p) is P.Restriction:
+            return P.Restriction(p.session, p.annotations, put(p.body, edits, d + 1), p.span)
+        if type(p) is P.Def:
+            return P.Def(p.name, p.params, p.body, put(p.cont, edits, d + 1), p.span)
+        raise ValueError("path outside the running threads")
+
+    return put(root, edits, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +266,7 @@ def enabled_steps(c: Config, r: Reliability, policy: str,
             entry = P.BufMsg(role, node.to, node.label, node.value)
             out.append(Step(RULE_SEND, _message_detail(entry, s), 1.0, root, (
                 (path, node.cont, {}),
-                (bpath, replace(buf, entries=buf.entries + (entry,)), {}))))
+                (bpath, P.Buffer(s, buf.entries + (entry,), buf.span), {}))))
         elif isinstance(node, P.Branch) and isinstance(node.ch, P.Endpoint):
             s, role = node.ch.session, node.ch.role
             if scenario.crashed(role, step) and scenario.freeze_crashed:
@@ -282,7 +284,7 @@ def enabled_steps(c: Config, r: Reliability, policy: str,
                     rest = buf.entries[:i] + buf.entries[i + 1:]
                     out.append(Step(RULE_RECV, _message_detail(e, s), 1.0, root, (
                         (path, arm.cont, {arm.var: e.value}),
-                        (bpath, replace(buf, entries=rest), {}))))
+                        (bpath, P.Buffer(s, rest, buf.span), {}))))
             if node.timeout is not None and (policy == UNRESTRICTED
                                              or r.needs_timeout(role, node.arms)):
                 w = scenario.delay_bias if matched else 1.0
@@ -307,7 +309,7 @@ def enabled_steps(c: Config, r: Reliability, policy: str,
                 continue
             rest = buf.entries[:i] + buf.entries[i + 1:]
             out.append(Step(RULE_DROP, _message_detail(e, s), w,
-                            root, ((path, replace(buf, entries=rest), {}),)))
+                            root, ((path, P.Buffer(s, rest, buf.span), {}),)))
     out.sort(key=lambda s: (s.rule, s.detail))
     return out
 

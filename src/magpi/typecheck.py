@@ -291,12 +291,13 @@ class Checker:
         gl_vars, gr_vars = {}, {}
         gl_eps, gr_eps = {}, {}
         ok = True
+        # A linear binding both sides use is reported once, then handed to
+        # both sides, so that neither reports its uses as unknown.
         for name, t in g.vars:
             if not is_basic(t) and name in dl[2] and name in dr[2]:
                 ok = self.fail("LinearityViolation",
                                f"session variable {name} used in both parallel "
                                "components", p.span)
-                continue
             if name in dr[2]:
                 gr_vars[name] = t
             if name in dl[2] or name not in dr[2]:
@@ -306,7 +307,8 @@ class Checker:
                 ok = self.fail("LinearityViolation",
                                f"endpoint {key[0]}[{key[1]}] used in both parallel "
                                "components", p.span)
-                continue
+                if sbt.session is not None:
+                    gl_eps[key] = SessionBufferType((), sbt.session)
             ses_side = gr_eps if key in dr[0] else gl_eps
             buf_side = (gl_eps if key[0] in dl[1] else
                         gr_eps if key[0] in dr[1] else ses_side)

@@ -2,10 +2,11 @@
 process, the type-level image of a process step (the subject-reduction
 harness) and a trace event's detail as a dict, the separate process walks
 that `proc.demands` merges, the structural inactivity test that
-`Config.inactive` replaced, and exact graph-shape equality of types,
-processes and protocol files (the round-trip law of the printer).  No
-command runs them."""
+`Config.inactive` replaced, the substitution that copies every node, and
+exact graph-shape equality of types, processes and protocol files (the
+round-trip law of the printer).  No command runs them."""
 from collections import deque
+from dataclasses import replace
 
 from magpi import proc as P
 from magpi.context import TypeContext
@@ -170,6 +171,45 @@ def free_vars(p: P.Process) -> frozenset:
     if isinstance(p, (P.Call, P.Buffer)):
         return frozenset().union(*map(vv, node_values(p)))
     return frozenset()
+
+
+def copying_subst(p: P.Process, sub: dict) -> P.Process:
+    """Capture-avoiding substitution that copies every node it passes,
+    changed or not.  The reference for `proc.subst`, which shares what it
+    leaves unchanged."""
+    if not sub:
+        return p
+
+    def sv(v: P.Value) -> P.Value:
+        if isinstance(v, P.Var) and v.name in sub:
+            return sub[v.name]
+        return v
+
+    if isinstance(p, P.Inaction):
+        return p
+    if isinstance(p, P.Send):
+        return replace(p, ch=sv(p.ch), value=sv(p.value), cont=copying_subst(p.cont, sub))
+    if isinstance(p, P.Branch):
+        arms = tuple(
+            replace(a, cont=copying_subst(a.cont, {k: v for k, v in sub.items()
+                                                   if k != a.var}))
+            for a in p.arms)
+        to = copying_subst(p.timeout, sub) if p.timeout is not None else None
+        return replace(p, ch=sv(p.ch), arms=arms, timeout=to)
+    if isinstance(p, (P.Choice, P.Par)):
+        return replace(p, left=copying_subst(p.left, sub),
+                       right=copying_subst(p.right, sub))
+    if isinstance(p, P.Restriction):
+        return replace(p, body=copying_subst(p.body, sub))
+    if isinstance(p, P.Def):
+        inner = {k: v for k, v in sub.items() if k not in {v0 for v0, _ in p.params}}
+        return replace(p, body=copying_subst(p.body, inner),
+                       cont=copying_subst(p.cont, sub))
+    if isinstance(p, P.Call):
+        return replace(p, args=tuple(sv(a) for a in p.args))
+    if isinstance(p, P.Buffer):
+        return replace(p, entries=tuple(replace(e, value=sv(e.value)) for e in p.entries))
+    raise TypeError(f"unexpected process {p!r}")
 
 
 def is_inactive(p: P.Process) -> bool:

@@ -78,3 +78,4 @@ def test_ab_sim_runs_one_round():
                           cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stdout + done.stderr
     assert "traces and monitors identical" in done.stdout
+    assert "steps/s" in done.stdout

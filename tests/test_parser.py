@@ -252,6 +252,27 @@ def test_second_timeout_arm_is_reported_at_its_keyword():
         ("DuplicateTimeout", 3), ("DuplicateTimeout", 5)]
 
 
+def test_timeout_arm_before_a_receive_arm_is_reported_at_the_receive_arm():
+    # The grammar puts the timeout arm last; both used to parse.
+    for parse_text, text in ((parse_session_text, "&{ timeout. end, q?a().end }"),
+                             (parse_process_text, "s[p]&{ timeout. 0, q?a().0 }")):
+        with pytest.raises(MagpiError) as err:
+            parse_text(text, roles=ROLES)
+        assert [(d.code, d.span.line, d.span.col) for d in err.value.diagnostics] \
+            == [("MisplacedTimeout", 1, text.index("q?") + 1)], text
+
+
+def test_restriction_without_an_annotation_is_reported_at_its_brace():
+    # The grammar asks for at least one annotation; `new s:{}` used to parse.
+    text = "new s:{} in s:[]"
+    for parse_it, line, col in ((lambda: parse_process_text(text, roles=ROLES), 1, 8),
+                                (lambda: parse(HEADER + f"system = {text}\n"), 3, 17)):
+        with pytest.raises(MagpiError) as err:
+            parse_it()
+        assert [(d.code, d.span.line, d.span.col) for d in err.value.diagnostics] \
+            == [("SyntaxError", line, col)]
+
+
 # Each bracketed list of the grammar: a file with "%s" where the list's
 # entries go, and two entries.
 _LISTS = {

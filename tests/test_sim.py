@@ -2,6 +2,7 @@
 exhaustive oracle, and the runtime monitors."""
 import importlib.util
 import io
+import itertools
 import json
 import pathlib
 import random
@@ -13,16 +14,18 @@ from functools import cached_property
 import pytest
 
 import magpi.proc as P
-from magpi import parse, sim
-from magpi.cli import main
+from magpi import parse, sim, typecheck_file
+from magpi.cli import initial_context, main
+from magpi.lts import ExploreLimits
 from magpi.proc import (Branch, Buffer, Endpoint, Inaction, Par, Process,
                         RecvArm, Restriction, canonical_process, render_process)
 from magpi.sim import (Config, FailureScenario, RELIABLE, Trace, TraceEvent,
                        UNRESTRICTED, enabled_steps, monitor_corollaries, run)
 from magpi.types import END, Reliability, UNIT, buffer_heads
+from magpi.verify import HOLDS, check_deadlock_free
 from tests.conftest import fixture_file, fixture_text
-from tests.oracles import (detail_dict, exhaustive_small_step_oracle, is_inactive,
-                            subterms)
+from tests.oracles import (copying_subst, detail_dict, exhaustive_small_step_oracle,
+                           free_vars, is_inactive, node_values, subterms)
 from tests.test_golden import scenario as golden_scenario
 
 CALM = FailureScenario()
@@ -370,6 +373,84 @@ system = new s:{ p: Sp, q: Sq } in ( s[p]!q:a().0 | s[q]&{ p?a(). 0 } | s:[] )
         assert (doc["stuck"], doc["inactive"]) == (False, True), doc
 
 
+# -- failures the reliability map allows ------------------------------------------
+#
+# [PAPER] A well-typed system whose typing context is deadlock-free does not
+# get stuck under the failures its reliability map allows: a role may only
+# wait forever on a role that crashed.  A scenario is map-consistent when it
+# crashes only roles that no role trusts, fails links only between two roles
+# that trust neither way and partitions only where no trusting pair crosses
+# the cut; drops may hit any pair, and the reliable policy discards those on
+# trusted pairs.  A run is judged by the threads of
+# its terminal configuration, not by `stuck`, which also counts a crashed
+# role's frozen thread.  The runs that end before their step budget end
+# within 20 steps; the others (mesh_loop's) are not judged.
+
+
+def _scenarios(pf, consistent: bool) -> list:
+    """The map-consistent scenarios over pf's roles: drops on every pair,
+    alone, with each untrusted role crashing at steps 0, 1, 3 and 6, with
+    each link between two roles that trust neither way failing, and with
+    each partition that no trusting pair crosses.  Or the inconsistent
+    ones: drops on every pair with each trusted role crashing at step 3,
+    or with each link of a trusting pair failing."""
+    r, roles = pf.reliability, sorted(pf.roles)
+    trusted = {x for y in roles for x in r.get(y)}
+    drops = {"drop": {f"{a}->{b}": 0.3 for a in roles for b in roles if a != b}}
+    pairs = [(a, b) for i, a in enumerate(roles) for b in roles[i + 1:]]
+    trusting = [(a, b) for a, b in pairs if r.reliable(a, b) or r.reliable(b, a)]
+    if consistent:
+        crashes = [(x, at) for x in roles if x not in trusted for at in (0, 1, 3, 6)]
+        links = [ab for ab in pairs if ab not in trusting]
+        cuts = [side for n in range(1, len(roles))
+                for side in itertools.combinations(roles, n) if roles[0] in side
+                and not any((a in side) != (b in side) for a, b in trusting)]
+        docs = [drops] + [dict(drops, partition=[
+            {"a": list(side), "b": [x for x in roles if x not in side], "at": 1}])
+            for side in cuts]
+    else:
+        crashes = [(x, 3) for x in sorted(trusted)]
+        links, docs = trusting, []
+    docs += [dict(drops, crash=[{"role": x, "at": at}]) for x, at in crashes]
+    docs += [dict(drops, links=[{"a": a, "b": b, "at": 1}]) for a, b in links]
+    return [FailureScenario.from_json(d) for d in docs]
+
+
+def _left_waiting(pf, scenario, tr) -> list:
+    """The roles that have not crashed and still hold a thread when the run
+    ended with no step to take; [] if it ended on its step budget."""
+    end = tr.terminal
+    if any(s.weight > 0.0 for s in enabled_steps(end, pf.reliability, RELIABLE, scenario)):
+        return []
+    return [q.ch.role for _, q, _ in end.running[0] if not isinstance(q, Inaction)
+            and not scenario.crashed(q.ch.role, end.step_count)]
+
+
+def test_only_a_crashed_role_is_waited_on_forever():
+    judged, control = [], {}
+    for name in ("ping", "dns", "leader", "mesh", "mesh_loop", "explored_safety"):
+        pf = parse(protocol_text(name))
+        g0, session = initial_context(pf)
+        if not (typecheck_file(pf).accepted and check_deadlock_free(
+                g0, {session}, pf.reliability, ExploreLimits()).status == HOLDS):
+            continue
+        judged.append(name)
+        for scen in _scenarios(pf, consistent=True):
+            for seed in range(20):
+                tr = run(cfg(pf), pf.reliability, RELIABLE, scen, seed, 100)
+                assert _left_waiting(pf, scen, tr) == [], (name, scen, seed)
+        control[name] = sum(
+            bool(_left_waiting(pf, scen, run(cfg(pf), pf.reliability, RELIABLE,
+                                             scen, seed, 100)))
+            for scen in _scenarios(pf, consistent=False) for seed in range(5))
+    # leader's deadlock freedom is inconclusive within the default limits
+    assert judged == ["ping", "dns", "mesh", "mesh_loop", "explored_safety"]
+    # Failures the map rules out do leave live roles waiting.  mesh_loop's
+    # looping role can always time out, so its runs end on the step budget.
+    del control["mesh_loop"]
+    assert all(control.values()), control
+
+
 # -- enabled steps against the eager rewrite ------------------------------------
 #
 # `_reference_steps` is the simulator that built the rewritten process of
@@ -539,25 +620,18 @@ def test_enabled_steps_match_the_eager_reference(name, reorder):
     assert checked > 0
 
 
-# Edits of the step each rule takes: the thread, plus the buffer for a send
-# or a receive; a drop edits the buffer alone.
-EDITS = {"R-send": 2, "R-recv": 2, "R-drop": 1,
-         "R-timeout": 1, "R-choice": 1, "R-call": 1}
-
-
 def test_run_rewrites_only_the_step_it_takes(monkeypatch):
+    # One `_rebuild` descent per step taken, whatever the step's edits (a
+    # send or a receive edits the thread and the buffer), and none for the
+    # steps only enabled.
     pf = parse(fixture_text("dns"))
-    rewrites, depth = 0, 0
+    rewrites = 0
     rebuild = sim._rebuild
 
-    def counting(p, path, new):
-        nonlocal rewrites, depth
-        rewrites += depth == 0
-        depth += 1
-        try:
-            return rebuild(p, path, new)
-        finally:
-            depth -= 1
+    def counting(root, edits):
+        nonlocal rewrites
+        rewrites += 1
+        return rebuild(root, edits)
 
     monkeypatch.setattr(sim, "_rebuild", counting)
     scen = FailureScenario.from_json({"drop": {"c->dns": 0.3, "dns->c": 0.3}})
@@ -565,7 +639,8 @@ def test_run_rewrites_only_the_step_it_takes(monkeypatch):
         rewrites = 0
         tr = run(cfg(pf), pf.reliability, UNRESTRICTED, scen, seed, 300)
         assert tr.events
-        assert rewrites <= sum(EDITS[e.rule] for e in tr.events), seed
+        assert {"R-send", "R-recv"} <= {e.rule for e in tr.events}, seed
+        assert rewrites == len(tr.events), seed
 
 
 def test_only_the_taken_step_substitutes(monkeypatch):
@@ -598,6 +673,46 @@ def test_only_the_taken_step_substitutes(monkeypatch):
         for c in tr.configs:
             enabled_steps(c, pf.reliability, policy, CALM)
     assert calls == 0
+
+
+def _variables(p: Process) -> set:
+    """Every variable name p binds or uses."""
+    names = set()
+    for q in subterms(p):
+        names |= {v.name for v in node_values(q) if isinstance(v, P.Var)}
+        if isinstance(q, P.Branch):
+            names |= {a.var for a in q.arms}
+        elif isinstance(q, P.Def):
+            names |= {v for v, _ in q.params}
+    return names
+
+
+def test_subst_copies_only_what_it_changes():
+    # `subst` against the substitution that copies every node: the same
+    # result, and the very same object wherever no substituted variable
+    # occurs free, on every subterm of the fixtures and golden inputs, under
+    # a substitution of each of their variables, of all of them at once and
+    # of a variable they never name.
+    shared = changed = 0
+    for name in ("ping", "dns", "leader", "mesh", "mesh_loop", "explored_safety"):
+        pf = parse(protocol_text(name))
+        for top in [d.body for d in pf.proc_defs] + [pf.system]:
+            names = sorted(_variables(top))
+            value = Endpoint("fresh", "p")
+            subs = [{x: value} for x in names + ["unnamed"]]
+            subs.append({x: P.Lit("int", i) for i, x in enumerate(names)})
+            for q in subterms(top):
+                free = free_vars(q)
+                for sub in subs:
+                    got = P.subst(q, sub)
+                    assert got == copying_subst(q, sub), (name, sub)
+                    if free.isdisjoint(sub):
+                        assert got is q, (name, sub)
+                        shared += 1
+                    else:
+                        assert got != q, (name, sub)
+                        changed += 1
+    assert shared > 1000 and changed > 100, (shared, changed)
 
 
 def test_each_configuration_is_walked_once(monkeypatch):

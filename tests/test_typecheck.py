@@ -119,6 +119,19 @@ def test_endpoint_used_twice_rejected():
     assert "LinearityViolation" in codes(report)
 
 
+def test_a_linearity_fault_does_not_cascade():
+    # A binding used on both sides of `|` is reported there once, and each
+    # side is handed it, so no use of it is reported as an unknown channel.
+    endpoint = SIMPLE.replace("s[q]&{ p?a(x:int).0 }",
+                              "s[q]&{ p?a(x:int).0 } | s[q]&{ p?a(y:int).0 }")
+    variable = SIMPLE.replace("system =", "def X(c: Sp) = ( c!q:a(1).0 | c!q:a(2).0 )\n"
+                              "system =").replace("s[p]!q:a(7).0", "X(s[p])")
+    for source, (line, col) in ((endpoint, (9, 43)), (variable, (7, 29))):
+        report = check_text(source)
+        assert [(d.code, d.span.line, d.span.col) for d in report.failures] == [
+            ("LinearityViolation", line, col)], [d.render() for d in report.failures]
+
+
 def test_safety_gate_on_restriction():
     # [DERIVED] deleting the timeout arm from an unreliable wait makes the
     # restriction's context unsafe (a wait that a drop can strand), which
@@ -360,10 +373,12 @@ system = new s:{ p: Sp, q: Sq } in
 """
 
 DEF_BODY_PROBES = [
-    # the endpoint on both sides: neither side is handed it
+    # the endpoint on both sides: reported once and handed to both, so the
+    # send on the left types, and the right side reports what the next
+    # probe, which has the endpoint only in the body, reports
     ("  ( s[p]!q:a(1).0 | (def F() = s[p]!q:a(2).0 in F()) | s[q]&{ p?a(x:int).0 } "
-     "| s:[] )", [("LinearityViolation", 19), ("UnknownChannel", 5),
-                  ("UnknownChannel", 32)]),
+     "| s:[] )", [("LinearityViolation", 19), ("UnknownChannel", 32),
+                  ("LeftoverLinearBinding", 49)]),
     # the endpoint only in the body: the call is handed it and leaves it
     ("  ( s[q]&{ p?a(x:int).0 } | (def F() = s[p]!q:a(2).0 in F()) | s:[] )",
      [("UnknownChannel", 40), ("LeftoverLinearBinding", 57)]),
