@@ -172,7 +172,7 @@ class Step:
 
     @cached_property
     def process(self) -> P.Process:
-        """The process after this step, substituted and rebuilt on first read."""
+        """The process after this step, substituted and path-copied on first read."""
         return _rebuild(self.root, [(path, P.subst(term, sub))
                                     for path, term, sub in self.edits])
 
