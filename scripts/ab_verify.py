@@ -7,7 +7,10 @@ checkout's `src`) are loaded under their own package names.  Each cycle runs
 the five verify-mesh inputs that `bench/workloads.py` draws from
 `bench/gen.py` for the seed, as in-process `verify ... --json` calls, on both
 sides; the side that goes first alternates from cycle to cycle.  Every output
-(exit code and text) must be the same on both sides.  Before the cycles,
+must be the same on both sides but for witnesses: the exit code and every
+other field exactly, and a witness that differs must replay on the change's
+side through `context_transitions` from the input's initial context.  The
+ops whose witnesses differ are named in the report.  Before the cycles,
 `check ... --json` runs once per input on both sides, and its output (the
 typecheck verdict and rule trace) must be the same too.  So must `check`
 and seven `verify` runs on each of `EXTRA`'s inputs, which cover the
@@ -26,6 +29,7 @@ import argparse
 import ast
 import importlib.util
 import io
+import json
 import pathlib
 import random
 import statistics
@@ -96,7 +100,7 @@ def same_output(sides: dict, argv: list) -> bool:
 
 
 def ab_cycles(sides: dict, cycle_ops, rounds: int, column: str, identical: str,
-              unit: tuple | None = None) -> int:
+              unit: tuple | None = None, differ=None) -> int:
     """Time `WARMUP + rounds` cycles on both sides and print the report.
     `sides` maps "parent" and "change" to a function from an op to
     (seconds, output); `cycle_ops(c)` lists cycle c's (group, op) pairs.
@@ -105,11 +109,15 @@ def ab_cycles(sides: dict, cycle_ops, rounds: int, column: str, identical: str,
     side, the median speed-up and the cycles the change won, then
     `identical`.  With `unit`, a (name, count) pair where `count(output)`
     is the units of work an op did, also prints each side's units per
-    second over the timed cycles: total units over summed op time.
-    Returns 1 as soon as an op's outputs differ, else 0."""
+    second over the timed cycles: total units over summed op time.  With
+    `differ`, a function from an op and its two unequal outputs to what
+    differs, or None when the difference is allowed, prints the groups
+    whose outputs differed that way.  Returns 1 as soon as an op's outputs
+    differ, else 0."""
     times = {side: {} for side in sides}   # side -> group -> [s]
     cycles = {side: [] for side in sides}  # side -> [s per cycle]
     units = 0  # work done in the timed cycles, the same on both sides
+    allowed = []  # groups whose outputs differ in a way `differ` allows
     for c in range(WARMUP + rounds):
         order = list(sides) if c % 2 == 0 else list(reversed(sides))
         total = dict.fromkeys(sides, 0.0)
@@ -121,8 +129,13 @@ def ab_cycles(sides: dict, cycle_ops, rounds: int, column: str, identical: str,
                 if c >= WARMUP:
                     times[side].setdefault(group, []).append(s)
             if results["parent"] != results["change"]:
-                print(f"output differs: {group}, cycle {c}: {op}")
-                return 1
+                why = differ(op, results["parent"], results["change"]) if differ else ""
+                if why is not None:
+                    print(f"output differs: {group}, cycle {c}: {op}"
+                          + (f" ({why})" if why else ""))
+                    return 1
+                if group not in allowed:
+                    allowed.append(group)
             if unit and c >= WARMUP:
                 units += unit[1](results["parent"])
         if c >= WARMUP:
@@ -140,8 +153,51 @@ def ab_cycles(sides: dict, cycle_ops, rounds: int, column: str, identical: str,
     if unit:
         p, ch = (units / sum(cycles[side]) for side in ("parent", "change"))
         print(f"{unit[0] + '/s':<12} {p:>10.0f} {ch:>10.0f} {ch / p:>8.3f}x")
-    print(f"change faster in {won}/{rounds} cycles; {identical}")
+    print(f"change faster in {won}/{rounds} cycles; {identical}"
+          + (f" but for witnesses that replay: {', '.join(allowed)}" if allowed else ""))
     return 0
+
+
+def replaying_witnesses(change: str):
+    """A `differ` for `ab_cycles` over verify ops: what differs between two
+    `verify ... --json` outputs besides witnesses, or a witness of the
+    change's that does not replay through the `context_transitions` of the
+    change's package (imported as `change`); None when neither."""
+    cli = importlib.import_module(f"{change}.cli")
+    lts = importlib.import_module(f"{change}.lts")
+    context = importlib.import_module(f"{change}.context")
+    types = importlib.import_module(f"{change}.types")
+
+    def replays(argv: list, prop: str, witness: list) -> bool:
+        with open(argv[1], encoding="utf-8") as fh:
+            pf = cli.parse(fh.read())
+        g, session = cli.initial_context(pf)
+        mode = types.CongruenceMode.TCP_FIFO if "tcp" in argv else \
+            types.CongruenceMode.TOTAL_REORDER
+        r = types.Reliability.fully_reliable({role for (_, role), _ in g.endpoints}) \
+            if prop in ("comm-rf", "tcp") else pf.reliability
+        limits = lts.ExploreLimits(mode=mode)
+        g = context.canonical_context(g, mode)
+        for act in witness:
+            nxt = [n for a, n in lts.context_transitions(g, {session}, r, limits)
+                   if lts.action_to_json(a) == act]
+            if not nxt:
+                return False
+            g = context.canonical_context(nxt[0], mode)
+        return True
+
+    def differ(argv: list, parent: tuple, change: tuple) -> str | None:
+        docs = [json.loads(text) for _, text in (parent, change)]
+        props = [doc["properties"] for doc in docs]
+        bare = [{p: {k: v for k, v in got.items() if k != "witness"}
+                 for p, got in ps.items()} for ps in props]
+        if parent[0] != change[0] or bare[0] != bare[1] or docs[0]["stats"] != docs[1]["stats"]:
+            return "beyond witnesses"
+        bad = [p for p, got in props[1].items()
+               if got.get("witness") != props[0][p].get("witness")
+               and not replays(argv, p, got["witness"])]
+        return f"{', '.join(bad)} witness does not replay" if bad else None
+    return differ
 
 
 def main(argv=None) -> int:
@@ -171,7 +227,8 @@ def main(argv=None) -> int:
                     return 1
         runs = {side: lambda argv, cli=cli: run_op(cli, argv) for side, cli in sides.items()}
         return ab_cycles(runs, lambda c: ops, args.rounds, "kind",
-                         "check and verify outputs identical")
+                         "check and verify outputs identical",
+                         differ=replaying_witnesses("ab_change_magpi"))
 
 
 if __name__ == "__main__":

@@ -8,7 +8,10 @@ and states found per second.  The header gives the input's parse time, the
 front end's share of a `verify`.
 Per mode, it then gives the wall time to read the fully reliable graph off
 the complete graph under the protocol's map (what `verify` does for
-comm-rf and tcp) next to the time to explore that graph.
+comm-rf and tcp) next to the time to explore that graph.  Last come the
+unbounded graph's states and edges, and those of each linked component
+that `verify` explores on its own, with their product, which `verify`
+reports as its stats.
 
 Usage: state_space.py [FILE] [--max-bound K] [--dot OUT.dot]
 """
@@ -24,6 +27,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from magpi import Exceeded, ExploreLimits, explore, export_lts, parse
 from magpi.cli import initial_context
 from magpi.lts import without_timeouts
+from magpi.verify import Graphs, product_stats
 from magpi.types import CongruenceMode, Reliability
 
 
@@ -101,6 +105,18 @@ def main() -> int:
         if args.dot:
             pathlib.Path(args.dot).write_text(export_lts(g, "dot"))
             print(f"wrote {args.dot}")
+    graphs = Graphs(ctx, {sess}, lim)
+    t = time.perf_counter()
+    parts = graphs.get(pf.reliability)
+    wall = time.perf_counter() - t
+    print(f"{'component':>9} {'roles':<24} {'states':>8} {'edges':>8}")
+    for i, (part, g) in enumerate(zip(graphs.parts, parts)):
+        roles = ",".join(role for (_, role), _ in part.endpoints)
+        stop = f"  exceeded {g.kind}" if isinstance(g, Exceeded) else ""
+        print(f"{i:>9} {roles:<24} {len(g.states):>8} {len(g.edges):>8}{stop}")
+    stats = product_stats(parts)
+    print(f"{'product':>9} {'':<24} {stats.get('states', '-'):>8} "
+          f"{stats.get('edges', '-'):>8}  {wall:.3f} s for {len(parts)} explorations")
     return 0
 
 

@@ -149,22 +149,23 @@ def cmd_verify(args, out) -> int:
     if args.bound and "bounded" not in props:
         results[f"bound_{args.bound}"] = V.check_bound_k(
             g0, sigma, r, args.bound, limits, graphs=graphs)
-    # Stats describe the graph under the reliability map that the verdicts
-    # used.  When neither the gate nor a property built it (a safety check
-    # that settled statically, or a bound check stopped at its bound, say),
-    # it is counted under a small cap so that unbounded systems stay fast.
-    graph = graphs.built(r)
-    if graph is None:
-        graph = explore(g0, sigma, r, ExploreLimits(
-            min(limits.max_states, STATS_STATE_CAP), limits.mode))
-    if isinstance(graph, Exceeded):
-        stats = {"exceeded": graph.kind, "limit": graph.limit}
-        if args.dot:
+    # Stats describe the graphs under the reliability map that the verdicts
+    # used, one per linked component, as their product.  When neither the
+    # gate nor a property built them (a safety check that settled
+    # statically, or a bound check stopped at its bound, say), they are
+    # counted under a small cap so that unbounded systems stay fast.  Only
+    # the dot file needs the product graph itself.
+    parts = graphs.built(r)
+    if parts is None:
+        limits = ExploreLimits(min(limits.max_states, STATS_STATE_CAP), limits.mode)
+        parts = tuple(explore(part, sigma, r, limits) for part in graphs.parts)
+    stats = V.product_stats(parts)
+    if args.dot:
+        graph = parts[0] if len(parts) == 1 else explore(g0, sigma, r, limits)
+        if isinstance(graph, Exceeded):
             print(f"warning: {args.dot} not written: exploration stopped at the "
                   f"{graph.kind} limit {graph.limit}", file=sys.stderr)
-    else:
-        stats = {"states": len(graph.states), "edges": sum(map(len, graph.succ))}
-        if args.dot:
+        else:
             _write(args.dot, export_lts(graph, "dot"))
     doc = {"properties": {k: v.to_json() for k, v in results.items()},
            "stats": stats}

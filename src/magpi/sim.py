@@ -9,12 +9,18 @@ drops to unreliable pairs regardless of the scenario.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+
+try:
+    # hashlib loads OpenSSL's libcrypto, about 3.5 MB resident, for this
+    # one digest; the built-in module is the same function.
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 from . import proc as P
 from .types import CongruenceMode, Reliability, buffer_heads
@@ -321,7 +327,7 @@ def enabled_steps(c: Config, r: Reliability, policy: str,
 def _buffer_digest(c: Config) -> str:
     """Hash of the running configuration's session buffers, each rendered."""
     parts = sorted(P.render_process(buf) for _, buf in c.running[1].values())
-    return hashlib.sha256("|".join(parts).encode()).hexdigest()[:12]
+    return sha256("|".join(parts).encode()).hexdigest()[:12]
 
 
 def run(c0: Config, r: Reliability, policy: str, scenario: FailureScenario,

@@ -7,7 +7,11 @@ JSONL trace, and the `lts-export` JSON of each input must be the recorded
 text (graphs, scenario runs and traces are recorded by SHA-256).  The
 verify records were made with the verifier that explored a fresh graph for
 every property, so they pin the verdicts, witnesses, `minimalK` and stats
-of the shared-graph verifier to the old ones.  The `explored_safety`
+of the shared-graph verifier to the old ones, but for the witnesses that
+a verifier exploring each linked component alone gives by design: the
+golden mesh's `never`, one path per component joined, and mesh_loop's
+`terminating`, the looping component's own lasso, which were regenerated
+then.  The `explored_safety`
 records, the one input whose static safety fails so that the typecheck gate
 explores, were made while the gate still explored its own graph, so they
 pin the gate and `verify` sharing one graph to that.  The simulate records were

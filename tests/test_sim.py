@@ -7,6 +7,7 @@ import json
 import pathlib
 import random
 import re
+import subprocess
 import sys
 from dataclasses import replace
 from functools import cached_property
@@ -26,7 +27,7 @@ from magpi.verify import HOLDS, check_deadlock_free
 from tests.conftest import fixture_file, fixture_text
 from tests.oracles import (copying_subst, detail_dict, exhaustive_small_step_oracle,
                            free_vars, is_inactive, node_values, subterms)
-from tests.test_golden import scenario as golden_scenario
+from tests.test_golden import ROOT, scenario as golden_scenario
 
 CALM = FailureScenario()
 
@@ -755,3 +756,14 @@ def test_simulator_digest_is_pinned(monkeypatch):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert module.digest() == (SIM_DIGEST, 720)
+
+
+def test_importing_magpi_leaves_openssl_unloaded():
+    # `hashlib` maps OpenSSL's libcrypto into the process, about 3.5 MB
+    # resident, for the simulator's one digest; the built-in `_sha256`
+    # module computes the same digest without it.
+    pytest.importorskip("_sha256")
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, magpi.cli; print('_hashlib' in sys.modules)"],
+        env={"PYTHONPATH": str(ROOT / "src")}, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr

@@ -425,22 +425,22 @@ def _prefix_cases():
 def test_bound_checks_read_the_stopped_graph_as_a_bounded_exploration(monkeypatch):
     # [DERIVED] a buffer-bounded BFS visits the states in the run's order
     # and stops at the first that reaches its bound, so both bound checks
-    # read off the run's graph, stopped at any state cap or complete, give
-    # the verdict of a fresh exploration with the bound k (graphs=None),
-    # and make none of their own.  The limits act alike under both
-    # congruences, so the sweep over every cap runs under the default one,
-    # and leader's two caps run under both.
+    # read off the run's graphs, stopped at any state cap or complete, give
+    # the verdict of a fresh exploration with the bound k of each linked
+    # component (graphs=None), and make none of their own.  The limits act
+    # alike under both congruences, so the sweep over every cap runs under
+    # the default one, and leader's two caps run under both.
     for name, g0, sigma, r, caps in _prefix_cases():
         modes = list(CongruenceMode) if name == "leader" else [CongruenceMode.TOTAL_REORDER]
-        fresh = {}  # (limits, k) -> the fresh bounded exploration both checks read
+        fresh = {}  # (component, limits, k) -> the fresh bounded exploration both checks read
         bounds = []  # the buffer bound of each fresh exploration
 
         def explore_once(g0_, sigma_, r_, lim, max_buffer_len):
             bounds.append(max_buffer_len)
-            if (lim, max_buffer_len) not in fresh:
-                fresh[lim, max_buffer_len] = explore(g0_, sigma_, r_, lim,
-                                                     max_buffer_len=max_buffer_len)
-            return fresh[lim, max_buffer_len]
+            if (g0_, lim, max_buffer_len) not in fresh:
+                fresh[g0_, lim, max_buffer_len] = explore(g0_, sigma_, r_, lim,
+                                                          max_buffer_len=max_buffer_len)
+            return fresh[g0_, lim, max_buffer_len]
         for cap, mode in itertools.product(caps, modes):
             limits = ExploreLimits(cap, mode)
             graphs = V.Graphs(g0, sigma, limits)
@@ -457,7 +457,7 @@ def test_bound_checks_read_the_stopped_graph_as_a_bounded_exploration(monkeypatc
                     assert shared == (V.check_bound_k(g0, sigma, r, k, limits),
                                       V.check_bounded(g0, sigma, r, k, limits)), \
                         (name, cap, k)
-                assert bounds == [k, k], (name, cap, k)
+                assert bounds == [k] * (2 * len(graphs.parts)), (name, cap, k)
 
 
 @pytest.mark.parametrize("mode", ["total", "tcp"])
@@ -471,6 +471,11 @@ def test_bounded_and_terminating_explore_once(monkeypatch, mode):
     assert json.loads(out.getvalue())["stats"] == {"exceeded": "maxStates", "limit": 400}
 
 
+# The linked components of the inputs with more than one: each golden mesh
+# is two groups that never address each other.
+PARTS = {"tests/golden/mesh.magpi": 2, "tests/golden/mesh_loop.magpi": 2}
+
+
 @pytest.mark.parametrize("path, extra, stats", [
     ("fixtures/ping.magpi", [], 0), ("fixtures/dns.magpi", [], 0),
     ("tests/golden/mesh.magpi", [], 0), ("tests/golden/mesh_loop.magpi", [], 0),
@@ -479,14 +484,15 @@ def test_bounded_and_terminating_explore_once(monkeypatch, mode):
 @pytest.mark.parametrize("mode", ["total", "tcp"])
 def test_bounded_alone_explores_once(monkeypatch, path, extra, stats, mode):
     # No other property builds the graph, so `bounded` explores with its
-    # bound.  An exploration that completes or stops at the state limit is
-    # the run's graph, and the stats read it.  ping's buffers reach 2, so
-    # with the bound 2 it stops at the bound, a shorter prefix, and the
-    # stats explore the run's graph.
+    # bound, once per linked component.  An exploration that completes or
+    # stops at the state limit is the run's graph, and the stats read it.
+    # ping's buffers reach 2, so with the bound 2 it stops at the bound, a
+    # shorter prefix, and the stats explore the run's graph.
     calls = _count_explores(monkeypatch)
     main(["verify", str(ROOT / path), "--props", "bounded", "--mode", mode, "--json",
           *extra], io.StringIO())
-    assert calls == {"verify": 1, "cli": stats}
+    parts = PARTS.get(path, 1)
+    assert calls == {"verify": parts, "cli": stats * parts}
 
 
 def test_bounded_inconclusive_on_unbounded_producer():
@@ -562,11 +568,14 @@ def _count_work(monkeypatch) -> dict:
 
 @pytest.mark.parametrize("mode", ("total", "tcp"))
 def test_mesh_run_explores_once(monkeypatch, tmp_path, mode):
-    # The verify benchmark's op: comm-rf reads its graph off the complete
-    # graph under the declared map, and the stats read that graph.  The
-    # deadlock scan runs once.  Where no endpoint type recurses, neither
-    # the cycle search nor live's closure runs; with a looping q_0 each
-    # runs once.
+    # The verify benchmark's op on its 2-fold meshes, whose two groups are
+    # two linked components, each explored once: comm-rf reads its graphs
+    # off the complete graphs under the declared map, and the stats read
+    # those graphs.  The deadlock scan runs once per component.  Where no
+    # endpoint type recurses, neither the cycle search nor live's closure
+    # runs; with a looping q_0 each observer's closure derives its
+    # component's predecessors, and the cycle search stops at the first
+    # component with a cycle.
     props = ",".join(bench_gen().MESH_PROPS)
     for name, text in mesh_sources():
         path = tmp_path / "mesh.magpi"
@@ -576,9 +585,10 @@ def test_mesh_run_explores_once(monkeypatch, tmp_path, mode):
             work = _count_work(patch)
             main(["verify", str(path), "--props", props, "--mode", mode, "--json"],
                  io.StringIO())
-        looping = int("loop=True" in name)
-        assert calls == {"verify": 1, "cli": 0}, name
-        assert work == {"deadlock": 1, "lasso": looping, "pred": looping}, name
+        looping = "loop=True" in name
+        assert calls == {"verify": 2, "cli": 0}, name
+        assert work["lasso"] in ((1, 2) if looping else (0,)), name
+        assert work == {"deadlock": 2, "lasso": work["lasso"], "pred": 2 * looping}, name
 
 
 @pytest.mark.parametrize("mode", ("total", "tcp"))
@@ -761,14 +771,17 @@ def test_termination_and_liveness_shortcuts_match_the_searches(mode):
     # terminating graph is live.  So terminating and live, which skip the
     # cycle search and the liveness closure where these facts decide them,
     # agree with both searches run in full, alone and in one run in
-    # verify's order.
+    # verify's order.  The product graph has a cycle exactly when a linked
+    # component's graph does, and the lasso is the first such component's.
     limits = ExploreLimits(max_states=3000, mode=mode)
     static = 0
     for name, g0, sigma, r in _live_cases():
         graph = explore(g0, sigma, r, limits)
         if isinstance(graph, Exceeded):
             continue
-        lasso = _lasso_recursive(graph)
+        lasso = next(filter(None, (_lasso_recursive(explore(part, sigma, r, limits))
+                                   for part in V.Graphs(g0, sigma, limits).parts)), None)
+        assert (lasso is None) == (_lasso_recursive(graph) is None), name
         if V._StaticFacts(g0).acyclic:
             assert lasso is None, name
             static += 1
