@@ -216,8 +216,7 @@ def cmd_simulate(args, out) -> int:
         "events": len(trace.events),
         "stuck": trace.stuck,
         "inactive": trace.terminal.inactive,
-        "terminal": P.render_process(P.canonical_process(trace.terminal.process,
-                                                         scenario.reorder)),
+        "terminal": P.render_process(trace.terminal.process, scenario.reorder),
         "monitors": [v.to_json() for v in violations],
     }
     if args.json:

@@ -62,16 +62,10 @@ class TypeContext:
 
 def end_predicate(g: TypeContext) -> bool:
     """Every variable binding basic or end-typed; every endpoint binding an
-    end session with no buffered messages."""
-    for _, t in g.vars:
-        if not is_basic(t) and not isinstance(resolve(t), End):
-            return False
-    for _, sbt in g.endpoints:
-        if sbt.buffer != ():
-            return False
-        if sbt.session is None or not isinstance(resolve(sbt.session), End):
-            return False
-    return True
+    end session with no buffered messages: the end/gc split of a context
+    with no buffer halves and no buffer-only bindings."""
+    return (all(sbt.buffer == () and sbt.session is not None for _, sbt in g.endpoints)
+            and split_end_gc(g)[0])
 
 
 def _gc_entries(entries: tuple, g: TypeContext) -> bool:

@@ -12,7 +12,7 @@ only in where they were written are equal.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, Span
 from .types import BASIC_KINDS, CongruenceMode, Type, buffer_order, format_type
@@ -313,7 +313,7 @@ def well_formed(p: Process, defs: dict | None = None) -> list[Diagnostic]:
                                         f"session {q.session} has {n} buffer processes",
                                         q.span))
             annotated = set(roles)
-            for s, r in eps:
+            for s, r in dict.fromkeys(eps):  # each endpoint once
                 if s == q.session and r not in annotated:
                     diags.append(Diagnostic("error", "UnknownRole",
                                             f"endpoint {s}[{r}] uses a role "
@@ -355,66 +355,9 @@ def well_formed(p: Process, defs: dict | None = None) -> list[Diagnostic]:
 
 
 # ---------------------------------------------------------------------------
-# structural congruence
-
-
-def canonical_process(p: Process, mode: CongruenceMode = CongruenceMode.TOTAL_REORDER) -> Process:
-    """Normal form under structural congruence: parallel and choice are
-    flattened, sorted and stripped of inaction units; buffer entries are put
-    in the mode's canonical order (per sender, since entries of one buffer
-    share a session but not a sender channel)."""
-    if isinstance(p, Send):
-        return replace(p, cont=canonical_process(p.cont, mode))
-    if isinstance(p, Branch):
-        arms = tuple(sorted(
-            (replace(a, cont=canonical_process(a.cont, mode)) for a in p.arms),
-            key=lambda a: (a.frm, a.label)))
-        to = canonical_process(p.timeout, mode) if p.timeout is not None else None
-        return replace(p, arms=arms, timeout=to)
-    if isinstance(p, Par):
-        parts = []
-
-        def flat(q):
-            if isinstance(q, Par):
-                flat(q.left)
-                flat(q.right)
-            elif not isinstance(q, Inaction):
-                parts.append(canonical_process(q, mode))
-
-        flat(p)
-        if not parts:
-            return Inaction()
-        parts.sort(key=render_process)
-        out = parts[0]
-        for q in parts[1:]:
-            out = Par(out, q)
-        return out
-    if isinstance(p, Choice):
-        parts = []
-
-        def flatc(q):
-            if isinstance(q, Choice):
-                flatc(q.left)
-                flatc(q.right)
-            else:
-                parts.append(canonical_process(q, mode))
-
-        flatc(p)
-        parts.sort(key=render_process)
-        out = parts[0]
-        for q in parts[1:]:
-            out = Choice(out, q)
-        return out
-    if isinstance(p, Restriction):
-        return replace(p, annotations=tuple(sorted(p.annotations, key=lambda a: a[0])),
-                       body=canonical_process(p.body, mode))
-    if isinstance(p, Def):
-        return replace(p, body=canonical_process(p.body, mode),
-                       cont=canonical_process(p.cont, mode))
-    if isinstance(p, Buffer):
-        return replace(p, entries=tuple(
-            p.entries[i] for i in buffer_order(buffer_keys(p.entries), mode)))
-    return p
+# structural congruence and rendering (the normal form is printed, for
+# terminal configurations and their comparison, and the term as written for
+# digests; the surface printer in pretty.py round-trips through the parser)
 
 
 def buffer_keys(entries: tuple) -> list:
@@ -423,38 +366,53 @@ def buffer_keys(entries: tuple) -> list:
     return [((e.frm, e.to), (e.label, render_value(e.value))) for e in entries]
 
 
-# ---------------------------------------------------------------------------
-# rendering (used for canonical sorting and digests; the surface printer in
-# pretty.py round-trips through the parser)
-
-
-def render_process(p: Process) -> str:
+def render_process(p: Process, mode: CongruenceMode | None = None) -> str:
+    """p as written, or with a mode its normal form under structural
+    congruence: `|` and `+` operands flattened and sorted by their own
+    normal forms, inaction dropped from parallels, receive arms sorted by
+    (sender, label), annotations by role, and buffer entries in the mode's
+    canonical order (`types.buffer_order`)."""
     if isinstance(p, Inaction):
         return "0"
     if isinstance(p, Send):
         return (f"{render_value(p.ch)}!{p.to}:{p.label}({render_value(p.value)})."
-                f"{render_process(p.cont)}")
+                f"{render_process(p.cont, mode)}")
     if isinstance(p, Branch):
+        arms = p.arms if mode is None else sorted(p.arms, key=lambda a: (a.frm, a.label))
         parts = [f"{a.frm}?{a.label}({a.var}:{format_type(a.var_type)})."
-                 f"{render_process(a.cont)}" for a in p.arms]
+                 f"{render_process(a.cont, mode)}" for a in arms]
         if p.timeout is not None:
-            parts.append(f"timeout.{render_process(p.timeout)}")
+            parts.append(f"timeout.{render_process(p.timeout, mode)}")
         return f"{render_value(p.ch)}&{{{', '.join(parts)}}}"
-    if isinstance(p, Choice):
-        return f"({render_process(p.left)} + {render_process(p.right)})"
-    if isinstance(p, Par):
-        return f"({render_process(p.left)} | {render_process(p.right)})"
+    if isinstance(p, (Choice, Par)):
+        op = " + " if isinstance(p, Choice) else " | "
+        if mode is None:
+            return f"({render_process(p.left)}{op}{render_process(p.right)})"
+        parts, todo = [], [p]
+        while todo:
+            q = todo.pop()
+            if isinstance(q, type(p)):
+                todo += (q.left, q.right)
+            elif isinstance(p, Choice) or not isinstance(q, Inaction):
+                parts.append(render_process(q, mode))
+        parts.sort()
+        out = parts[0] if parts else "0"
+        for q in parts[1:]:
+            out = f"({out}{op}{q})"
+        return out
     if isinstance(p, Restriction):
-        anns = ", ".join(f"{r}: {format_type(t)}" for r, t in p.annotations)
-        return f"new {p.session}:{{{anns}}} in ({render_process(p.body)})"
+        anns = p.annotations if mode is None else sorted(p.annotations, key=lambda a: a[0])
+        anns = ", ".join(f"{r}: {format_type(t)}" for r, t in anns)
+        return f"new {p.session}:{{{anns}}} in ({render_process(p.body, mode)})"
     if isinstance(p, Def):
         ps = ", ".join(f"{v}: {format_type(t)}" for v, t in p.params)
-        return (f"def {p.name}({ps}) = {render_process(p.body)} in "
-                f"({render_process(p.cont)})")
+        return (f"def {p.name}({ps}) = {render_process(p.body, mode)} in "
+                f"({render_process(p.cont, mode)})")
     if isinstance(p, Call):
         return f"{p.name}({', '.join(render_value(a) for a in p.args)})"
     if isinstance(p, Buffer):
-        es = ", ".join(f"({e.frm},{e.to})!{e.label}({render_value(e.value)})"
-                       for e in p.entries)
+        es = p.entries if mode is None else [
+            p.entries[i] for i in buffer_order(buffer_keys(p.entries), mode)]
+        es = ", ".join(f"({e.frm},{e.to})!{e.label}({render_value(e.value)})" for e in es)
         return f"{p.session}:[{es}]"
     raise TypeError(f"unexpected process {p!r}")

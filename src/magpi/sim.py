@@ -242,10 +242,12 @@ def _message_detail(e: P.BufMsg, session: str) -> tuple:
 
 def _droppable(e: P.BufMsg, r: Reliability, policy: str,
                scenario: FailureScenario, step: int):
-    """(allowed, weight) of dropping one in-transit message."""
+    """(allowed, weight) of dropping one in-transit message.  The reliable
+    policy keeps a message whose recipient trusts its sender, as that
+    recipient may wait on it without a timeout."""
     forced = (scenario.crashed(e.frm, step)
               or scenario.link_failed(e.frm, e.to, step))
-    if policy == RELIABLE and r.reliable(e.frm, e.to) and not forced:
+    if policy == RELIABLE and e.frm in r.get(e.to) and not forced:
         return False, 0.0
     w = 1.0 if forced else scenario.drop_prob(e.frm, e.to)
     return True, w

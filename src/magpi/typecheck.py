@@ -384,17 +384,13 @@ def typecheck(theta: dict, g: TypeContext, sigma, p: P.Process,
 
 def typecheck_file(pf, limits: ExploreLimits | None = None,
                    graphs: Graphs | None = None) -> TypingReport:
-    """Typecheck a parsed protocol file's system under empty contexts.
-    Top-level definitions are mutually recursive, so every definition body
-    is checked under an environment containing all of them.  `graphs`, when
-    given, holds a verify run's graphs: a restriction whose safety context
-    is their g0 decides safety on them, and the run reads that decision."""
+    """Typecheck a parsed protocol file's system, with its top-level
+    definitions in scope, under empty contexts.  Top-level definitions are
+    mutually recursive, so the `Def` rule checks every definition body under
+    an environment containing all of them.  `graphs`, when given, holds a
+    verify run's graphs: a restriction whose safety context is their g0
+    decides safety on them, and the run reads that decision."""
     theta = {d.name: [t for _, t in d.params] for d in pf.proc_defs}
     c = Checker(pf.reliability, limits, graphs)
-    ok = True
-    for d in pf.proc_defs:
-        c.trace.append(("definition", d.span))
-        gbody = TypeContext.of({v: t for v, t in d.params}, {})
-        ok = c.check(dict(theta), gbody, set(), d.body) and ok
-    ok = c.check(dict(theta), TypeContext.of(), set(), pf.system) and ok
+    ok = c.check(theta, TypeContext(), set(), pf.system_with_defs())
     return TypingReport("accepted" if ok else "rejected", c.failures, c.trace)

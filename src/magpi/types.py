@@ -447,9 +447,6 @@ class Reliability:
         roles = sorted(roles)
         return Reliability.of({r: frozenset(x for x in roles if x != r) for r in roles})
 
-    def reliable(self, viewpoint: str, other: str) -> bool:
-        return other in self.get(viewpoint)
-
     def needs_timeout(self, role: str, arms) -> bool:
         """Whether `role`, waiting on branch `arms`, hears from a peer it
         does not trust.  Such a wait needs a timeout arm, and any other wait

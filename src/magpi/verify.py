@@ -53,14 +53,12 @@ def _stopped(graphs: tuple) -> Verdict | None:
     return None if stop is None else Verdict(INCONCLUSIVE, reason=stop.kind, limit=stop.limit)
 
 
-def _scan(graph: LtsGraph, rule, stuck_only: bool = False) -> tuple | None:
-    """(state id, reason) of the lowest state id, among the stuck ones when
-    `stuck_only`, for which `rule(state, classes)` gives a reason; None
-    when no id does."""
+def _scan(graph: LtsGraph, rule, stuck_only: bool = False) -> int | None:
+    """The lowest state id, among the stuck ones when `stuck_only`, for
+    which `rule(state, classes)` gives a reason; None when no id does."""
     for sid in graph.stuck_ids if stuck_only else range(len(graph.states)):
-        fail = rule(graph.states[sid], graph.classes)
-        if fail is not None:
-            return sid, fail
+        if rule(graph.states[sid], graph.classes) is not None:
+            return sid
     return None
 
 
@@ -92,23 +90,21 @@ def _compose(g0: TypeContext, graphs: tuple, rule, stuck_only: bool) -> Verdict:
     has a stuck state and one of them fails; the witness joins the paths
     to the failing state and to each other component's first stuck state.
     The reason is the rule's on the joined state."""
-    hits = [(i, hit) for i, hit in enumerate(_scan(g, rule, stuck_only) for g in graphs)
-            if hit is not None]
+    hits = [(i, sid) for i, sid in enumerate(_scan(g, rule, stuck_only) for g in graphs)
+            if sid is not None]
     if not hits or stuck_only and not all(g.stuck_ids for g in graphs):
         return Verdict(HOLDS)
     if stuck_only:
-        i, (sid, reason) = hits[0]
+        i, sid = hits[0]
         picks = [g.stuck_ids[0] for g in graphs]
         picks[i] = sid
         witness = sum((g.path_to(sid) for g, sid in zip(graphs, picks)), ())
     else:
-        i, (sid, reason) = min(hits, key=lambda h: _first(graphs[h[0]].path_to(h[1][0])))
+        i, sid = min(hits, key=lambda h: _first(graphs[h[0]].path_to(h[1])))
         picks = [0] * len(graphs)
         picks[i] = sid
         witness = graphs[i].path_to(sid)
-    if len(graphs) > 1:
-        reason = rule(_join(g0, graphs, picks), None)
-    return Verdict(VIOLATED, reason=reason, witness=witness)
+    return Verdict(VIOLATED, reason=rule(_join(g0, graphs, picks), None), witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +176,8 @@ class _StaticFacts:
         for i in range(len(root)):
             parts.setdefault(find(i), []).append(i)
         delegates = not all(map(is_basic, (p for ps in sent.values() for p in ps)))
-        self.parts = [list(range(len(root)))] if delegates else list(parts.values())
+        # a g0 with no endpoints is one empty component
+        self.parts = [list(range(len(root)))] if delegates else list(parts.values()) or [[]]
 
     def safety_holds(self, r: Reliability) -> bool:
         """Sound over-approximation of safety: every branching node
@@ -229,13 +226,10 @@ class Graphs:
 
     @cached_property
     def parts(self) -> tuple:
-        """The contexts of g0's linked components, or g0 alone."""
-        groups = self.static.parts
-        if len(groups) <= 1:
-            return (self.g0,)
+        """The contexts of g0's linked components."""
         es = self.g0.endpoints
         return tuple(TypeContext(self.g0.vars, tuple(es[i] for i in group))
-                     for group in groups)
+                     for group in self.static.parts)
 
     def get(self, r: Reliability, mode: CongruenceMode | None = None) -> tuple:
         """The component graphs under r (each Exceeded if it stopped); mode

@@ -31,7 +31,7 @@ def exhaustive_small_step_oracle(c0: Config, r: Reliability, policy: str,
     frontier = deque([(c0.process, 0)])
     while frontier:
         proc, d = frontier.popleft()  # breadth-first: first visit is shallowest
-        key = P.render_process(P.canonical_process(proc, scenario.reorder))
+        key = P.render_process(proc, scenario.reorder)
         if key in seen:
             continue
         seen.add(key)

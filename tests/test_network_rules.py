@@ -13,7 +13,7 @@ from magpi.sim import (Config, FailureScenario, RELIABLE, Trace, enabled_steps,
                        monitor_corollaries)
 from magpi.types import (END, UNIT, Basic, BufEntry, CongruenceMode,
                          Reliability, SessionBufferType, buffer_heads,
-                         buffer_keys, canonical_buffer_type)
+                         buffer_keys, buffer_order, canonical_buffer_type)
 from magpi import verify as V
 
 TOTAL, FIFO = CongruenceMode.TOTAL_REORDER, CongruenceMode.TCP_FIFO
@@ -39,7 +39,7 @@ LEVELS = {
              lambda e: e.to,
              lambda e: (e.label, e.payload)),
     "process": (PROC_ENTRY,
-                lambda es, mode: P.canonical_process(P.Buffer("s", es), mode).entries,
+                lambda es, mode: tuple(es[i] for i in buffer_order(P.buffer_keys(es), mode)),
                 lambda es, mode: buffer_heads(P.buffer_keys(es), mode),
                 lambda e: (e.frm, e.to),
                 lambda e: (e.label, e.value)),

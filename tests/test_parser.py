@@ -187,6 +187,21 @@ def test_reject_duplicate_receive_arm():
         "DuplicateArm")
 
 
+@pytest.mark.parametrize("system, diagnostic", [
+    # z is declared but not annotated: both of its uses are one fault
+    ("new s:{ p: end, q: end } in ( s[z]!p:a().0 | s[z]!q:b().0 | s:[] )",
+     ("UnknownRole", 14, "endpoint s[z] uses a role missing from the session annotation")),
+    ("new s:{ p: end, q: end } in ( s[q]&{ timeout. 0 } | s:[] )",
+     ("EmptyArms", 40, "branching requires at least one receive arm")),
+    ("new s:{ p: end, p: end } in ( s:[] )",
+     ("DuplicateRole", 14, "role p annotated twice on session s")),
+])
+def test_restricted_session_fault_is_reported_once(system, diagnostic):
+    with pytest.raises(MagpiError) as err:
+        parse(f"protocol t\nroles p, q, z\nsystem = {system}\n")
+    assert [(d.code, d.span.col, d.message) for d in err.value.diagnostics] == [diagnostic]
+
+
 def test_named_type_fault_is_reported_once_at_its_definition():
     # S is validated where it is defined, not again where the annotation
     # names it, and its fault is placed at its name, not at the next token.

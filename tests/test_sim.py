@@ -15,11 +15,11 @@ from functools import cached_property
 import pytest
 
 import magpi.proc as P
-from magpi import parse, sim, typecheck_file
+from magpi import parse, parse_process_text, sim, typecheck_file
 from magpi.cli import initial_context, main
 from magpi.lts import ExploreLimits
 from magpi.proc import (Branch, Buffer, Endpoint, Inaction, Par, Process,
-                        RecvArm, Restriction, canonical_process, render_process)
+                        RecvArm, Restriction, render_process)
 from magpi.sim import (Config, FailureScenario, RELIABLE, Trace, TraceEvent,
                        UNRESTRICTED, enabled_steps, monitor_corollaries, run)
 from magpi.types import END, Reliability, UNIT, buffer_heads
@@ -151,8 +151,7 @@ def test_sampled_terminal_is_reachable_by_oracle():
                                              CALM, depth=40)
     for seed in range(20):
         tr = run(c0, pf.reliability, RELIABLE, CALM, seed, 500)
-        key = render_process(canonical_process(tr.terminal.process,
-                                               CALM.reorder))
+        key = render_process(tr.terminal.process, CALM.reorder)
         assert key in terminals
 
 
@@ -168,7 +167,7 @@ def test_oracle_terminals_all_inactive_without_failures():
     seen, frontier = set(), [c0.process]
     while frontier:
         proc = frontier.pop()
-        key = render_process(canonical_process(proc, CALM.reorder))
+        key = render_process(proc, CALM.reorder)
         if key in seen:
             continue
         seen.add(key)
@@ -381,8 +380,8 @@ system = new s:{ p: Sp, q: Sq } in ( s[p]!q:a().0 | s[q]&{ p?a(). 0 } | s:[] )
 # wait forever on a role that crashed.  A scenario is map-consistent when it
 # crashes only roles that no role trusts, fails links only between two roles
 # that trust neither way and partitions only where no trusting pair crosses
-# the cut; drops may hit any pair, and the reliable policy discards those on
-# trusted pairs.  A run is judged by the threads of
+# the cut; drops may hit any pair, and the reliable policy refuses those
+# whose recipient trusts their sender.  A run is judged by the threads of
 # its terminal configuration, not by `stuck`, which also counts a crashed
 # role's frozen thread.  The runs that end before their step budget end
 # within 20 steps; the others (mesh_loop's) are not judged.
@@ -399,7 +398,7 @@ def _scenarios(pf, consistent: bool) -> list:
     trusted = {x for y in roles for x in r.get(y)}
     drops = {"drop": {f"{a}->{b}": 0.3 for a in roles for b in roles if a != b}}
     pairs = [(a, b) for i, a in enumerate(roles) for b in roles[i + 1:]]
-    trusting = [(a, b) for a, b in pairs if r.reliable(a, b) or r.reliable(b, a)]
+    trusting = [(a, b) for a, b in pairs if b in r.get(a) or a in r.get(b)]
     if consistent:
         crashes = [(x, at) for x in roles if x not in trusted for at in (0, 1, 3, 6)]
         links = [ab for ab in pairs if ab not in trusting]
@@ -427,10 +426,23 @@ def _left_waiting(pf, scenario, tr) -> list:
             and not scenario.crashed(q.ch.role, end.step_count)]
 
 
+# q trusts p and p trusts nobody, so q waits on p without a timeout: the
+# reliable policy must keep p's message, whose recipient relies on it.
+ONE_WAY_TRUST = """
+protocol one_way
+roles p, q
+reliability { q: {p} }
+type Sp @ p = q!a().end
+type Sq @ q = &{ p?a().end }
+system = new s:{ p: Sp, q: Sq } in ( s[p]!q:a().0 | s[q]&{ p?a().0 } | s:[] )
+"""
+
+
 def test_only_a_crashed_role_is_waited_on_forever():
     judged, control = [], {}
-    for name in ("ping", "dns", "leader", "mesh", "mesh_loop", "explored_safety"):
-        pf = parse(protocol_text(name))
+    for name in ("ping", "dns", "leader", "mesh", "mesh_loop", "explored_safety",
+                 "one_way"):
+        pf = parse(ONE_WAY_TRUST if name == "one_way" else protocol_text(name))
         g0, session = initial_context(pf)
         if not (typecheck_file(pf).accepted and check_deadlock_free(
                 g0, {session}, pf.reliability, ExploreLimits()).status == HOLDS):
@@ -445,7 +457,7 @@ def test_only_a_crashed_role_is_waited_on_forever():
                                              scen, seed, 100)))
             for scen in _scenarios(pf, consistent=False) for seed in range(5))
     # leader's deadlock freedom is inconclusive within the default limits
-    assert judged == ["ping", "dns", "mesh", "mesh_loop", "explored_safety"]
+    assert judged == ["ping", "dns", "mesh", "mesh_loop", "explored_safety", "one_way"]
     # Failures the map rules out do leave live roles waiting.  mesh_loop's
     # looping role can always time out, so its runs end on the step budget.
     del control["mesh_loop"]
@@ -575,7 +587,7 @@ def _reference_steps(c, r, policy, scenario):
                 e = node.entries[i]
                 forced = (scenario.crashed(e.frm, step)
                           or scenario.link_failed(e.frm, e.to, step))
-                if policy == RELIABLE and r.reliable(e.frm, e.to) and not forced:
+                if policy == RELIABLE and e.frm in r.get(e.to) and not forced:
                     continue
                 w = 1.0 if forced else scenario.drop_prob(e.frm, e.to)
                 out.append(("R-drop", _ref_detail(e, node.session), w,
@@ -691,28 +703,34 @@ def _variables(p: Process) -> set:
 def test_subst_copies_only_what_it_changes():
     # `subst` against the substitution that copies every node: the same
     # result, and the very same object wherever no substituted variable
-    # occurs free, on every subterm of the fixtures and golden inputs, under
-    # a substitution of each of their variables, of all of them at once and
+    # occurs free, on every subterm of the fixtures and golden inputs and of
+    # a term with a local definition and buffered variables, under a
+    # substitution of each of their variables, of all of them at once and
     # of a variable they never name.
+    tops = [(name, top) for name in ("ping", "dns", "leader", "mesh", "mesh_loop",
+                                     "explored_safety")
+            for pf in [parse(protocol_text(name))]
+            for top in [d.body for d in pf.proc_defs] + [pf.system]]
+    tops.append(("local def", parse_process_text(
+        "def F(x: int) = s[p]!q:a(x).F(x) in "
+        "( s[p]!q:a(y).F(y) | s:[(p,q)!a(y), (p,q)!b(x), (p,q)!c(1)] )")))
     shared = changed = 0
-    for name in ("ping", "dns", "leader", "mesh", "mesh_loop", "explored_safety"):
-        pf = parse(protocol_text(name))
-        for top in [d.body for d in pf.proc_defs] + [pf.system]:
-            names = sorted(_variables(top))
-            value = Endpoint("fresh", "p")
-            subs = [{x: value} for x in names + ["unnamed"]]
-            subs.append({x: P.Lit("int", i) for i, x in enumerate(names)})
-            for q in subterms(top):
-                free = free_vars(q)
-                for sub in subs:
-                    got = P.subst(q, sub)
-                    assert got == copying_subst(q, sub), (name, sub)
-                    if free.isdisjoint(sub):
-                        assert got is q, (name, sub)
-                        shared += 1
-                    else:
-                        assert got != q, (name, sub)
-                        changed += 1
+    for name, top in tops:
+        names = sorted(_variables(top))
+        value = Endpoint("fresh", "p")
+        subs = [{x: value} for x in names + ["unnamed"]]
+        subs.append({x: P.Lit("int", i) for i, x in enumerate(names)})
+        for q in subterms(top):
+            free = free_vars(q)
+            for sub in subs:
+                got = P.subst(q, sub)
+                assert got == copying_subst(q, sub), (name, sub)
+                if free.isdisjoint(sub):
+                    assert got is q, (name, sub)
+                    shared += 1
+                else:
+                    assert got != q, (name, sub)
+                    changed += 1
     assert shared > 1000 and changed > 100, (shared, changed)
 
 

@@ -128,6 +128,18 @@ def test_never_terminating_on_pure_loop():
     assert V.check_never_terminating(g, {"s"}, rel(), LIM).holds
 
 
+def test_terminating_holds_when_the_cycle_search_finds_none():
+    # q's type recurses, so the search runs, but each turn of q's loop
+    # takes a message p sends once: the 7-state graph has no cycle.
+    g = ctx({("s", "p"): sbt(S("q!a().q!b().end")),
+             ("s", "q"): sbt(S("rec X. &{ p?a().X, p?b().end }"))})
+    r, graphs = rel(p={"q"}, q={"p"}), V.Graphs(g, {"s"}, LIM)
+    assert not graphs.static.acyclic
+    assert V.check_terminating(g, {"s"}, r, LIM, graphs) == V.Verdict(V.HOLDS)
+    (graph,) = graphs.get(r)
+    assert len(graph.states) == 7 and V._lasso(graph) is None
+
+
 def test_terminating_and_never_terminating_exclusive():
     # [DERIVED] the two verdicts can never both hold on the same system.
     cases = [
@@ -867,6 +879,32 @@ def test_terminating_on_deep_chain_at_default_recursion_limit(monkeypatch):
     v = V.check_terminating(looping, {"s"}, rel(), LIM)
     assert v.status == V.VIOLATED and v.reason == "Cycle"
     assert v.witness == tuple(f"a{i}" for i in range(n - 1)) + ("back",)
+
+
+PRELOADED = """
+protocol preloaded
+roles p, q
+reliability { p: {q}, q: {p} }
+type Sq @ q = &{ p?a().end }
+system = new s:{ p: end, q: Sq } in ( s[q]&{ p?a().0 } | s:[(p,q)!a()] )
+"""
+
+
+def test_bound_probe_stops_at_a_preloaded_initial_state(tmp_path):
+    # The initial buffer already holds a message, so the exploration with
+    # the buffer bound 1 stops at state 0 and the probe decides nothing.
+    pf = parse(PRELOADED)
+    g0, session = initial_context(pf)
+    (graph,) = V.Graphs(g0, {session}, LIM).bounded(pf.reliability, 1)
+    assert isinstance(graph, Exceeded) and graph.kind == "bufferLen"
+    assert len(graph.states) == 1 and graph.expanded == 0
+    path = tmp_path / "preloaded.magpi"
+    path.write_text(PRELOADED, encoding="utf-8")
+    out = io.StringIO()
+    assert main(["verify", str(path), "--props", "bounded", "--bound", "1", "--json"],
+                out) == 2
+    assert json.loads(out.getvalue())["properties"] == {"bounded": {
+        "limit": 1, "reason": "unbounded up to probe", "verdict": "inconclusive"}}
 
 
 # -- the buffer-bounded fallback stays within the run's state limit -----------
