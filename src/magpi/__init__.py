@@ -6,9 +6,8 @@ from .diagnostics import Diagnostic, MagpiError, Span
 from .types import (BASIC_KINDS, Basic, Branch, BranchArm, BufEntry,
                     CongruenceMode, END, Rec, RecRef, Reliability, Select,
                     SelectArm, SessionBufferType, SessionType, Type, UNIT,
-                    buffer_type_congruent, canonical_buffer_type,
-                    format_session, format_type, type_classes, type_equal,
-                    validate_session)
+                    buffer_type_congruent, format_session, format_type,
+                    type_classes, type_equal, validate_session)
 from .parser import (ProcDecl, ProtocolFile, parse, parse_process_text,
                      parse_session_text)
 from .pretty import pretty

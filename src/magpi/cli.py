@@ -14,7 +14,7 @@ import sys
 
 from . import proc as P
 from .context import TypeContext
-from .diagnostics import MagpiError
+from .diagnostics import Diagnostic, MagpiError
 from .lts import Exceeded, ExploreLimits, explore, export_lts
 from .parser import ProtocolFile, parse
 from .sim import (Config, FailureScenario, RELIABLE, UNRESTRICTED,
@@ -73,14 +73,18 @@ def initial_context(pf: ProtocolFile):
     return restriction_context(p, TypeContext()), p.session
 
 
+def _print_report(report, out) -> None:
+    for d in report.failures:
+        print(d.render(), file=out)
+    print(f"typecheck: {report.verdict}", file=out)
+
+
 def _gate_typecheck(pf: ProtocolFile, args, out, graphs=None) -> int | None:
     if getattr(args, "unsafe_skip_typecheck", False):
         return None
     report = typecheck_file(pf, ExploreLimits(max_states=args.max_states), graphs)
     if not report.accepted:
-        for d in report.failures:
-            print(d.render(), file=out)
-        print("typecheck: rejected", file=out)
+        _print_report(report, out)
         return EXIT_VIOLATION
     return None
 
@@ -95,9 +99,7 @@ def cmd_check(args, out) -> int:
     if args.json:
         print(json.dumps(report.to_json(), indent=2, sort_keys=True), file=out)
     else:
-        for d in report.failures:
-            print(d.render(), file=out)
-        print(f"typecheck: {report.verdict}", file=out)
+        _print_report(report, out)
     return EXIT_OK if report.accepted else EXIT_VIOLATION
 
 
@@ -301,9 +303,12 @@ def main(argv=None, out=None) -> int:
             return cmd_verify(args, out)
         return cmd_simulate(args, out)
     except MagpiError as exc:
-        for d in exc.diagnostics:
-            print(d.render(), file=out)
-        return EXIT_USAGE
+        diags = exc.diagnostics
+    except RecursionError:  # each stage recurses on the input's nesting
+        diags = [Diagnostic("error", "NestingTooDeep", "input is nested too deeply")]
+    for d in diags:
+        print(d.render(), file=out)
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

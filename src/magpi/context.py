@@ -5,9 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .types import (CongruenceMode, End, SessionBufferType, Type, TypeClasses,
-                    buffer_keys, buffer_order, canonical_buffer_type,
-                    format_session, format_type, is_basic, resolve,
-                    type_classes, type_equal)
+                    buffer_keys, buffer_order, format_session, format_type,
+                    is_basic, resolve, type_classes, type_equal)
 
 
 @dataclass(frozen=True)
@@ -117,9 +116,8 @@ def canonical_context(g: TypeContext, mode: CongruenceMode,
     defaults to g's own."""
     if classes is None:
         classes = context_classes(g)
-    return TypeContext(g.vars, tuple(
-        (k, SessionBufferType(canonical_buffer_type(sbt.buffer, mode, classes), sbt.session))
-        for k, sbt in g.endpoints))
+    return TypeContext(g.vars, tuple((k, canonical_binding(sbt, mode, classes)[0])
+                                     for k, sbt in g.endpoints))
 
 
 def canonical_binding(sbt: SessionBufferType, mode: CongruenceMode,

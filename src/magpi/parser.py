@@ -121,6 +121,10 @@ class ProtocolFile:
         return out
 
 
+def _syntax(message: str, span: Span) -> MagpiError:
+    return MagpiError([Diagnostic("error", "SyntaxError", message, span)])
+
+
 class Parser:
     def __init__(self, source: str):
         self.toks = tokenize(source)
@@ -154,10 +158,8 @@ class Parser:
     def expect(self, kind: str, text: str | None = None) -> Token:
         t = self.toks[self.pos]
         if t.kind != kind or (text is not None and t.text != text):
-            want = text or kind
-            raise MagpiError([Diagnostic("error", "SyntaxError",
-                                         f"expected {want!r}, found {t.text or 'end of input'!r}",
-                                         t.span)])
+            raise _syntax(f"expected {text or kind!r}, "
+                          f"found {t.text or 'end of input'!r}", t.span)
         return self.next()
 
     def items(self, opening: str, closing: str, item, empty: bool = True) -> list:
@@ -203,6 +205,16 @@ class Parser:
         was validated, and its faults reported, at its definition."""
         if ty not in self.named:
             self.diags.extend(validate_session(ty, span, self.named))
+
+    def message(self, payload, empty) -> tuple:
+        """`IDENT "(" [payload] ")"`, the label and payload of an arm type,
+        a send, a receive arm or a buffered message: (label, what
+        `payload()` parses, or `empty` for an empty payload)."""
+        label = self.expect("IDENT").text
+        self.expect("(")
+        out = empty if self.at(")") else payload()
+        self.expect(")")
+        return label, out
 
     def check_role(self, tok: Token) -> str:
         if self.roles and tok.text not in self.roles:
@@ -264,9 +276,8 @@ class Parser:
                 system = self.parse_par(set())
             else:
                 t = self.peek()
-                raise MagpiError([Diagnostic(
-                    "error", "SyntaxError",
-                    f"expected declaration, found {t.text or 'end of input'!r}", t.span)])
+                raise _syntax(f"expected declaration, found {t.text or 'end of input'!r}",
+                              t.span)
         if system is None:
             self.error("MissingSystem", "file declares no system process", self.peek().span)
             system = Inaction()
@@ -340,18 +351,14 @@ class Parser:
                 return self.type_defs[t.text][1]
             raise MagpiError([Diagnostic("error", "UnboundRecVar",
                                          f"unknown type name {t.text!r}", t.span)])
-        raise MagpiError([Diagnostic("error", "SyntaxError",
-                                     f"expected a session type, found {t.text!r}", t.span)])
+        raise _syntax(f"expected a session type, found {t.text!r}", t.span)
 
     def parse_arm_type(self, recs: dict, sep: str) -> SelectArm | BranchArm:
         """A selection arm `q!l(T).S` (sep "!") or a branching arm
         `q?l(T).S` (sep "?")."""
         role = self.check_role(self.expect("IDENT"))
         self.expect(sep)
-        label = self.expect("IDENT").text
-        self.expect("(")
-        payload = UNIT if self.at(")") else self.parse_payload_type(recs)
-        self.expect(")")
+        label, payload = self.message(lambda: self.parse_payload_type(recs), UNIT)
         self.expect(".")
         arm = SelectArm if sep == "!" else BranchArm
         return arm(role, label, payload, self.parse_type(recs))
@@ -391,8 +398,7 @@ class Parser:
             if t.kind == "REAL":
                 self.next()
                 return Lit("real", -float(t.text) if neg else float(t.text))
-            raise MagpiError([Diagnostic("error", "SyntaxError",
-                                         "expected a number after '-'", t.span)])
+            raise _syntax("expected a number after '-'", t.span)
         if t.kind == "STRING":
             self.next()
             body = t.text[1:-1]
@@ -408,8 +414,7 @@ class Parser:
                 self.expect("]")
                 return Endpoint(t.text, role)
             return Var(t.text)
-        raise MagpiError([Diagnostic("error", "SyntaxError",
-                                     f"expected a value, found {t.text!r}", t.span)])
+        raise _syntax(f"expected a value, found {t.text!r}", t.span)
 
     # -- processes
 
@@ -474,63 +479,48 @@ class Parser:
                 return Call(t.text, tuple(self.items("(", ")", self.parse_value)), t.span)
             ch = self.parse_value()
             if not isinstance(ch, (Var, Endpoint)):
-                raise MagpiError([Diagnostic("error", "SyntaxError",
-                                             "channel must be a variable or endpoint",
-                                             t.span)])
+                raise _syntax("channel must be a variable or endpoint", t.span)
             if self.at("!"):
                 self.next()
                 to = self.check_role(self.expect("IDENT"))
                 self.expect(":")
-                label = self.expect("IDENT").text
-                self.expect("(")
-                value = UNIT_VAL if self.at(")") else self.parse_value()
-                self.expect(")")
+                label, value = self.message(self.parse_value, UNIT_VAL)
                 self.expect(".")
                 return Send(ch, to, label, value, self.parse_prefix(sessions), t.span)
             if self.at("&"):
                 self.next()
 
+                def binder():
+                    var = self.expect("IDENT").text
+                    self.expect(":")
+                    return var, self.parse_binder_type()
+
                 def arm():
                     at = self.peek()
                     frm = self.check_role(self.expect("IDENT"))
                     self.expect("?")
-                    label = self.expect("IDENT").text
-                    self.expect("(")
-                    if self.at(")"):
-                        var, vty = "_", UNIT
-                    else:
-                        var = self.expect("IDENT").text
-                        self.expect(":")
-                        vty = self.parse_binder_type()
-                    self.expect(")")
+                    label, (var, vty) = self.message(binder, ("_", UNIT))
                     self.expect(".")
                     return RecvArm(frm, label, var, vty, self.parse_prefix(sessions),
                                    at.span)
 
                 arms, timeout = self.branch_arms(arm, lambda: self.parse_prefix(sessions))
                 return Branch(ch, arms, timeout, t.span)
-            raise MagpiError([Diagnostic("error", "SyntaxError",
-                                         f"expected '!', '&', ':' or '(' after {t.text!r}",
-                                         self.peek().span)])
-        raise MagpiError([Diagnostic("error", "SyntaxError",
-                                     f"expected a process, found {t.text or 'end of input'!r}",
-                                     t.span)])
+            raise _syntax(f"expected '!', '&', ':' or '(' after {t.text!r}",
+                          self.peek().span)
+        raise _syntax(f"expected a process, found {t.text or 'end of input'!r}", t.span)
 
     def parse_buffer(self, name: Token) -> Process:
-        def message():
+        def entry():
             self.expect("(")
             frm = self.check_role(self.expect("IDENT"))
             self.expect(",")
             to = self.check_role(self.expect("IDENT"))
             self.expect(")")
             self.expect("!")
-            label = self.expect("IDENT").text
-            self.expect("(")
-            value = UNIT_VAL if self.at(")") else self.parse_value()
-            self.expect(")")
-            return BufMsg(frm, to, label, value)
+            return BufMsg(frm, to, *self.message(self.parse_value, UNIT_VAL))
 
-        return Buffer(name.text, tuple(self.items("[", "]", message)), name.span)
+        return Buffer(name.text, tuple(self.items("[", "]", entry)), name.span)
 
 
 def parse(source: str) -> ProtocolFile:
@@ -538,24 +528,24 @@ def parse(source: str) -> ProtocolFile:
     return Parser(source).parse_file()
 
 
-def parse_session_text(source: str, roles=()) -> SessionType:
-    """Parse a standalone session type (tests and tooling)."""
+def _parse_text(source: str, roles, item, check=lambda out: []):
+    """What `item(parser)` parses of the whole of `source`, declaring
+    `roles`; `check(out)` lists its further faults."""
     p = Parser(source)
     p.roles = tuple(roles)
-    ty = p.parse_type({})
+    out = item(p)
     p.expect("EOF")
-    diags = p.diags + validate_session(ty)
+    diags = p.diags + check(out)
     if diags:
         raise MagpiError(diags)
-    return ty
+    return out
+
+
+def parse_session_text(source: str, roles=()) -> SessionType:
+    """Parse a standalone session type (tests and tooling)."""
+    return _parse_text(source, roles, lambda p: p.parse_type({}), validate_session)
 
 
 def parse_process_text(source: str, roles=()) -> Process:
     """Parse a standalone process (tests and tooling)."""
-    p = Parser(source)
-    p.roles = tuple(roles)
-    out = p.parse_par(set())
-    p.expect("EOF")
-    if p.diags:
-        raise MagpiError(p.diags)
-    return out
+    return _parse_text(source, roles, lambda p: p.parse_par(set()))

@@ -40,8 +40,9 @@ RULE_DROP = "R-drop"
 class FailureScenario:
     drop: tuple = ()        # tuple[((frm, to), prob), ...]
     crash: tuple = ()       # tuple[(role, activation step), ...]
-    links: tuple = ()       # tuple[(a, b, activation step), ...] unordered pairs
-    partitions: tuple = ()  # tuple[((roles...), (roles...), activation step), ...]
+    # tuple[((roles...), (roles...), activation step), ...]: a failed link
+    # a-b is the partition ((a,), (b,))
+    partitions: tuple = ()
     delay_bias: float = 0.0
     reorder: CongruenceMode = CongruenceMode.TOTAL_REORDER
     freeze_crashed: bool = True
@@ -62,13 +63,12 @@ class FailureScenario:
                             for k, v in doc.get("drop", {}).items()))
         crash = tuple(sorted((c["role"], int(c["at"]))
                              for c in doc.get("crash", [])))
-        links = tuple(sorted((l["a"], l["b"], int(l["at"]))
-                             for l in doc.get("links", [])))
-        parts = tuple((tuple(sorted(p["a"])), tuple(sorted(p["b"])), int(p["at"]))
-                      for p in doc.get("partition", []))
+        parts = tuple(((l["a"],), (l["b"],), int(l["at"])) for l in doc.get("links", []))
+        parts += tuple((tuple(sorted(p["a"])), tuple(sorted(p["b"])), int(p["at"]))
+                       for p in doc.get("partition", []))
         mode = (CongruenceMode.TCP_FIFO if doc.get("reorder") == "tcp"
                 else CongruenceMode.TOTAL_REORDER)
-        return FailureScenario(drop, crash, links, parts,
+        return FailureScenario(drop, crash, parts,
                                float(doc.get("delayBias", 0.0)), mode,
                                doc.get("freezeCrashed", True))
 
@@ -76,7 +76,6 @@ class FailureScenario:
         """Every role the scenario names."""
         return ({x for (f, t), _ in self.drop for x in (f, t)}
                 | {x for x, _ in self.crash}
-                | {x for a, b, _ in self.links for x in (a, b)}
                 | {x for left, right, _ in self.partitions for x in left + right})
 
     def drop_prob(self, frm: str, to: str) -> float:
@@ -89,14 +88,8 @@ class FailureScenario:
         return any(r == role and step >= at for r, at in self.crash)
 
     def link_failed(self, a: str, b: str, step: int) -> bool:
-        for x, y, at in self.links:
-            if step >= at and {x, y} == {a, b}:
-                return True
-        for left, right, at in self.partitions:
-            if step >= at and ((a in left and b in right)
-                               or (a in right and b in left)):
-                return True
-        return False
+        return any(step >= at and ((a in left and b in right) or (a in right and b in left))
+                   for left, right, at in self.partitions)
 
 
 def _number(v) -> bool:

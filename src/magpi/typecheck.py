@@ -372,13 +372,14 @@ class Checker:
 
 
 def typecheck(theta: dict, g: TypeContext, sigma, p: P.Process,
-              r: Reliability, limits: ExploreLimits | None = None) -> TypingReport:
+              r: Reliability, limits: ExploreLimits | None = None,
+              graphs: Graphs | None = None) -> TypingReport:
     """Decide whether p is well-typed under the given contexts and buffer
-    tracker, for the protocol's reliability map."""
-    diags = P.well_formed(p) if not sigma else []
-    c = Checker(r, limits)
-    c.failures.extend(diags)
-    ok = c.check(dict(theta), g, set(sigma), p) and not diags
+    tracker, for the protocol's reliability map.  `graphs`, when given,
+    holds a verify run's graphs: a restriction whose safety context is
+    their g0 decides safety on them, and the run reads that decision."""
+    c = Checker(r, limits, graphs)
+    ok = c.check(dict(theta), g, set(sigma), p)
     return TypingReport("accepted" if ok else "rejected", c.failures, c.trace)
 
 
@@ -387,10 +388,7 @@ def typecheck_file(pf, limits: ExploreLimits | None = None,
     """Typecheck a parsed protocol file's system, with its top-level
     definitions in scope, under empty contexts.  Top-level definitions are
     mutually recursive, so the `Def` rule checks every definition body under
-    an environment containing all of them.  `graphs`, when given, holds a
-    verify run's graphs: a restriction whose safety context is their g0
-    decides safety on them, and the run reads that decision."""
+    an environment containing all of them."""
     theta = {d.name: [t for _, t in d.params] for d in pf.proc_defs}
-    c = Checker(pf.reliability, limits, graphs)
-    ok = c.check(theta, TypeContext(), set(), pf.system_with_defs())
-    return TypingReport("accepted" if ok else "rejected", c.failures, c.trace)
+    return typecheck(theta, TypeContext(), (), pf.system_with_defs(),
+                     pf.reliability, limits, graphs)

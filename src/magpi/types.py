@@ -392,12 +392,6 @@ def buffer_keys(entries: tuple, classes: TypeClasses | None = None) -> list:
     return [(e.to, (e.label, key(e.payload))) for e in entries]
 
 
-def canonical_buffer_type(entries: tuple, mode: CongruenceMode,
-                          classes: TypeClasses | None = None) -> tuple:
-    """Canonical representative of a buffer type under the mode's congruence."""
-    return tuple(entries[i] for i in buffer_order(buffer_keys(entries, classes), mode))
-
-
 def buffer_type_congruent(a: tuple, b: tuple, mode: CongruenceMode) -> bool:
     # Under one table of both buffers' payloads, equal class keys mean
     # bisimilar payloads.

@@ -1,7 +1,8 @@
-"""Command-line usage errors: out-of-range numbers, scenarios that name
-undeclared roles, unreadable inputs, unwritable output paths and unknown
-properties are refused with exit code 3 and an error message, without a
-traceback."""
+"""Command-line errors.  Out-of-range numbers, scenarios that name
+undeclared roles, unreadable inputs, unwritable output paths, unknown
+properties, a system with no top-level restriction and inputs nested too
+deeply are refused with exit code 3 and an error message, without a
+traceback; a rejected typecheck and a monitor violation exit 1."""
 import io
 import json
 import os
@@ -10,7 +11,7 @@ import sys
 
 import pytest
 
-from magpi.cli import EXIT_OK, EXIT_USAGE, build_parser, main
+from magpi.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, build_parser, main
 from tests.conftest import fixture_file
 from tests.test_golden import ROOT
 
@@ -159,3 +160,70 @@ def test_unguarded_payload_type_is_refused_at_once(tmp_path):
                           env=env, capture_output=True, text=True, timeout=10)
     assert done.returncode == EXIT_USAGE, done.stdout + done.stderr
     assert done.stdout.count("[UnguardedRecursion]") == 3
+
+
+@pytest.mark.parametrize("command", ["check", "verify"])
+def test_safety_undecided_within_the_limit_is_rejected(command):
+    # One state is too few to decide explored_safety's safety, so the
+    # restriction is rejected, and `verify`'s typecheck gate stops the run.
+    out = io.StringIO()
+    assert main([command, str(ROOT / "tests" / "golden" / "explored_safety.magpi"),
+                 "--max-states", "1"], out=out) == EXIT_VIOLATION
+    assert out.getvalue() == (
+        "error [SafetyUndetermined] at 19:7: safety of session s could not be "
+        "decided within exploration limits\ntypecheck: rejected\n")
+
+
+def test_verify_without_a_top_level_restriction_is_refused(tmp_path, capsys):
+    path = tmp_path / "idle.magpi"
+    path.write_text("protocol idle\nroles p, q\nsystem = 0\n", encoding="utf-8")
+    assert _refused(["verify", str(path)], capsys) == \
+        "error: system has no top-level session restriction"
+
+
+def test_unchecked_simulation_reports_a_wait_without_a_timeout(tmp_path):
+    # No reliability section: q trusts nobody, so its wait on p needs a
+    # timeout arm, which the typechecker would ask for and Cor1 reports.
+    path = tmp_path / "untimed.magpi"
+    path.write_text("protocol untimed\nroles p, q\nsystem =\n"
+                    "  new s:{ p: q!a().end, q: &{ p?a().end } } in\n"
+                    "  ( s[p]!q:a().0 | s[q]&{ p?a().0 } | s:[] )\n", encoding="utf-8")
+    out = io.StringIO()
+    assert main(["simulate", str(path), "--unsafe-skip-typecheck"],
+                out=out) == EXIT_VIOLATION
+    assert "monitor violation: Cor1 at step 0 (s[q])" in out.getvalue().splitlines()
+
+
+# -- inputs nested deeper than the interpreter's stack -------------------------
+
+_DEEP_HEADER = "protocol deep\nroles p, q\nreliability { p: {q}, q: {p} }\n"
+
+
+def _deep_source(shape: str, n: int) -> str:
+    """A protocol whose text nests n deep in one of three ways: n nested
+    branchings (in q's type and process), a session type of n sequential
+    messages, or n inactive threads in parallel."""
+    if shape == "threads":
+        return _DEEP_HEADER + ("system = new s:{ p: end, q: end } in\n  ( "
+                               + "0 | " * n + "s:[] )\n")
+    q_type = ("&{ p?m()." * n + "end" + " }" * n if shape == "branchings"
+              else "p?m()." * n + "end")
+    return _DEEP_HEADER + (
+        f"system = new s:{{ p: {'q!m().' * n}end, q: {q_type} }} in\n"
+        f"  ( {'s[p]!q:m().' * n}0 | {'s[q]&{ p?m().' * n}0{' }' * n} | s:[] )\n")
+
+
+@pytest.mark.parametrize("shape", ["branchings", "messages", "threads"])
+def test_an_input_nested_too_deeply_is_refused_by_every_command(tmp_path, capsys, shape):
+    # Shallow, each shape is a well-typed protocol.  Deep, each command
+    # refuses it in one line, without a traceback: 3/5 of the recursion
+    # limit in threads parses and overflows the typechecker, twice the
+    # limit overflows the parser.
+    path = tmp_path / f"{shape}.magpi"
+    path.write_text(_deep_source(shape, 5), encoding="utf-8")
+    assert main(["check", str(path)], out=io.StringIO()) == EXIT_OK
+    for n in (3 * sys.getrecursionlimit() // 5, 2 * sys.getrecursionlimit()):
+        path.write_text(_deep_source(shape, n), encoding="utf-8")
+        for command in ("check", "verify", "simulate"):
+            assert _refused([command, str(path)], capsys) == \
+                "error [NestingTooDeep] at 0:0: input is nested too deeply"

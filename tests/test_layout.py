@@ -20,7 +20,6 @@ SRC = ROOT / "src" / "magpi"
 ALLOWED = {
     "parse_process_text": "entry point: parses one process term without a file",
     "pretty": "entry point: the printer whose round trip the tests check",
-    "typecheck": "entry point: checks one process against a context",
 }
 
 

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from magpi import proc as P
-from magpi.context import TypeContext
+from magpi.context import TypeContext, canonical_context
 from magpi.lts import ExploreLimits, TimeoutAct, context_transitions
 from magpi.parser import parse_session_text
 from magpi.sim import (Config, FailureScenario, RELIABLE, Trace, enabled_steps,
                        monitor_corollaries)
 from magpi.types import (END, UNIT, Basic, BufEntry, CongruenceMode,
                          Reliability, SessionBufferType, buffer_heads,
-                         buffer_keys, buffer_order, canonical_buffer_type)
+                         buffer_keys, buffer_order)
 from magpi import verify as V
 
 TOTAL, FIFO = CongruenceMode.TOTAL_REORDER, CongruenceMode.TCP_FIFO
@@ -32,9 +32,16 @@ PROC_ENTRY = st.builds(P.BufMsg, st.sampled_from("pq"), st.sampled_from("qr"),
                        st.sampled_from((P.UNIT_VAL, P.Lit("int", 1),
                                         P.Lit("int", 2), P.Endpoint("s", "p"))))
 
+
+def _canonical_buffer(es, mode):
+    """The type-level buffer es in the order `canonical_context` gives an
+    endpoint's buffer."""
+    g = TypeContext.of({}, {("s", "p"): SessionBufferType(es)})
+    return canonical_context(g, mode).endpoints[0][1].buffer
+
+
 LEVELS = {
-    "type": (TYPE_ENTRY,
-             lambda es, mode: canonical_buffer_type(es, mode),
+    "type": (TYPE_ENTRY, _canonical_buffer,
              lambda es, mode: buffer_heads(buffer_keys(es), mode),
              lambda e: e.to,
              lambda e: (e.label, e.payload)),

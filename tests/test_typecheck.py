@@ -61,10 +61,12 @@ def test_simple_exchange_accepted():
 
 
 def test_payload_mismatch_rejected():
-    bad = SIMPLE.replace("s[p]!q:a(7).0", "s[p]!q:a(true).0")
-    report = check_text(bad)
-    assert report.verdict == "rejected"
-    assert "PayloadMismatch" in codes(report)
+    # A sent value, and a receive arm's variable, of the wrong type.
+    for bad in (SIMPLE.replace("s[p]!q:a(7).0", "s[p]!q:a(true).0"),
+                SIMPLE.replace("p?a(x:int).0", "p?a(x:bool).0")):
+        report = check_text(bad)
+        assert report.verdict == "rejected"
+        assert "PayloadMismatch" in codes(report)
 
 
 def test_wrong_label_rejected():
@@ -167,6 +169,29 @@ system =
 """
     report = check_text(src)
     assert report.verdict == "rejected"
+
+
+def test_initial_buffer_delegating_an_endpoint_rejected():
+    # Only a literal payload seeds the buffer type, so s[p] has none to
+    # match the delegated t[p] against.
+    src = HEADER + """
+system =
+  new t:{ p: end, q: end } in
+  ( new s:{ q: &{ p?m(end).end } } in
+    ( s[q]&{ p?m(c: end).0 } | s:[ (p,q)!m(t[p]) ] )
+  | t:[] )
+"""
+    assert codes(check_text(src)) == {"BufferTypeMismatch"}
+
+
+def test_typecheck_scopes_its_process_by_its_contexts():
+    # A call to a definition in theta, and a variable bound in g, are in
+    # scope: `typecheck` reads them from its arguments, not from the term.
+    r = Reliability.of({"p": {"q"}, "q": {"p"}})
+    assert typecheck({"X": []}, TypeContext(), (), P.Call("X", ()), r).accepted
+    g = TypeContext.of({"x": parse_session_text("q!a().end", roles={"p", "q"})})
+    report = typecheck({}, g, (), parse_process_text("x!q:a().0", roles={"p", "q"}), r)
+    assert report.accepted, [d.render() for d in report.failures]
 
 
 def test_delegation_accepted():

@@ -3,10 +3,12 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
+from magpi.context import canonical_binding
 from magpi.types import (BranchArm, BufEntry, CongruenceMode, END, Basic, Rec,
                          RecRef, Select, SelectArm, Branch, UNIT,
-                         buffer_type_congruent, canonical_buffer_type,
-                         format_session, type_equal, validate_session)
+                         SessionBufferType, buffer_type_congruent,
+                         format_session, type_classes, type_equal,
+                         validate_session)
 from tests.oracles import session_iso
 
 ROLES = ("p", "q", "r")
@@ -168,11 +170,15 @@ def test_tcp_congruence_matches_per_channel_subsequences():
 
 
 def test_canonical_buffer_is_idempotent_and_congruent():
+    def canonical(m, mode):
+        classes = type_classes(e.payload for e in m)
+        return canonical_binding(SessionBufferType(m), mode, classes)[0].buffer
+
     for mode in CongruenceMode:
         for n in range(0, 4):
             for m in _entries(n):
-                c = canonical_buffer_type(m, mode)
-                assert canonical_buffer_type(c, mode) == c
+                c = canonical(m, mode)
+                assert canonical(c, mode) == c
                 assert buffer_type_congruent(m, c, mode)
 
 
